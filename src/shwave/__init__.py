@@ -15,24 +15,23 @@ from .decay import (MatchingConfig, decaying_phase, decaying_phase_at_tail,
 from .dispersion import (Branch, Mode, ModeSearchResult, OscillationVerdict,
                          SearchOptions, estimate_mode_count, find_modes,
                          mismatch, oscillation_test, trace_branches)
-from .liouville import (TauMap, TransformedMedium, build_tau, transform,
-                        y_of_tau)
+from .liouville import TauMap, TransformedMedium, build_tau, transform
 from .oracle import (OracleResult, bessel_j, bessel_j_prime,
                      bessel_mode_frequencies, bessel_mode_shape,
                      bessel_residual_check, fd_mode_frequencies)
-from .profile import (AssumptionReport, CoefficientField, MaterialProfile,
-                      ParamPoint, ProfileClass, admissible_interval,
-                      check_assumptions, classify, from_callables,
-                      from_registry, from_table, interval_is_empty)
+from .profile import (AssumptionReport, MaterialProfile, ParamPoint,
+                      ProfileClass, admissible_interval, check_assumptions,
+                      classify, from_callables, from_registry, from_table,
+                      interval_is_empty)
 from .prufer import (IntegratorSettings, PhasePath, PhaseState,
                      integrate_phase, reconstruct_mode_shape, surface_phase)
 
 __all__ = [
     "errors",
-    "MaterialProfile", "ParamPoint", "CoefficientField", "ProfileClass",
+    "MaterialProfile", "ParamPoint", "ProfileClass",
     "AssumptionReport", "from_registry", "from_callables", "from_table",
     "classify", "admissible_interval", "check_assumptions", "interval_is_empty",
-    "TauMap", "TransformedMedium", "build_tau", "transform", "y_of_tau",
+    "TauMap", "TransformedMedium", "build_tau", "transform",
     "IntegratorSettings", "PhaseState", "PhasePath", "integrate_phase",
     "surface_phase", "reconstruct_mode_shape",
     "MatchingConfig", "matching_config", "select_matching_point",

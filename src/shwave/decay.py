@@ -15,22 +15,24 @@ verifies that the delivered angle is insensitive to the truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import (NoNegativeTailError, TailConvergenceError,
                      TailSelectionError, ThresholdError)
-from .prufer import (DEFAULT_SETTINGS, IntegratorSettings,
-                     _gamma_accessor, integrate_phase)
-from .profile import _as_param
+from .prufer import (DEFAULT_SETTINGS, IntegratorSettings, integrate_phase,
+                     phase_batch)
+from .profile import _as_param, _gamma, _sign_scan, _trapezoid
 
 NEAR_THRESHOLD_DELTA = 1e-9     # reject Omega above (1 - delta) * cutoff
 DEFAULT_MARGIN = 0.5            # depth margin behind the last sign change
 DEFAULT_Y_BAR = 1.0             # matching depth when gamma_A < 0 everywhere
 TAIL_ANGLE_TOL = 1e-8           # doubling-robustness tolerance on phi+(y_bar)
 _CONTRACTION_BUDGET = 14.0      # integral of the decay rate over [y_bar, Y]
+_VERIFY_STEP = 0.01             # grid step of the negativity checks behind y_bar
 
 
 @dataclass(frozen=True)
@@ -49,17 +51,7 @@ class MatchingConfig:
 
     def stretched(self, factor: float) -> "MatchingConfig":
         """Same matching depth with the tail window scaled by ``factor``."""
-        return MatchingConfig(
-            y_bar=self.y_bar,
-            y_tail=self.y_bar + factor * (self.y_tail - self.y_bar),
-            tail_rel_tol=self.tail_rel_tol,
-            tail_residual_tol=self.tail_residual_tol,
-            strict_tail=self.strict_tail)
-
-
-def _gamma_inf(problem, A):
-    p_inf, q_inf = problem.coef_pair_inf
-    return A.Omega * p_inf - A.K * q_inf
+        return replace(self, y_tail=self.y_bar + factor * (self.y_tail - self.y_bar))
 
 
 def _guard_threshold(problem, A):
@@ -87,13 +79,9 @@ def select_matching_point(problem, A, margin: float = DEFAULT_MARGIN,
     """
     A = _as_param(A)
     _guard_threshold(problem, A)
-    ginf = _gamma_inf(problem, A)
+    ginf = _gamma(problem, A.K, A.Omega)
     if ginf >= 0:
         raise ThresholdError("gamma_inf >= 0: no decaying tail exists")
-
-    def gamma(y):
-        p, q = problem.coef_pair(np.asarray(y, dtype=float))
-        return A.Omega * p - A.K * q
 
     last_nonneg = None
     a, b = 0.0, 16.0
@@ -102,13 +90,12 @@ def select_matching_point(problem, A, margin: float = DEFAULT_MARGIN,
             ys = np.linspace(a, b, max(int((b - a) / 0.01), 64) + 1)
         else:
             ys = np.geomspace(max(a, 1e-3), b, 4096)
-        g = gamma(ys)
-        nonneg = np.nonzero(g >= 0)[0]
-        if len(nonneg):
-            seen = float(ys[nonneg[-1]])
-            last_nonneg = seen if last_nonneg is None else max(last_nonneg, seen)
+        g = _gamma(problem, A.K, A.Omega, ys)
+        last, _ = _sign_scan(ys, g)
+        if last >= 0:       # windows move outward: the latest is the deepest
+            last_nonneg = float(ys[last])
         settled = np.max(np.abs(g - ginf)) < 0.5 * abs(ginf)
-        if settled and not len(nonneg) and (last_nonneg is None or a >= last_nonneg):
+        if settled and last < 0 and (last_nonneg is None or a >= last_nonneg):
             break
         a, b = b, 2.0 * b
         if b > y_cap:
@@ -121,14 +108,13 @@ def select_matching_point(problem, A, margin: float = DEFAULT_MARGIN,
     else:
         y_bar = last_nonneg + margin
     # verification pass behind y_bar
-    step = min(0.01, margin / 10.0)
+    step = min(_VERIFY_STEP, margin / 10.0)
     for _ in range(64):
         ys = np.arange(y_bar, y_bar + 5.0 + step, step)
-        g = gamma(ys)
-        bad = np.nonzero(g >= 0)[0]
-        if not len(bad):
+        last, _ = _sign_scan(ys, _gamma(problem, A.K, A.Omega, ys))
+        if last < 0:
             return float(y_bar)
-        y_bar = float(ys[bad[-1]]) + margin
+        y_bar = float(ys[last]) + margin
         if y_bar > y_cap:
             break
     raise NoNegativeTailError(
@@ -160,7 +146,7 @@ def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
         tail_residual_tol = cfg.tail_residual_tol
     if y_bar is None:
         y_bar = select_matching_point(problem, A)
-    ginf = _gamma_inf(problem, A)
+    ginf = _gamma(problem, A.K, A.Omega)
     if ginf >= 0:
         raise ThresholdError("gamma_inf >= 0: no decaying tail exists")
 
@@ -169,19 +155,15 @@ def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
         return max(float(y_bar), float(tail_from)), True
 
     def beta_abs(y):
-        p, q = problem.coef_pair(np.asarray(y, dtype=float))
-        return np.abs(A.Omega * p - A.K * q - ginf)
-
-    def gamma(y):
-        p, q = problem.coef_pair(np.asarray(y, dtype=float))
-        return A.Omega * p - A.K * q
+        return np.abs(_gamma(problem, A.K, A.Omega, y) - ginf)
 
     y_scan_max = max(1000.0, 32.0 * (y_bar + 1.0))
     fine = np.arange(y_bar, min(y_bar + 64.0, y_scan_max), 0.05)
     coarse = np.geomspace(max(y_bar + 64.0, 1.0), y_scan_max, 512) \
         if y_scan_max > y_bar + 64.0 else np.array([])
     ys = np.concatenate([fine, coarse])
-    bvals = beta_abs(ys)
+    g = _gamma(problem, A.K, A.Omega, ys)
+    bvals = np.abs(g - ginf)
     candidates = np.nonzero(bvals <= tail_rel_tol * abs(ginf))[0]
     if len(candidates) > 32:
         picks = np.unique(np.geomspace(1, len(candidates), 32).astype(int) - 1)
@@ -189,8 +171,8 @@ def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
     for i in candidates:
         Y = float(ys[i])
         # residual estimate on doubling windows with geometric extrapolation
-        w1 = _quad(beta_abs, Y, 2 * Y)
-        w2 = _quad(beta_abs, 2 * Y, 4 * Y)
+        w1 = _trapezoid(beta_abs, Y, 2 * Y, 513)
+        w2 = _trapezoid(beta_abs, 2 * Y, 4 * Y, 513)
         if w1 <= 1e-300 or w2 <= 1e-300:
             residual = w1 + w2
         elif w2 < 0.95 * w1:
@@ -201,7 +183,6 @@ def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
             return Y, True
 
     # contraction-budget fallback
-    g = gamma(ys)
     kappa = np.sqrt(np.maximum(-g, 0.0) /
                     np.asarray(problem.stiffness(ys), dtype=float))
     budget = np.concatenate([[0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1])
@@ -217,19 +198,16 @@ def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
         "tolerances" % (y_scan_max, tail_rel_tol, tail_residual_tol))
 
 
-def _quad(f, a, b, n=513):
-    ys = np.linspace(a, b, n)
-    return float(np.trapezoid(f(ys), ys))
-
-
-def _verify_negative(problem, A, y_bar, y_tail):
-    head = np.arange(y_bar, min(y_bar + 5.0, y_tail), 0.01)
+def _verify_negative(problem, A, y_bar, y_tail, head=True):
+    """Raise unless gamma_A < 0 on a grid over [y_bar, y_tail]; ``head=False``
+    skips [y_bar, y_bar + 5), which the caller checked on this grid."""
+    head = np.arange(y_bar, min(y_bar + 5.0, y_tail), _VERIFY_STEP) \
+        if head else np.array([])
     rest = np.geomspace(max(y_bar + 5.0, 1e-3), y_tail, 2048) \
         if y_tail > y_bar + 5.0 else np.array([])
     ys = np.concatenate([head, rest, [y_tail]])
-    p, q = problem.coef_pair(ys)
-    g = A.Omega * p - A.K * q
-    if np.any(g >= 0):
+    last, _ = _sign_scan(ys, _gamma(problem, A.K, A.Omega, ys))
+    if last >= 0:
         raise NoNegativeTailError(
             "gamma_A is nonnegative inside the matching window "
             "[%.6g, %.6g]" % (y_bar, y_tail))
@@ -245,7 +223,10 @@ def matching_config(problem, A, tail_rel_tol: float = 1e-8,
         problem, A, y_bar=y_bar, tail_rel_tol=tail_rel_tol,
         tail_residual_tol=tail_residual_tol)
     y_tail = max(y_tail, y_bar)
-    _verify_negative(problem, A, y_bar, y_tail)
+    # unless a small margin refined its step, select_matching_point
+    # already checked the head of the window on the same grid
+    _verify_negative(problem, A, y_bar, y_tail,
+                     head=margin / 10.0 < _VERIFY_STEP)
     return MatchingConfig(y_bar=y_bar, y_tail=y_tail,
                           tail_rel_tol=tail_rel_tol,
                           tail_residual_tol=tail_residual_tol,
@@ -260,8 +241,7 @@ def decaying_phase_at_tail(problem, A, Y: float) -> float:
     w/u = -sqrt(-gamma_A(Y)*mu(Y)) and the angle lands in (pi/2, pi).
     """
     A = _as_param(A)
-    p, q = problem.coef_pair(float(Y))
-    g = A.Omega * p - A.K * q
+    g = _gamma(problem, A.K, A.Omega, float(Y))
     if g >= 0:
         raise ThresholdError("gamma_A(Y) must be negative at the tail start")
     s = problem.stiffness(float(Y))
@@ -270,8 +250,8 @@ def decaying_phase_at_tail(problem, A, Y: float) -> float:
 
 def _backward_phase(problem, A, y_tail, y_bar, settings, with_path=False):
     phi_Y = decaying_phase_at_tail(problem, A, y_tail)
-    gamma = _gamma_accessor(problem, A)
-    return integrate_phase(gamma, problem.stiffness, phi_Y, y_tail, y_bar,
+    return integrate_phase(partial(_gamma, problem, A.K, A.Omega),
+                           problem.stiffness, phi_Y, y_tail, y_bar,
                            settings=settings, with_path=with_path)
 
 
@@ -291,10 +271,8 @@ def decaying_phase(problem, A, cfg: MatchingConfig,
     settings = settings or DEFAULT_SETTINGS
     _guard_threshold(problem, A)
     cfg_cur = cfg
-    exact_tail = False
     tail_from = getattr(problem, "tail_constant_from", None)
-    if tail_from is not None and cfg.y_tail >= tail_from:
-        exact_tail = True
+    exact_tail = tail_from is not None and cfg.y_tail >= tail_from
 
     tol = max(TAIL_ANGLE_TOL, 100.0 * settings.rel_tol)
     for attempt in range(max_retries + 1):
@@ -331,26 +309,19 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     robustness check runs on the whole batch at once; ``check=False``
     skips it for repeat sweeps over a window that already validated.
     """
-    from .prufer import phase_batch
-
     settings = settings or DEFAULT_SETTINGS
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
 
-    def gamma_vec(y, _om=omegas):
-        p, q = problem.coef_pair(y)
-        return _om * p - K * q
+    gamma_vec = partial(_gamma, problem, K, omegas)
 
     def seed(y_tail):
-        pY, qY = problem.coef_pair(y_tail)
-        g = omegas * pY - K * qY
+        g = gamma_vec(y_tail)
         if np.any(g >= 0):
             raise ThresholdError("gamma_A(Y) must be negative at the tail start")
         return np.arctan2(1.0, -np.sqrt(-g * problem.stiffness(y_tail)))
 
-    exact_tail = False
     tail_from = getattr(problem, "tail_constant_from", None)
-    if tail_from is not None and cfg.y_tail >= tail_from:
-        exact_tail = True
+    exact_tail = tail_from is not None and cfg.y_tail >= tail_from
 
     # at loose integration tolerances the two sweeps differ by
     # integration error, not truncation, so the bar scales with rel_tol

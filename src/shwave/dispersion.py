@@ -16,8 +16,9 @@ tail angle lies in ((n + 1/2)pi, (n + 1)pi), i.e. mode m = n + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -26,8 +27,9 @@ from .decay import (DEFAULT_MARGIN, DEFAULT_Y_BAR, NEAR_THRESHOLD_DELTA,
                     MatchingConfig, decaying_phase_batch, matching_config)
 from .errors import NoNegativeTailError, TailSelectionError
 from .prufer import DEFAULT_SETTINGS, HALF_PI, IntegratorSettings, phase_batch
-from .profile import (MaterialProfile, ProfileClass, _as_param,
-                      admissible_interval, classify, interval_is_empty)
+from .profile import (MaterialProfile, ProfileClass, _as_param, _gamma,
+                      _sign_scan, _trapezoid, admissible_interval, classify,
+                      interval_is_empty)
 
 _REASON_GLOBAL_NEGATIVE = ("nonexistence: globally negative monotonicity "
                            "(Arg a(y) >= Arg a_inf at every depth)")
@@ -101,7 +103,6 @@ class SearchOptions:
     scan_settings: Optional[IntegratorSettings] = None
     tail_stretch: float = 1.0        # >1 widens the tail window (robustness runs)
     space: str = "y"                 # "y" or "tau"
-    seeds: Optional[Sequence[float]] = None
     max_bisect: int = 80
 
 
@@ -127,12 +128,7 @@ def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
     both sweeps then use dense output and are read off per member.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-
-    def gamma_vec(y, _om=omegas):
-        p, q = problem.coef_pair(y)
-        return _om * p - K * q
-
-    phi0 = phase_batch(gamma_vec, problem.stiffness,
+    phi0 = phase_batch(partial(_gamma, problem, K, omegas), problem.stiffness,
                        np.full(omegas.shape, HALF_PI), 0.0, cfg.y_bar,
                        settings=settings, read_at=y_bars)
     phi_plus = decaying_phase_batch(problem, K, omegas, cfg, settings=settings,
@@ -167,10 +163,8 @@ def _grow_cfg(problem, K, omega_top, cfg_prev: Optional[MatchingConfig],
     if cfg_prev is not None:
         y_bar = max(cfg.y_bar, cfg_prev.y_bar)
         y_tail = max(cfg.y_tail, cfg_prev.y_tail, y_bar)
-        cfg = MatchingConfig(y_bar=y_bar, y_tail=y_tail,
-                             tail_rel_tol=cfg.tail_rel_tol,
-                             tail_residual_tol=cfg.tail_residual_tol,
-                             strict_tail=cfg.strict_tail and cfg_prev.strict_tail)
+        cfg = replace(cfg, y_bar=y_bar, y_tail=y_tail,
+                      strict_tail=cfg.strict_tail and cfg_prev.strict_tail)
     return cfg
 
 
@@ -210,13 +204,6 @@ def find_modes(profile: MaterialProfile, K: float,
     uniform = lo + width * np.arange(1, n) / n
     head = np.array([lo + width * 1e-6])
     uniform = np.concatenate([head, uniform[uniform < cap]])
-    seeds = np.asarray(opts.seeds, dtype=float) if opts.seeds is not None else None
-    if seeds is not None and len(seeds):
-        extra = []
-        for s in seeds:
-            extra.extend([s * (1 - 2e-3), s * (1 + 2e-3)])
-        extra = np.array([e for e in extra if lo < e < cap])
-        uniform = np.unique(np.concatenate([uniform, extra]))
 
     gap0 = hi - uniform[-1]
     geo = []
@@ -325,24 +312,21 @@ def _polish_depths(problem, K, omega_tops, cfg: MatchingConfig):
     ys = np.concatenate([np.linspace(0.0, min(8.0, hi), 2048, endpoint=False),
                          np.linspace(min(8.0, hi), hi, 2048)]) \
         if hi > 8.0 else np.linspace(0.0, hi, 4096)
-    p, q = problem.coef_pair(ys)
-    G = omega_tops[:, None] * p[None, :] - K * q[None, :]
-    nonneg = G >= 0.0
-    any_nonneg = np.any(nonneg, axis=1)
-    # index of the last nonnegative grid point per bracket
-    last_idx = ys.size - 1 - np.argmax(nonneg[:, ::-1], axis=1)
+    G = _gamma(problem, K, omega_tops, ys)
+    last, _ = _sign_scan(ys, G)
 
     out = np.full(omega_tops.shape, min(DEFAULT_Y_BAR, cfg.y_bar))
-    for j in np.nonzero(any_nonneg)[0]:
-        i = last_idx[j]
+    for j in np.nonzero(last >= 0)[0]:
+        i = last[j]
         y_star = ys[i]
         i2 = min(i + 16, ys.size - 1)
         slope = abs(G[j, i2] - G[j, i]) / max(ys[i2] - ys[i], 1e-9)
         margin = min(DEFAULT_MARGIN,
                      max(0.05, (2.25 / max(math.sqrt(slope), 1e-9)) ** (2.0 / 3.0)))
         y_bar = y_star + margin
-        tail = ys >= y_bar
-        if np.any(G[j, tail] >= 0) or not np.any(tail):
+        # gamma < 0 on the grid past y_star, so only a y_bar beyond the
+        # grid is unverified
+        if y_bar > ys[-1]:
             y_bar = min(y_star + DEFAULT_MARGIN, cfg.y_bar)
         out[j] = min(y_bar, cfg.y_bar)
     return out
@@ -352,7 +336,7 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
     """Bisect all pending brackets simultaneously, one batch per sweep.
 
     Each bracket gets its own matching depth near its turning point
-    (see _polish_depth); the shared backward sweep starts at the
+    (see _polish_depths); the shared backward sweep starts at the
     worst-case tail depth and every member is read off at its own
     y_bar, so one vector integration per bisection step serves all
     pending roots.
@@ -395,15 +379,10 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
             flag = "residual above tolerance"
         if noisy_flags[j]:
             flag = (flag + "; " if flag else "") + "non-monotone scan values"
-        mode_cfg = MatchingConfig(
-            y_bar=float(y_bars[j]), y_tail=cfg.y_tail,
-            tail_rel_tol=cfg.tail_rel_tol,
-            tail_residual_tol=cfg.tail_residual_tol,
-            strict_tail=cfg.strict_tail)
         out.append(Mode(K=K, Omega=float(omega), m=nn + 1,
                         phi_surface=float(last_phi0[j]),
-                        phi_decay=float(last_phip[j]),
-                        residual=float(resid[j]), matching=mode_cfg, flag=flag))
+                        phi_decay=float(last_phip[j]), residual=float(resid[j]),
+                        matching=replace(cfg, y_bar=float(y_bars[j])), flag=flag))
     return out
 
 
@@ -412,10 +391,9 @@ def trace_branches(profile: MaterialProfile, k_grid,
                    classification: Optional[ProfileClass] = None):
     """Dispersion branches over a strictly increasing wavenumber grid.
 
-    Runs find_modes at every k (in parallel when ``workers > 1``),
-    associates modes across k by their index m, and warm-starts each
-    serial step with the previous roots scaled by the K ratio.  Results
-    are assembled deterministically regardless of worker count.
+    Runs an independent find_modes at every k (in parallel when
+    ``workers > 1``) and associates modes across k by their index m.
+    Results are assembled deterministically regardless of worker count.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
@@ -475,15 +453,14 @@ def estimate_mode_count(profile: MaterialProfile, K: float,
     omega_bar = K * profile.mu_inf / profile.rho_inf
 
     def f(y):
-        rho, mu = profile.eval(np.asarray(y, dtype=float))
-        g = omega_bar * rho - K * mu
-        return np.sqrt(np.maximum(g, 0.0) / mu)
+        return np.sqrt(np.maximum(_gamma(profile, K, omega_bar, y), 0.0)
+                       / profile.stiffness(y))
 
     # doubling-window divergence screen
     windows = []
     a = 1.0
     for _ in range(24):
-        windows.append(_panel_integral(f, a, 2 * a))
+        windows.append(_trapezoid(f, a, 2 * a, 257))
         a *= 2.0
     windows = np.asarray(windows)
     scale = max(float(np.max(windows)), 1e-300)
@@ -496,26 +473,13 @@ def estimate_mode_count(profile: MaterialProfile, K: float,
     vals = f(ys)
     below = np.nonzero(vals >= tiny)[0]
     y_tr = float(ys[below[-1]] * 1.05) if len(below) else 2.0
-    turning = _sign_changes(lambda y: omega_bar * profile.eval(y)[0]
-                            - K * profile.eval(y)[1], 0.0, y_tr)
-    pieces = [0.0] + turning + [y_tr]
+    ys = np.linspace(0.0, y_tr, 4096)
+    _, turning = _sign_scan(ys, _gamma(profile, K, omega_bar, ys))
+    pieces = [0.0] + turning.tolist() + [y_tr]
     total = 0.0
     for aa, bb in zip(pieces[:-1], pieces[1:]):
         total += _adaptive_integral(f, aa, bb, tol=1e-11)
     return total / math.pi
-
-
-def _panel_integral(f, a, b, n=256):
-    ys = np.linspace(a, b, n + 1)
-    return float(np.trapezoid(f(ys), ys))
-
-
-def _sign_changes(g, a, b, n=4096):
-    ys = np.linspace(a, b, n)
-    vals = np.asarray(g(ys))
-    s = np.signbit(vals)
-    idx = np.nonzero(s[1:] != s[:-1])[0]
-    return [float(0.5 * (ys[i] + ys[i + 1])) for i in idx]
 
 
 def _adaptive_integral(f, a, b, tol=1e-11, depth=0):

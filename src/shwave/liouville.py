@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ProfileError
-from .profile import MaterialProfile, _as_param, effective_depth
+from .profile import MaterialProfile, _as_param, _gamma, effective_depth
 
 _GL5_X, _GL5_W = leggauss(5)
 _GL10_X, _GL10_W = leggauss(10)
@@ -218,26 +218,12 @@ class TransformedMedium:
     def gamma_bar(self, A, tau):
         """Standard-form coefficient mu(y(tau)) * gamma_A(y(tau))."""
         A = _as_param(A)
-        p, q = self.coef_pair(tau)
-        return A.Omega * p - A.K * q
-
-    def gamma(self, A, tau):
-        return self.gamma_bar(A, tau)
-
-    @property
-    def gamma_bar_inf_factor(self):
-        """Limit pair of gamma_bar: Omega*mu_inf*rho_inf - K*mu_inf**2."""
-        return self.rho_inf, self.mu_inf
+        return _gamma(self, A.K, A.Omega, tau)
 
     def arg_a(self, tau):
         """Material angle in tau; equals the physical Arg a at y(tau)."""
         p, q = self.coef_pair(tau)
         return np.arctan2(q, p)
-
-
-def y_of_tau(taumap: TauMap, tau):
-    """Inverse of the depth substitution (functional spelling of TauMap.y_of)."""
-    return taumap.y_of(tau)
 
 
 def transform(profile: MaterialProfile, taumap: Optional[TauMap] = None) -> TransformedMedium:

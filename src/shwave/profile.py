@@ -56,6 +56,44 @@ def _as_param(A) -> ParamPoint:
     return ParamPoint(float(K), float(Omega))
 
 
+def _gamma(problem, K, Omega, y=None):
+    """gamma_A = Omega*p - K*q from ``problem.coef_pair(y)``.
+
+    ``y=None`` takes the limit pair ``coef_pair_inf`` instead.  A batch
+    of ``Omega`` (an array) at a scalar depth gives one value per
+    member; on a depth grid it gives a (members, depths) array.
+    """
+    p, q = problem.coef_pair_inf if y is None else problem.coef_pair(y)
+    if getattr(Omega, "ndim", 0) and getattr(p, "ndim", 0):
+        Omega = Omega[:, None]
+    return Omega * p - K * q
+
+
+def _sign_scan(ys, g):
+    """Where gamma, sampled on the ascending depth grid ``ys``, is >= 0.
+
+    ``g`` holds one row of samples per member; a 1-D ``g`` is a single
+    member and gets scalar-shaped answers.  Returns ``(last, changes)``:
+    the index into ``ys`` of each member's last nonnegative sample (-1
+    when there is none), and each member's sign changes, located at the
+    midpoints of the grid intervals across which the sign flips.
+    """
+    nonneg = np.asarray(g) >= 0.0
+    last = np.where(np.any(nonneg, axis=-1),
+                    nonneg.shape[-1] - 1 - np.argmax(nonneg[..., ::-1], axis=-1),
+                    -1)
+    flips = nonneg[..., 1:] != nonneg[..., :-1]
+    mids = 0.5 * (ys[1:] + ys[:-1])
+    changes = mids[flips] if flips.ndim == 1 else [mids[f] for f in flips]
+    return last, changes
+
+
+def _trapezoid(f, a, b, n):
+    """Trapezoid rule for ``f`` on ``n`` equispaced points of [a, b]."""
+    ys = np.linspace(a, b, n)
+    return float(np.trapezoid(f(ys), ys))
+
+
 @dataclass(frozen=True)
 class MaterialProfile:
     """Material laws rho(y), mu(y) of a graded half-space.
@@ -152,36 +190,6 @@ class MaterialProfile:
         rho, mu = self.eval(y)
         return self.mu_inf * (rho - self.rho_inf) - self.rho_inf * (mu - self.mu_inf)
 
-    def coefficient_field(self, A, scan_grid=None) -> "CoefficientField":
-        """Split gamma_A into its limit and decaying part.
-
-        Returns a :class:`CoefficientField` with the limit
-        ``gamma_inf = Omega*rho_inf - K*mu_inf``, the deviation
-        ``beta(y) = gamma_A(y) - gamma_inf``, the tail decay exponent
-        (defined only for a negative limit) and the sign changes of
-        gamma_A recorded on the scan grid.
-        """
-        A = _as_param(A)
-        gamma_inf = A.Omega * self.rho_inf - A.K * self.mu_inf
-        lam = None
-        if gamma_inf < 0:
-            lam = math.sqrt(-gamma_inf * self.mu_inf) / self.mu_inf
-        if scan_grid is None:
-            scan_grid = np.linspace(0.0, effective_depth(self) + 10.0, 2048)
-        g = self.gamma(A, scan_grid)
-        sign = np.signbit(g)
-        flips = np.nonzero(sign[1:] != sign[:-1])[0]
-        sign_changes = tuple(0.5 * (scan_grid[i] + scan_grid[i + 1]) for i in flips)
-
-        def beta(y, _A=A, _g=gamma_inf):
-            return self.gamma(_A, y) - _g
-
-        return CoefficientField(
-            A=A, gamma_inf=gamma_inf, beta=beta, lam=lam,
-            sign_changes=sign_changes,
-            leading_sign=-1 if sign[0] else 1,
-        )
-
     # internal solver-facing surface (shared with transformed media).
     # These skip the domain re-validation: the integrators never leave
     # the nonnegative interval they were handed, and these accessors sit
@@ -198,22 +206,6 @@ class MaterialProfile:
     @property
     def coef_pair_inf(self):
         return self.rho_inf, self.mu_inf
-
-
-@dataclass(frozen=True)
-class CoefficientField:
-    """gamma_A decomposed as gamma_inf + beta(y).
-
-    ``lam`` is the depth-decay exponent sqrt(-gamma_inf/mu_inf) of the
-    evanescent tail, populated only when ``gamma_inf < 0``.
-    """
-
-    A: ParamPoint
-    gamma_inf: float
-    beta: Callable
-    lam: Optional[float]
-    sign_changes: tuple
-    leading_sign: int
 
 
 @dataclass(frozen=True)
@@ -564,11 +556,6 @@ def interval_is_empty(lo: float, hi: float) -> bool:
     return lo >= hi * (1.0 - _EMPTY_INTERVAL_RTOL)
 
 
-def _window_integral(f, a, b, n=257):
-    ys = np.linspace(a, b, n)
-    return float(np.trapezoid(f(ys), ys))
-
-
 def check_assumptions(profile: MaterialProfile, probe_depth=None,
                       n_probe=4096) -> AssumptionReport:
     """Report-only check of Lipschitz continuity and tail integrability.
@@ -589,11 +576,11 @@ def check_assumptions(profile: MaterialProfile, probe_depth=None,
     lip = float(np.max(slopes))
 
     dev = lambda y: np.hypot(profile.rho_hat(y), profile.mu_hat(y))
-    head = _window_integral(dev, 0.0, 8.0, 1025)
+    head = _trapezoid(dev, 0.0, 8.0, 1025)
     windows = []
     a = 8.0
     for _ in range(8):
-        windows.append(_window_integral(dev, a, 2 * a, 513))
+        windows.append(_trapezoid(dev, a, 2 * a, 513))
         a *= 2.0
     windows = np.array(windows)
     scale = math.hypot(profile.rho_inf, profile.mu_inf)

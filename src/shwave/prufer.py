@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import rk
 from .errors import IntegrationError, MatchConsistencyError
-from .profile import _as_param
+from .profile import _as_param, _gamma
 
 HALF_PI = 0.5 * math.pi
 
@@ -50,18 +51,6 @@ class PhaseState:
     y: float
     phi: float
     log_r: float = 0.0
-
-    @property
-    def r(self) -> float:
-        return math.exp(self.log_r)
-
-    @property
-    def u(self) -> float:
-        return self.r * math.sin(self.phi)
-
-    @property
-    def w(self) -> float:
-        return self.r * math.cos(self.phi)
 
 
 class PhasePath:
@@ -91,24 +80,19 @@ class PhasePath:
         return ys, vals
 
 
-def _phase_rhs(gamma: Callable, mu: Callable, with_log_r: bool):
-    if with_log_r:
-        def rhs(y, state):
-            n = state.shape[0] // 2
-            phi = state[:n]
-            g = gamma(y)
-            inv_mu = 1.0 / mu(y)
-            c2 = np.cos(2.0 * phi)
-            s2 = np.sin(2.0 * phi)
-            out = np.empty_like(state)
-            out[:n] = 0.5 * (g + inv_mu) + 0.5 * (inv_mu - g) * c2
-            out[n:] = 0.5 * (inv_mu - g) * s2
-            return out
-    else:
-        def rhs(y, phi):
-            g = gamma(y)
-            inv_mu = 1.0 / mu(y)
-            return 0.5 * (g + inv_mu) + 0.5 * (inv_mu - g) * np.cos(2.0 * phi)
+def _phase_rhs(gamma: Callable, mu: Callable):
+    """Right-hand side of the (phi, log r) system, phi stacked over log r."""
+    def rhs(y, state):
+        n = state.shape[0] // 2
+        phi = state[:n]
+        g = gamma(y)
+        inv_mu = 1.0 / mu(y)
+        c2 = np.cos(2.0 * phi)
+        s2 = np.sin(2.0 * phi)
+        out = np.empty_like(state)
+        out[:n] = 0.5 * (g + inv_mu) + 0.5 * (inv_mu - g) * c2
+        out[n:] = 0.5 * (inv_mu - g) * s2
+        return out
     return rhs
 
 
@@ -139,7 +123,7 @@ def integrate_phase(gamma: Callable, mu: Callable, phi0: float, y_from: float,
     """
     settings = settings or DEFAULT_SETTINGS
     state0 = np.array([phi0, log_r0])
-    rhs = _phase_rhs(gamma, mu, with_log_r=True)
+    rhs = _phase_rhs(gamma, mu)
     try:
         res = rk.solve(rhs, y_from, state0, y_to,
                        rtol=settings.rel_tol, atol=settings.abs_tol,
@@ -190,16 +174,6 @@ def phase_batch(gamma_vec: Callable, mu: Callable, phi0, y_from: float,
     return phi
 
 
-def _gamma_accessor(problem, A):
-    A = _as_param(A)
-
-    def gamma(y, _K=A.K, _O=A.Omega):
-        p, q = problem.coef_pair(y)
-        return _O * p - _K * q
-
-    return gamma
-
-
 def surface_phase(problem, A, y_end: float,
                   settings: Optional[IntegratorSettings] = None,
                   with_path: bool = False):
@@ -211,9 +185,9 @@ def surface_phase(problem, A, y_end: float,
     if not y_end > 0:
         raise ValueError("y_end must be positive")
     A = _as_param(A)
-    return integrate_phase(_gamma_accessor(problem, A), problem.stiffness,
-                           HALF_PI, 0.0, y_end, settings=settings,
-                           with_path=with_path)
+    return integrate_phase(partial(_gamma, problem, A.K, A.Omega),
+                           problem.stiffness, HALF_PI, 0.0, y_end,
+                           settings=settings, with_path=with_path)
 
 
 def reconstruct_mode_shape(problem, mode, y_grid,
@@ -264,8 +238,7 @@ def reconstruct_mode_shape(problem, mode, y_grid,
 
     far_mask = y_grid > cfg.y_tail
     if np.any(far_mask):
-        pY, qY = problem.coef_pair(cfg.y_tail)
-        gY = A.Omega * pY - A.K * qY
+        gY = _gamma(problem, A.K, A.Omega, cfg.y_tail)
         kappa = math.sqrt(max(-gY, 0.0) / problem.stiffness(cfg.y_tail))
         vals = bwd_path(np.array([cfg.y_tail]))
         u_at_Y = sigma * math.exp(vals[0, 1]) * math.sin(vals[0, 0])

@@ -66,21 +66,6 @@ def test_gamma_definitional_identity(exp_profile):
         assert exp_profile.gamma((K, Om), y) == Om * rho - K * mu
 
 
-def test_coefficient_field(exp_profile, constant_profile):
-    cf = constant_profile.coefficient_field((4.0, 1.0))
-    assert cf.gamma_inf == -3.0
-    assert abs(cf.lam - math.sqrt(3.0)) < 1e-14
-    assert abs(cf.beta(2.0)) < 1e-14
-
-    cf = exp_profile.coefficient_field((1.0, 0.5))
-    assert cf.gamma_inf == -0.5
-    assert abs(cf.beta(1.0) - 2.5 * math.exp(-1.0)) < 1e-12
-
-    cf = constant_profile.coefficient_field((1.0, 2.0))
-    assert cf.gamma_inf == 1.0
-    assert cf.lam is None
-
-
 def test_arg_a(exp_profile):
     p = sw.from_registry("constant", {"rho": 1.0, "mu": 1.0})
     assert abs(p.arg_a(0.0) - math.pi / 4) < 1e-15
