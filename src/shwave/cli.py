@@ -28,7 +28,7 @@ Config schema ("schema": "shwave-run/1")::
 
 Table profiles: ``{"name": "table", "params": {"rows": [[y, rho, mu], ...]}}``
 or ``{"name": "table", "path": "samples.txt"}`` with whitespace-separated
-``y rho mu`` rows.
+``y rho mu`` rows.  A ``--workers`` flag overrides the config's ``workers``.
 """
 
 from __future__ import annotations
@@ -250,8 +250,11 @@ def _oracle_comparison(fixtures, profile_spec, results_by_K):
 
 
 def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
-        workers: int = 1, fixtures_path: Path | None = None) -> int:
-    """Execute one configured task; returns the process exit code."""
+        workers: int | None = None, fixtures_path: Path | None = None) -> int:
+    """Execute one configured task; returns the process exit code.
+
+    ``workers=None`` defers to the config's ``workers`` (default 1).
+    """
     if config.get("schema") != SCHEMA:
         raise ConfigError("config schema must be %r" % SCHEMA)
     task = config.get("task")
@@ -259,7 +262,8 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
         raise ConfigError("unknown task %r" % task)
     profile_spec = config.get("profile")
     profile = _build_profile(profile_spec, base_dir)
-    workers = int(config.get("workers", workers) or workers)
+    if workers is None:
+        workers = int(config.get("workers") or 1)
     basename = (config.get("output") or {}).get("basename", "shwave_" + task)
     opts = _options(config)
 
@@ -375,7 +379,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--plot", action="store_true",
                         help="write an SVG dispersion plot (branches task)")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="overrides the config's workers (default 1)")
     parser.add_argument("--output-dir", default=".")
     parser.add_argument("--fixtures", default=None,
                         help="fixture file or directory for oracle comparison")

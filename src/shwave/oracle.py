@@ -13,7 +13,8 @@ Two oracles with unrelated failure modes:
 Neither path shares numerical kernels with the phase-integration
 solver.  The Bessel evaluation is series/asymptotics written here, not
 a library call, and self-tests against a tabulated zero and the ODE
-residual before first use.
+residual before first use; where its asymptotics cannot reach 1e-8
+it raises :class:`OracleUnavailableError` instead of answering.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import OracleUnavailableError, ProfileError
 from .profile import MaterialProfile
 
 _SERIES_CUTOFF = 20.0
+_ASYMPTOTIC_TOL = 1e-8      # largest accepted truncation error of the Hankel sum
 # First positive zero of J'_1 (Newton-polished against the series here;
 # agrees with standard tables).
 _JP1_ZERO = 1.8411837813406593
@@ -76,7 +78,8 @@ def _bessel_j_series_dx(nu: float, x: float, terms: int = 120) -> float:
 
 
 def _hankel_pq(nu: float, x: float, terms: int = 10):
-    """Asymptotic amplitude/phase corrections P and Q for large x."""
+    """Asymptotic corrections P and Q for large x, and the size of the
+    first omitted term (their truncation error once the terms decrease)."""
     mu4 = 4.0 * nu * nu
     p, q = 1.0, 0.0
     term = 1.0
@@ -93,17 +96,25 @@ def _hankel_pq(nu: float, x: float, terms: int = 10):
             p += (-1 if (k // 2) % 2 == 1 else 1) * num
         if abs(num) < 1e-18:
             break
-    return p, q
+    omitted = abs(num * (mu4 - (2 * k + 1) ** 2) / ((k + 1) * 8.0 * x))
+    return p, q, omitted
 
 
 def _bessel_j_asymptotic(nu: float, x: float) -> float:
-    p, q = _hankel_pq(nu, x)
+    p, q, omitted = _hankel_pq(nu, x)
+    amp = math.sqrt(2.0 / (math.pi * x))
+    if amp * omitted > _ASYMPTOTIC_TOL:
+        raise OracleUnavailableError(
+            "Hankel asymptotics of J_%g(%g) are not converged (truncation "
+            "error ~%.1e); the order is too large for this argument"
+            % (nu, x, amp * omitted))
     chi = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
+    return amp * (p * math.cos(chi) - q * math.sin(chi))
 
 
 def bessel_j(nu: float, x: float) -> float:
-    """J_nu(x) for real order nu > -1 and x >= 0."""
+    """J_nu(x) for real order nu > -1 and x >= 0; refuses (x > 20) orders
+    too large for the asymptotics to reach 1e-8."""
     if x < 0:
         raise ValueError("x must be nonnegative")
     if nu <= -1:
@@ -180,7 +191,9 @@ def bessel_mode_frequencies(q: float, d: float, K: float,
     order nu, the decaying branch is J_nu (nu > 0), and u'(0) = 0
     becomes the stated scalar relation.  Roots are scanned over
     (K/(1+q), K) on a grid refined geometrically toward the cutoff K
-    and polished by Brent's method.
+    and polished by Brent's method.  When J_nu cannot be evaluated
+    accurately somewhere on the scan (large K, see :func:`bessel_j`) the
+    result has no roots and ``usable=False``, with the reason in ``note``.
     """
     if not (q > 0 and d > 0 and K > 0):
         raise ProfileError("need q > 0, d > 0, K > 0")
@@ -198,20 +211,23 @@ def bessel_mode_frequencies(q: float, d: float, K: float,
     base = np.linspace(left, right, scan_n)
     extra = hi - (hi - base[-2]) * 0.5 ** np.arange(1, 24)
     grid = np.unique(np.concatenate([base, extra[extra < right]]))
-    vals = np.array([f(om) for om in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(grid[i]))
-        elif va * vb < 0:
-            roots.append(float(brentq(f, grid[i], grid[i + 1],
-                                      xtol=1e-14, rtol=1e-15)))
-    roots = sorted(set(roots))
+    discretization = {"q": q, "d": d, "K": K, "scan_n": scan_n,
+                      "interval": (lo, hi)}
+    try:
+        vals = np.array([f(om) for om in grid])
+        roots = []
+        for i in range(len(grid) - 1):
+            va, vb = vals[i], vals[i + 1]
+            if va == 0.0:
+                roots.append(float(grid[i]))
+            elif va * vb < 0:
+                roots.append(float(brentq(f, grid[i], grid[i + 1],
+                                          xtol=1e-14, rtol=1e-15)))
+    except OracleUnavailableError as exc:
+        return OracleResult((), "bessel", discretization, False, str(exc))
     return OracleResult(
-        omegas=tuple(roots), method="bessel",
-        discretization={"q": q, "d": d, "K": K, "scan_n": scan_n,
-                        "interval": (lo, hi)})
+        omegas=tuple(sorted(set(roots))), method="bessel",
+        discretization=discretization)
 
 
 def bessel_mode_shape(q: float, d: float, K: float, omega: float, y):

@@ -168,6 +168,26 @@ def test_determinism_across_worker_counts(tmp_path):
     assert reports[1] == reports[3]
 
 
+def test_workers_flag_overrides_config(tmp_path, monkeypatch):
+    import shwave.cli as cli
+
+    seen = []
+    real = cli.trace_branches
+
+    def spy(*args, workers=1, **kwargs):
+        seen.append(workers)
+        return real(*args, workers=1, **kwargs)
+
+    monkeypatch.setattr(cli, "trace_branches", spy)
+    cfg = base_config("branches", k_grid=[1.0], workers=3)
+    cfg["tolerances"] = {"omega_grid_n": 32}
+    assert run_cli(tmp_path, cfg, "--workers", "2")[0] == 0
+    assert run_cli(tmp_path, cfg)[0] == 0
+    del cfg["workers"]
+    assert run_cli(tmp_path, cfg)[0] == 0
+    assert seen == [2, 3, 1]
+
+
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "shwave.cli", "--help"],
                           capture_output=True, text=True)

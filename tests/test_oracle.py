@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import shwave as sw
+from shwave.errors import OracleUnavailableError
 from shwave.oracle import (_bessel_j_series, _bessel_j_series_dx,
                            bessel_j, bessel_j_prime, bessel_residual_check)
 
@@ -50,6 +51,19 @@ def test_bessel_vs_scipy_broad():
         x = rng.uniform(0.01, 40.0)
         worst = max(worst, abs(bessel_j(nu, x) - jv(nu, x)))
     assert worst < 1e-9
+
+
+def test_bessel_refuses_unconverged_asymptotics():
+    # order comparable to the argument: the Hankel sum has not converged
+    # (scipy's jv(38, 80) is -0.0854; the truncated sum gives -0.0705)
+    with pytest.raises(OracleUnavailableError):
+        bessel_j(38.0, 80.0)
+    res = sw.bessel_mode_frequencies(5.0, 1.0, 400.0)
+    assert not res.usable
+    assert res.omegas == ()
+    assert "Hankel" in res.note
+    # K = 100 still evaluates J_nu within the accepted truncation error
+    assert sw.bessel_mode_frequencies(5.0, 1.0, 100.0).usable
 
 
 def test_bessel_mode_frequencies_fixture_regression():
