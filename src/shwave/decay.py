@@ -332,13 +332,14 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     for attempt in range(4):
         phi = phase_batch(gamma_vec, problem.stiffness, seed(cfg_cur.y_tail),
                           cfg_cur.y_tail, y_target, settings=settings,
-                          read_at=y_bars)
+                          read_at=y_bars, breakpoints=problem.breakpoints)
         if exact_tail or not check:
             return phi
         phi2 = phase_batch(gamma_vec, problem.stiffness,
                            seed(cfg_cur.stretched(2.0).y_tail),
                            cfg_cur.stretched(2.0).y_tail, y_target,
-                           settings=settings, read_at=y_bars)
+                           settings=settings, read_at=y_bars,
+                           breakpoints=problem.breakpoints)
         if float(np.max(np.abs(phi2 - phi))) <= tol:
             return phi
         cfg_cur = cfg_cur.stretched(2.0)

@@ -130,7 +130,8 @@ def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     phi0 = phase_batch(partial(_gamma, problem, K, omegas), problem.stiffness,
                        np.full(omegas.shape, HALF_PI), 0.0, cfg.y_bar,
-                       settings=settings, read_at=y_bars)
+                       settings=settings, read_at=y_bars,
+                       breakpoints=problem.breakpoints)
     phi_plus = decaying_phase_batch(problem, K, omegas, cfg, settings=settings,
                                     y_bars=y_bars, check=tail_check)
     return phi0 - phi_plus, phi0, phi_plus

@@ -196,6 +196,27 @@ def test_layer_modes_against_fd(layer_profile):
     assert rel < 1e-4
 
 
+SHARP_LAYER = {"rho_1": 2.5, "mu_1": 1.0, "rho_s": 1.0, "mu_s": 1.0,
+               "y_s": 2.0, "width": 0.05}
+EXP_TABLE = ([(float(y), 1.0 + 5.0 * math.exp(-y), 1.0) for y in range(12)]
+             + [(12.0, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("profile, K, n_modes", [
+    (sw.from_registry("smoothed_layer", SHARP_LAYER), 25.0, 4),
+    (sw.from_table(EXP_TABLE), 16.0, 6),
+], ids=["sharp_layer", "table"])
+def test_breakpoint_profiles_unflagged(profile, K, n_modes):
+    # ramp edges and table rows are breakpoints; sweeps that step across
+    # them miss the residual tolerance on some modes
+    res = sw.find_modes(profile, K)
+    assert [m.flag for m in res.modes] == [None] * n_modes
+    fd = sw.fd_mode_frequencies(profile, K)
+    assert fd.usable and len(fd.omegas) == n_modes
+    rel = max(abs(m.Omega - o) / o for m, o in zip(res.modes, fd.omegas))
+    assert rel < 1e-8
+
+
 def test_tail_stretch_stability(exp_profile):
     base = sw.find_modes(exp_profile, 4.0)
     far = sw.find_modes(exp_profile, 4.0, SearchOptions(tail_stretch=2.0))
