@@ -82,8 +82,6 @@ def _hankel_pq(nu: float, x: float, terms: int = 10):
     first omitted term (their truncation error once the terms decrease)."""
     mu4 = 4.0 * nu * nu
     p, q = 1.0, 0.0
-    term = 1.0
-    sign = 1.0
     # P: even k; Q: odd k
     k = 0
     num = 1.0

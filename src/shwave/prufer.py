@@ -60,11 +60,8 @@ class PhasePath:
     (y, phi[, log_r]) refined with ``n`` points per accepted step.
     """
 
-    def __init__(self, dense, y_from, y_to, with_log_r):
+    def __init__(self, dense):
         self._dense = dense
-        self.y_from = y_from
-        self.y_to = y_to
-        self.with_log_r = with_log_r
 
     def __call__(self, y):
         vals = self._dense(y)
@@ -136,7 +133,7 @@ def integrate_phase(gamma: Callable, mu: Callable, phi0: float, y_from: float,
         raise
     state = PhaseState(y=res.t, phi=float(res.y[0]), log_r=float(res.y[1]))
     if with_path:
-        return state, PhasePath(res.dense, y_from, y_to, with_log_r=True)
+        return state, PhasePath(res.dense)
     return state
 
 
