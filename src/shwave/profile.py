@@ -64,7 +64,8 @@ def _gamma(problem, K, Omega, y=None):
     member; on a depth grid it gives a (members, depths) array.
     """
     p, q = problem.coef_pair_inf if y is None else problem.coef_pair(y)
-    if getattr(Omega, "ndim", 0) and getattr(p, "ndim", 0):
+    # the sweeps' scalar depths fail the first test, which keeps them cheap
+    if isinstance(p, np.ndarray) and p.ndim and np.ndim(Omega):
         Omega = Omega[:, None]
     return Omega * p - K * q
 
