@@ -121,8 +121,7 @@ def _options(cfg) -> SearchOptions:
     tol = dict(cfg.get("tolerances") or {})
     settings = IntegratorSettings(
         rel_tol=float(tol.get("rel_tol", 1e-10)),
-        abs_tol=float(tol.get("abs_tol", 1e-12)),
-        max_step=float(tol.get("max_step", math.inf)))
+        abs_tol=float(tol.get("abs_tol", 1e-12)))
     return SearchOptions(
         max_modes=int(tol.get("max_modes", 64)),
         omega_grid_n=int(tol.get("omega_grid_n", 256)),

@@ -31,18 +31,20 @@ NEAR_THRESHOLD_DELTA = 1e-9     # reject Omega above (1 - delta) * cutoff
 DEFAULT_MARGIN = 0.5            # depth margin behind the last sign change
 DEFAULT_Y_BAR = 1.0             # matching depth when gamma_A < 0 everywhere
 TAIL_ANGLE_TOL = 1e-8           # doubling-robustness tolerance on phi+(y_bar)
+TAIL_REL_TOL = 1e-8             # |beta(Y)| / |gamma_inf| at the tail start
+TAIL_RESIDUAL_TOL = 1e-8        # remaining integral of |beta| beyond Y
 _CONTRACTION_BUDGET = 14.0      # integral of the decay rate over [y_bar, Y]
 _VERIFY_STEP = 0.01             # grid step of the negativity checks behind y_bar
+_Y_CAP = 1e8                    # deepest matching depth searched
+_TAIL_ATTEMPTS = 4              # tail windows tried, doubling each time
 
 
 @dataclass(frozen=True)
 class MatchingConfig:
-    """Matching depth, tail-start depth and the tolerances that chose them."""
+    """Matching depth and tail-start depth of one parameter point."""
 
     y_bar: float
     y_tail: float
-    tail_rel_tol: float = 1e-8
-    tail_residual_tol: float = 1e-8
     strict_tail: bool = True    # False when the contraction fallback chose Y
 
     def __post_init__(self):
@@ -65,8 +67,7 @@ def _guard_threshold(problem, A):
             % (A.Omega, cutoff))
 
 
-def select_matching_point(problem, A, margin: float = DEFAULT_MARGIN,
-                          y_cap: float = 1e8) -> float:
+def select_matching_point(problem, A) -> float:
     """Depth y_bar with gamma_A < 0 on [y_bar, infinity).
 
     Scans outward for the last sign change of gamma_A, adds a margin,
@@ -98,38 +99,34 @@ def select_matching_point(problem, A, margin: float = DEFAULT_MARGIN,
         if settled and last < 0 and (last_nonneg is None or a >= last_nonneg):
             break
         a, b = b, 2.0 * b
-        if b > y_cap:
+        if b > _Y_CAP:
             raise NoNegativeTailError(
                 "gamma_A keeps returning to >= 0 up to y=%.3g; parameters too "
-                "close to or above the limit ray" % y_cap)
+                "close to or above the limit ray" % _Y_CAP)
 
     if last_nonneg is None:
         y_bar = DEFAULT_Y_BAR
     else:
-        y_bar = last_nonneg + margin
+        y_bar = last_nonneg + DEFAULT_MARGIN
     # verification pass behind y_bar
-    step = min(_VERIFY_STEP, margin / 10.0)
     for _ in range(64):
-        ys = np.arange(y_bar, y_bar + 5.0 + step, step)
+        ys = np.arange(y_bar, y_bar + 5.0 + _VERIFY_STEP, _VERIFY_STEP)
         last, _ = _sign_scan(ys, _gamma(problem, A.K, A.Omega, ys))
         if last < 0:
             return float(y_bar)
-        y_bar = float(ys[last]) + margin
-        if y_bar > y_cap:
+        y_bar = float(ys[last]) + DEFAULT_MARGIN
+        if y_bar > _Y_CAP:
             break
     raise NoNegativeTailError(
         "could not verify a negative tail behind y=%.6g" % y_bar)
 
 
-def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
-                      y_bar: Optional[float] = None,
-                      tail_rel_tol: float = 1e-8,
-                      tail_residual_tol: float = 1e-8):
+def select_tail_start(problem, A, y_bar: float):
     """Tail-start depth Y where the coefficient has settled to its limit.
 
     Primary criterion: the smallest scanned Y >= y_bar with
-    |beta(Y)| <= tail_rel_tol*|gamma_inf| and an estimated remaining
-    integral of |beta| below tail_residual_tol.  For exactly-clamped
+    |beta(Y)| <= TAIL_REL_TOL*|gamma_inf| and an estimated remaining
+    integral of |beta| below TAIL_RESIDUAL_TOL.  For exactly-clamped
     profiles Y = y_max_data suffices (beta vanishes beyond).  For
     slowly decaying tails (power laws) the literal integral criterion
     can be unattainable at any reachable depth; the fallback then picks
@@ -140,12 +137,6 @@ def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
     Returns (Y, strict) where ``strict`` records which criterion fired.
     """
     A = _as_param(A)
-    if cfg is not None:
-        y_bar = cfg.y_bar
-        tail_rel_tol = cfg.tail_rel_tol
-        tail_residual_tol = cfg.tail_residual_tol
-    if y_bar is None:
-        y_bar = select_matching_point(problem, A)
     ginf = _gamma(problem, A.K, A.Omega)
     if ginf >= 0:
         raise ThresholdError("gamma_inf >= 0: no decaying tail exists")
@@ -164,7 +155,7 @@ def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
     ys = np.concatenate([fine, coarse])
     g = _gamma(problem, A.K, A.Omega, ys)
     bvals = np.abs(g - ginf)
-    candidates = np.nonzero(bvals <= tail_rel_tol * abs(ginf))[0]
+    candidates = np.nonzero(bvals <= TAIL_REL_TOL * abs(ginf))[0]
     if len(candidates) > 32:
         picks = np.unique(np.geomspace(1, len(candidates), 32).astype(int) - 1)
         candidates = candidates[picks]
@@ -179,7 +170,7 @@ def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
             residual = w1 + w2 / (1.0 - w2 / w1)
         else:
             residual = math.inf
-        if residual <= tail_residual_tol:
+        if residual <= TAIL_RESIDUAL_TOL:
             return Y, True
 
     # contraction-budget fallback
@@ -194,18 +185,16 @@ def select_tail_start(problem, A, cfg: Optional[MatchingConfig] = None,
 
     raise TailSelectionError(
         "no tail-start depth up to y=%.3g meets the closeness tolerances "
-        "(rel %.1e, residual %.1e); increase y_max_data or loosen the "
-        "tolerances" % (y_scan_max, tail_rel_tol, tail_residual_tol))
+        "(rel %.1e, residual %.1e) or the contraction budget of the "
+        "fallback" % (y_scan_max, TAIL_REL_TOL, TAIL_RESIDUAL_TOL))
 
 
-def _verify_negative(problem, A, y_bar, y_tail, head=True):
-    """Raise unless gamma_A < 0 on a grid over [y_bar, y_tail]; ``head=False``
-    skips [y_bar, y_bar + 5), which the caller checked on this grid."""
-    head = np.arange(y_bar, min(y_bar + 5.0, y_tail), _VERIFY_STEP) \
-        if head else np.array([])
+def _verify_negative(problem, A, y_bar, y_tail):
+    """Raise unless gamma_A < 0 on a grid over [y_bar + 5, y_tail]; the
+    verification pass of select_matching_point covered [y_bar, y_bar + 5)."""
     rest = np.geomspace(max(y_bar + 5.0, 1e-3), y_tail, 2048) \
         if y_tail > y_bar + 5.0 else np.array([])
-    ys = np.concatenate([head, rest, [y_tail]])
+    ys = np.concatenate([rest, [y_tail]])
     last, _ = _sign_scan(ys, _gamma(problem, A.K, A.Omega, ys))
     if last >= 0:
         raise NoNegativeTailError(
@@ -213,24 +202,14 @@ def _verify_negative(problem, A, y_bar, y_tail, head=True):
             "[%.6g, %.6g]" % (y_bar, y_tail))
 
 
-def matching_config(problem, A, tail_rel_tol: float = 1e-8,
-                    tail_residual_tol: float = 1e-8,
-                    margin: float = DEFAULT_MARGIN) -> MatchingConfig:
+def matching_config(problem, A) -> MatchingConfig:
     """Select y_bar and Y for a parameter point (see the module docstring)."""
     A = _as_param(A)
-    y_bar = select_matching_point(problem, A, margin=margin)
-    y_tail, strict = select_tail_start(
-        problem, A, y_bar=y_bar, tail_rel_tol=tail_rel_tol,
-        tail_residual_tol=tail_residual_tol)
+    y_bar = select_matching_point(problem, A)
+    y_tail, strict = select_tail_start(problem, A, y_bar)
     y_tail = max(y_tail, y_bar)
-    # unless a small margin refined its step, select_matching_point
-    # already checked the head of the window on the same grid
-    _verify_negative(problem, A, y_bar, y_tail,
-                     head=margin / 10.0 < _VERIFY_STEP)
-    return MatchingConfig(y_bar=y_bar, y_tail=y_tail,
-                          tail_rel_tol=tail_rel_tol,
-                          tail_residual_tol=tail_residual_tol,
-                          strict_tail=strict)
+    _verify_negative(problem, A, y_bar, y_tail)
+    return MatchingConfig(y_bar=y_bar, y_tail=y_tail, strict_tail=strict)
 
 
 def decaying_phase_at_tail(problem, A, Y: float) -> float:
@@ -257,7 +236,7 @@ def _backward_phase(problem, A, y_tail, y_bar, settings, with_path=False):
 
 def decaying_phase(problem, A, cfg: MatchingConfig,
                    settings: Optional[IntegratorSettings] = None,
-                   with_path: bool = False, max_retries: int = 3):
+                   with_path: bool = False):
     """Phase angle of the decaying solution at the matching depth.
 
     Backward-integrates from the frozen-coefficient seed at y_tail.
@@ -275,7 +254,7 @@ def decaying_phase(problem, A, cfg: MatchingConfig,
     exact_tail = tail_from is not None and cfg.y_tail >= tail_from
 
     tol = max(TAIL_ANGLE_TOL, 100.0 * settings.rel_tol)
-    for attempt in range(max_retries + 1):
+    for _ in range(_TAIL_ATTEMPTS):
         out = _backward_phase(problem, A, cfg_cur.y_tail, cfg_cur.y_bar,
                               settings, with_path=with_path)
         state, path = out if with_path else (out, None)
@@ -293,8 +272,8 @@ def decaying_phase(problem, A, cfg: MatchingConfig,
             return (state, path) if with_path else state
         cfg_cur = cfg_cur.stretched(2.0)
     raise TailConvergenceError(
-        "tail-window doubling failed to stabilize phi+ after %d retries "
-        "(last delta %.3e)" % (max_retries, abs(check.phi - state.phi)))
+        "tail-window doubling failed to stabilize phi+ after %d windows "
+        "(last delta %.3e)" % (_TAIL_ATTEMPTS, abs(check.phi - state.phi)))
 
 
 def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
@@ -329,7 +308,7 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     y_target = cfg.y_bar if y_bars is None else min(float(np.min(y_bars)),
                                                     cfg.y_bar)
     cfg_cur = cfg
-    for attempt in range(4):
+    for _ in range(_TAIL_ATTEMPTS):
         phi = phase_batch(gamma_vec, problem.stiffness, seed(cfg_cur.y_tail),
                           cfg_cur.y_tail, y_target, settings=settings,
                           read_at=y_bars, breakpoints=problem.breakpoints)

@@ -34,6 +34,7 @@ from .profile import (MaterialProfile, ProfileClass, _as_param, _gamma,
 _REASON_GLOBAL_NEGATIVE = ("nonexistence: globally negative monotonicity "
                            "(Arg a(y) >= Arg a_inf at every depth)")
 _REASON_EMPTY_INTERVAL = "nonexistence: empty admissible frequency interval"
+_MAX_BISECT = 80                # refinement rounds per batch of brackets
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,6 @@ class Mode:
     residual: float
     matching: MatchingConfig
     flag: Optional[str] = None
-
-    @property
-    def k(self) -> float:
-        return math.sqrt(self.K)
 
     @property
     def omega(self) -> float:
@@ -103,7 +100,6 @@ class SearchOptions:
     scan_settings: Optional[IntegratorSettings] = None
     tail_stretch: float = 1.0        # >1 widens the tail window (robustness runs)
     space: str = "y"                 # "y" or "tau"
-    max_bisect: int = 80
 
 
 DEFAULT_OPTIONS = SearchOptions()
@@ -196,8 +192,7 @@ def find_modes(profile: MaterialProfile, K: float,
     problem = _problem_for(profile, opts.space)
     settings = opts.settings
     scan_settings = opts.scan_settings or IntegratorSettings(
-        rel_tol=max(settings.rel_tol, 1e-8), abs_tol=max(settings.abs_tol, 1e-10),
-        max_step=settings.max_step)
+        rel_tol=max(settings.rel_tol, 1e-8), abs_tol=max(settings.abs_tol, 1e-10))
 
     cap = hi * (1.0 - NEAR_THRESHOLD_DELTA)
     width = hi - lo
@@ -352,7 +347,7 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
     resid = np.full(len(brackets), np.inf)
 
     eps = np.finfo(float).eps
-    for it in range(opts.max_bisect):
+    for it in range(_MAX_BISECT):
         widths = b_ - a
         at_float_limit = widths <= 8 * eps * np.abs(b_)
         active = ((widths > opts.root_tol * np.maximum(np.abs(a), np.abs(b_)))
@@ -404,15 +399,15 @@ def trace_branches(profile: MaterialProfile, k_grid,
     # Per-k searches are independent and share nothing mutable.  No
     # state is carried between wavenumbers, so serial and parallel
     # execution produce bit-identical results.
+    search = partial(find_modes, profile, opts=opts, classification=cls)
+    Ks = [float(k) ** 2 for k in k_grid]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(profile, float(k) ** 2, opts, cls) for k in k_grid]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_find_modes_star, args))
+            results = list(pool.map(search, Ks))
     else:
-        results = [find_modes(profile, float(k) ** 2, opts, classification=cls)
-                   for k in k_grid]
+        results = list(map(search, Ks))
 
     by_m: dict[int, list] = {}
     found_at: dict[int, set] = {}
@@ -430,17 +425,11 @@ def trace_branches(profile: MaterialProfile, k_grid,
     return branches, results
 
 
-def _find_modes_star(args):
-    profile, K, opts, cls = args
-    return find_modes(profile, K, opts, classification=cls)
-
-
 # ---------------------------------------------------------------------------
 # mode-count estimate and oscillation test
 
 
-def estimate_mode_count(profile: MaterialProfile, K: float,
-                        tiny: float = 1e-14):
+def estimate_mode_count(profile: MaterialProfile, K: float):
     """Phase-integral estimate of the number of modes at wavenumber^2 K.
 
     Evaluates (1/pi) * integral of sqrt(max(gamma_{A_inf}, 0)/mu) dy at
@@ -468,11 +457,11 @@ def estimate_mode_count(profile: MaterialProfile, K: float,
     for j in range(len(windows) - 3):
         if windows[j + 3] > 0.5 * windows[j] and windows[j + 3] > 1e-10 * scale:
             return math.inf
-    # truncation depth: integrand below `tiny` and negligible windows
+    # truncation depth: integrand below 1e-14 and negligible windows
     y_cut = 2.0 * a
     ys = np.geomspace(1.0, y_cut, 512)
     vals = f(ys)
-    below = np.nonzero(vals >= tiny)[0]
+    below = np.nonzero(vals >= 1e-14)[0]
     y_tr = float(ys[below[-1]] * 1.05) if len(below) else 2.0
     ys = np.linspace(0.0, y_tr, 4096)
     _, turning = _sign_scan(ys, _gamma(profile, K, omega_bar, ys))
@@ -508,8 +497,7 @@ class OscillationVerdict:
     windows: tuple              # (T, I_window, V_window) rows
 
 
-def oscillation_test(profile: MaterialProfile, Y_max: float = 2.0 ** 20,
-                     t0: float = 1.0) -> OscillationVerdict:
+def oscillation_test(profile: MaterialProfile) -> OscillationVerdict:
     """Decide whether the limit-ray equation oscillates.
 
     The limit-ray coefficient gamma_hat = mu_inf*rho_hat - rho_inf*mu_hat
@@ -517,14 +505,14 @@ def oscillation_test(profile: MaterialProfile, Y_max: float = 2.0 ** 20,
     sqrt(gamma_hat/mu) while the relative variation of log(mu*gamma_hat)
     stays subordinate to it; then every solution oscillates all the way
     to infinity and modes accumulate at the cutoff for every K.
-    Evidence is gathered on doubling windows up to Y_max.
+    Evidence is gathered on doubling windows [T, 2T] from T = 1 to 2**19.
     """
     ghat = profile.limit_gamma_hat
     floor = 1e-14 * profile.mu_inf * profile.rho_inf
 
     rows = []          # (T, I_window, V_window, has_pos, has_neg)
-    t = t0
-    while 2 * t <= Y_max:
+    t = 1.0
+    while 2 * t <= 2.0 ** 20:
         ys = np.geomspace(t, 2 * t, 512)
         g = np.asarray(ghat(ys), dtype=float)
         mu = np.asarray(profile.mu(ys), dtype=float)

@@ -22,7 +22,7 @@ class NoNegativeTailError(ShwaveError):
 
 
 class TailSelectionError(ShwaveError):
-    """No tail-start depth satisfies the requested closeness tolerances."""
+    """No tail-start depth meets the closeness or contraction criteria."""
 
 
 class IntegrationError(ShwaveError):

@@ -121,14 +121,14 @@ class TauMap:
         return d / h
 
 
-def build_tau(profile: MaterialProfile, y_max: Optional[float] = None,
-              quad_rel_tol: float = 1e-10, interp_tol: float = 1e-9) -> TauMap:
+def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap:
     """Tabulate tau(y) = integral_0^y dy'/mu(y') by adaptive quadrature.
 
-    Intervals are subdivided until both the embedded quadrature error
-    estimate (Gauss 5 vs Gauss 10) and the cubic-Hermite interpolation
-    error at the midpoint fall below tolerance, so the map feeds the
-    phase integrator without contributing above its error budget.
+    Intervals are subdivided until the embedded quadrature error
+    estimate (Gauss 5 vs Gauss 10) falls below 1e-10 relative and the
+    cubic-Hermite interpolation error at the midpoint below 1e-9, so the
+    map feeds the phase integrator without contributing above its error
+    budget.
     """
     mu0 = profile.mu(0.0)
     if not mu0 > 0:
@@ -142,7 +142,7 @@ def build_tau(profile: MaterialProfile, y_max: Optional[float] = None,
     def refine(a, b, depth=0):
         coarse = _gl(inv_mu, a, b, _GL5_X, _GL5_W)
         fine = _gl(inv_mu, a, b, _GL10_X, _GL10_W)
-        quad_ok = abs(fine - coarse) <= quad_rel_tol * max(abs(fine), 1e-30)
+        quad_ok = abs(fine - coarse) <= 1e-10 * max(abs(fine), 1e-30)
         if quad_ok and depth >= 1:
             # Hermite midpoint check against the directly integrated value.
             mid = 0.5 * (a + b)
@@ -151,7 +151,7 @@ def build_tau(profile: MaterialProfile, y_max: Optional[float] = None,
             t = 0.5
             interp = (1 + 2 * t) * (1 - t) ** 2 * 0.0 + t * (1 - t) ** 2 * inv_mu(a) * h \
                 + t * t * (3 - 2 * t) * fine + t * t * (t - 1) * inv_mu(b) * h
-            if abs(interp - left) <= interp_tol:
+            if abs(interp - left) <= 1e-9:
                 segments.append((a, b, fine))
                 return
         if depth > 40:
@@ -191,9 +191,9 @@ class TransformedMedium:
     one-flag switch.
     """
 
-    def __init__(self, profile: MaterialProfile, taumap: Optional[TauMap] = None):
+    def __init__(self, profile: MaterialProfile):
         self.base = profile
-        self.taumap = taumap or build_tau(profile)
+        self.taumap = build_tau(profile)
         tail = profile.tail_constant_from
         self.tail_constant_from = None if tail is None else float(self.taumap.tau(tail))
         self.rho_inf = profile.mu_inf * profile.rho_inf
@@ -226,6 +226,6 @@ class TransformedMedium:
         return np.arctan2(q, p)
 
 
-def transform(profile: MaterialProfile, taumap: Optional[TauMap] = None) -> TransformedMedium:
+def transform(profile: MaterialProfile) -> TransformedMedium:
     """Return the tau-coordinate view of a profile (see TransformedMedium)."""
-    return TransformedMedium(profile, taumap)
+    return TransformedMedium(profile)

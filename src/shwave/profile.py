@@ -22,6 +22,7 @@ from .errors import DomainError, ProfileError
 
 _ANGLE_TOL = 1e-10           # equality tolerance on Arg a - Arg a_inf
 _EMPTY_INTERVAL_RTOL = 1e-12
+_DEPTH_CAP = float(1 << 20)  # deepest probe of effective_depth
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,6 @@ class AssumptionReport:
     integrable: bool
     windows: tuple
     probe_depth: float
-    window_decay_required: float
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +435,27 @@ def from_table(rows: Sequence, rho_inf=None, mu_inf=None) -> MaterialProfile:
 # classification and assumption checks
 
 
-def effective_depth(profile: MaterialProfile, rel=1e-12, cap=1 << 20) -> float:
+def effective_depth(profile: MaterialProfile) -> float:
     """Depth beyond which the deviation from the limits is negligible.
 
     For exactly-clamped profiles this is ``y_max_data``; otherwise the
-    probe doubles outward until |a(y) - a_inf| falls below ``rel``
-    relative to |a_inf|.
+    probe doubles outward until |a(y) - a_inf| falls below 1e-12
+    relative to |a_inf|, or returns its cap 2**20.
     """
     if profile.tail_constant_from is not None:
         return max(profile.tail_constant_from, 1.0)
     scale = math.hypot(profile.rho_inf, profile.mu_inf)
     y = 16.0
-    while y < cap:
+    while y < _DEPTH_CAP:
         ys = np.linspace(0.75 * y, y, 8)
         dev = np.hypot(profile.rho_hat(ys), profile.mu_hat(ys))
-        if np.max(dev) <= rel * scale:
+        if np.max(dev) <= 1e-12 * scale:
             return y
         y *= 2.0
-    return float(cap)
+    return _DEPTH_CAP
 
 
-def classify(profile: MaterialProfile, y_grid=None, tail_window=10.0) -> ProfileClass:
+def classify(profile: MaterialProfile) -> ProfileClass:
     """Decide the existence class of a profile.
 
     Scans Arg a(y) - Arg a_inf over a grid covering all structure of
@@ -464,10 +464,7 @@ def classify(profile: MaterialProfile, y_grid=None, tail_window=10.0) -> Profile
     conservative, non-existence side).  The minimum of mu/rho is
     located on the grid and polished by golden-section search.
     """
-    y_hi = effective_depth(profile)
-    if y_grid is None:
-        y_grid = np.linspace(0.0, y_hi + tail_window, 2048 + 256)
-    y_grid = np.asarray(y_grid, dtype=float)
+    y_grid = np.linspace(0.0, effective_depth(profile) + 10.0, 2048 + 256)
 
     darg = profile.arg_a(y_grid) - profile.arg_a_inf
     global_negative = bool(np.all(darg >= -_ANGLE_TOL))
@@ -557,8 +554,7 @@ def interval_is_empty(lo: float, hi: float) -> bool:
     return lo >= hi * (1.0 - _EMPTY_INTERVAL_RTOL)
 
 
-def check_assumptions(profile: MaterialProfile, probe_depth=None,
-                      n_probe=4096) -> AssumptionReport:
+def check_assumptions(profile: MaterialProfile) -> AssumptionReport:
     """Report-only check of Lipschitz continuity and tail integrability.
 
     The Lipschitz proxy is the largest finite-difference slope of
@@ -569,9 +565,8 @@ def check_assumptions(profile: MaterialProfile, probe_depth=None,
     decided exactly numerically; the verdicts are heuristics and the
     window table is attached as evidence.
     """
-    if probe_depth is None:
-        probe_depth = max(64.0, min(effective_depth(profile), 4096.0))
-    ys = np.linspace(0.0, probe_depth, n_probe)
+    probe_depth = max(64.0, min(effective_depth(profile), 4096.0))
+    ys = np.linspace(0.0, probe_depth, 4096)
     rho, mu = profile.eval(ys)
     slopes = np.hypot(np.diff(rho), np.diff(mu)) / np.diff(ys)
     lip = float(np.max(slopes))
@@ -605,5 +600,4 @@ def check_assumptions(profile: MaterialProfile, probe_depth=None,
         integrable=integrable,
         windows=tuple(float(w) for w in windows),
         probe_depth=float(probe_depth),
-        window_decay_required=2.0,
     )

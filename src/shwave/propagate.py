@@ -43,6 +43,7 @@ _MIN_FACTOR = 0.25
 _MAX_FACTOR = 4.0
 _SAFETY = 0.9
 _TINY = 1e-300
+_MAX_STEPS = 200000       # accepted and rejected steps per sweep
 
 
 def _frozen_step(gamma_of, inv_mu_of, y, h, phi, want_mag):
@@ -120,8 +121,7 @@ def _initial_h(gamma_of, inv_mu_of, y0, span):
 
 
 def sweep_phase(gamma_of, inv_mu_of, phi0, y0, y1, rtol=1e-10, atol=1e-12,
-                read_at=None, want_log_r=False, max_steps=200000,
-                breakpoints=()):
+                read_at=None, want_log_r=False, breakpoints=()):
     """Sweep the lifted phase of a frequency batch from y0 to y1.
 
     ``gamma_of(y)`` returns the coefficient vector of the batch at a
@@ -182,8 +182,8 @@ def sweep_phase(gamma_of, inv_mu_of, phi0, y0, y1, rtol=1e-10, atol=1e-12,
     for b in boundaries:
         while (b - y) * direction > 1e-14 * max(1.0, abs(b)):
             nsteps += 1
-            if nsteps > max_steps:
-                raise IntegrationError("propagator exceeded %d steps" % max_steps)
+            if nsteps > _MAX_STEPS:
+                raise IntegrationError("propagator exceeded %d steps" % _MAX_STEPS)
             h = min(h, abs(b - y))
             if h < 1e-15 * max(1.0, abs(y)):
                 raise IntegrationError("propagator step underflow at y=%g" % y)

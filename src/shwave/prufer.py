@@ -34,10 +34,9 @@ class IntegratorSettings:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.max_step > 0):
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("integrator tolerances must be positive")
 
 
@@ -95,8 +94,8 @@ def _phase_rhs(gamma: Callable, mu: Callable):
 
 def integrate_phase(gamma: Callable, mu: Callable, phi0: float, y_from: float,
                     y_to: float, settings: Optional[IntegratorSettings] = None,
-                    log_r0: float = 0.0, with_path: bool = False):
-    """Propagate the lifted phase (and log-amplitude) from y_from to y_to.
+                    with_path: bool = False):
+    """Propagate the lifted phase and log-amplitude from y_from to y_to.
 
     Parameters
     ----------
@@ -105,7 +104,7 @@ def integrate_phase(gamma: Callable, mu: Callable, phi0: float, y_from: float,
         closed interval between the endpoints.  ``y_to < y_from``
         integrates backward.
     phi0 : float
-        Initial lifted angle at ``y_from``.
+        Initial lifted angle at ``y_from``; log r starts at 0.
     with_path : bool
         Also return a :class:`PhasePath` with dense output.
 
@@ -119,12 +118,12 @@ def integrate_phase(gamma: Callable, mu: Callable, phi0: float, y_from: float,
         On step-size underflow; the error carries the last good state.
     """
     settings = settings or DEFAULT_SETTINGS
-    state0 = np.array([phi0, log_r0])
+    state0 = np.array([phi0, 0.0])
     rhs = _phase_rhs(gamma, mu)
     try:
         res = rk.solve(rhs, y_from, state0, y_to,
                        rtol=settings.rel_tol, atol=settings.abs_tol,
-                       max_step=settings.max_step, dense=with_path)
+                       dense=with_path)
     except IntegrationError as exc:
         if exc.last_state is not None:
             y_last, s_last = exc.last_state

@@ -97,7 +97,7 @@ class RKResult:
         self.dense = dense
 
 
-def _initial_step(f, t0, y0, f0, direction, span, rtol, atol, max_step):
+def _initial_step(f, t0, y0, f0, direction, span, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = np.max(np.abs(y0 / scale))
     d1 = np.max(np.abs(f0 / scale))
@@ -105,7 +105,7 @@ def _initial_step(f, t0, y0, f0, direction, span, rtol, atol, max_step):
         h0 = 1e-6 * span
     else:
         h0 = 0.01 * d0 / d1
-    h0 = min(h0, 0.5 * span, max_step)
+    h0 = min(h0, 0.5 * span)
     y1 = y0 + h0 * direction * f0
     f1 = f(t0 + h0 * direction, y1)
     d2 = np.max(np.abs((f1 - f0) / scale)) / h0
@@ -113,11 +113,10 @@ def _initial_step(f, t0, y0, f0, direction, span, rtol, atol, max_step):
         h1 = max(1e-6 * span, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span, max_step)
+    return min(100 * h0, h1, span)
 
 
-def solve(f, t0, y0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf, dense=False,
-          first_step=None):
+def solve(f, t0, y0, t1, rtol=1e-10, atol=1e-12, dense=False):
     """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1``.
 
     ``y0`` may be any 1-D vector; error control is elementwise with
@@ -145,10 +144,8 @@ def solve(f, t0, y0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf, dense=False,
         raise IntegrationError("non-finite right-hand side at the initial point",
                                last_state=(t, y.copy()))
 
-    h = first_step if first_step is not None else _initial_step(
-        f, t, y, k[0], direction, span, rtol, atol, max_step)
-    nfev += 0 if first_step is not None else 1
-    h = min(h, span, max_step)
+    h = _initial_step(f, t, y, k[0], direction, span, rtol, atol)
+    nfev += 1
 
     rec_t0, rec_h, rec_y0, rec_q = [], [], [], []
     nsteps = 0
@@ -202,7 +199,7 @@ def solve(f, t0, y0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf, dense=False,
                 factor = _MAX_FACTOR
             else:
                 factor = min(_MAX_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)
-            h = min(h * factor, max_step)
+            h *= factor
         else:
             if np.isfinite(err_norm):
                 h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)

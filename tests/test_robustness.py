@@ -68,12 +68,6 @@ def test_sweep_zero_span_read_at_start():
     assert phi[0] == 0.3
 
 
-def test_max_step_respected():
-    st = integrate_phase(ones, ones, HALF_PI, 0.0, 2.0,
-                         settings=IntegratorSettings(max_step=0.01))
-    assert abs(st.phi - (HALF_PI + 2.0)) < 1e-9
-
-
 def test_phase_batch_log_r_consistency(exp_profile):
     # the batch engine and the scalar integrator agree on the angle;
     # amplitudes come from the scalar path (spot-check consistency)
