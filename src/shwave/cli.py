@@ -21,6 +21,7 @@ Config schema ("schema": "shwave-run/1")::
       "k_grid": [1, 2, 3]        # branches/estimate; or {"start","stop","num"}
       "tolerances": {"rel_tol":..., "abs_tol":..., "root_tol":...,
                      "residual_tol":..., "max_modes":..., "omega_grid_n":...},
+                                 # any other key is a configuration error
       "space": "y" | "tau",
       "output": {"basename": "run"},
       "workers": 1
@@ -51,6 +52,8 @@ from .profile import check_assumptions, classify, from_registry
 from .prufer import IntegratorSettings
 
 SCHEMA = "shwave-run/1"
+_TOLERANCE_KEYS = ("abs_tol", "max_modes", "omega_grid_n", "rel_tol",
+                   "residual_tol", "root_tol")
 
 
 class ConfigError(ValueError):
@@ -119,6 +122,10 @@ def _k_single(cfg):
 
 def _options(cfg) -> SearchOptions:
     tol = dict(cfg.get("tolerances") or {})
+    unknown = sorted(set(tol) - set(_TOLERANCE_KEYS))
+    if unknown:
+        raise ConfigError("unknown tolerances key(s) %s; accepted: %s"
+                          % (", ".join(unknown), ", ".join(_TOLERANCE_KEYS)))
     settings = IntegratorSettings(
         rel_tol=float(tol.get("rel_tol", 1e-10)),
         abs_tol=float(tol.get("abs_tol", 1e-12)))

@@ -123,6 +123,16 @@ def test_bad_schema_and_task(tmp_path):
     assert code == 1
 
 
+def test_unknown_tolerance_key_rejected(tmp_path, capsys):
+    cfg = base_config("modes", k=1.0)
+    cfg["tolerances"] = {"root_tol": 1e-8, "max_step": 0.1}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "max_step" in err and "omega_grid_n" in err
+    assert not out.exists()
+
+
 def test_classify_task(tmp_path):
     cfg = base_config("classify")
     code, out = run_cli(tmp_path, cfg)
