@@ -78,7 +78,7 @@ def _frozen_step(gamma_of, inv_mu_of, y, h, phi, want_mag):
     f = np.where(hyp, f_h, f_e)
     c = np.where(small, 1.0 + disc * (0.5 + disc / 24.0), c)
     f = np.where(small, 1.0 + disc * (1.0 / 6.0 + disc / 120.0), f)
-    scale = np.where(hyp, s, 0.0)
+    scale = np.where(hyp & ~small, s, 0.0)
     rot = np.where(hyp | small, 0.0, s)
 
     w0 = np.cos(phi)

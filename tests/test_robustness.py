@@ -69,13 +69,20 @@ def test_sweep_zero_span_read_at_start():
 
 
 def test_phase_batch_log_r_consistency(exp_profile):
-    # the batch engine and the scalar integrator agree on the angle;
-    # amplitudes come from the scalar path (spot-check consistency)
-    A = (1.0, 0.5)
-    st = sw.surface_phase(exp_profile, A, 4.0)
-    gam = lambda y: np.atleast_1d(exp_profile.gamma(A, y))
-    pb = phase_batch(gam, exp_profile.stiffness, [HALF_PI], 0.0, 4.0)
-    assert abs(pb[0] - st.phi) < 1e-7
+    # the batch engine and the scalar integrator agree on the angle and,
+    # with want_log_r, on the log-amplitude; (16, 10) at y=4 ends on a
+    # nearly degenerate hyperbolic step
+    for A in ((1.0, 0.5), (16.0, 10.0)):
+        gam = lambda y: np.atleast_1d(exp_profile.gamma(A, y))
+        for y_end in (4.0, 6.0, 9.0, 12.0):
+            st = sw.surface_phase(exp_profile, A, y_end)
+            pb = phase_batch(gam, exp_profile.stiffness, [HALF_PI], 0.0, y_end)
+            assert abs(pb[0] - st.phi) < 1e-7
+            phi, log_r = sweep_phase(gam, lambda y: 1.0 / exp_profile.stiffness(y),
+                                     np.array([HALF_PI]), 0.0, y_end,
+                                     want_log_r=True)
+            assert abs(phi[0] - st.phi) < 1e-7
+            assert abs(log_r[0] - st.log_r) < 1e-7
 
 
 def test_breakpoints_force_landings():
