@@ -161,8 +161,14 @@ def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap
         refine(a, mid, depth + 1)
         refine(mid, b, depth + 1)
 
-    # Seed with moderate panels so structure is not skipped.
-    seed = np.linspace(0.0, y_max, max(8, int(y_max / 4.0) + 1))
+    # Seed with moderate panels so structure is not skipped.  Past y=256
+    # the panel edges double: a profile still varying that deep (a power
+    # law runs effective_depth to its cap) does so slowly, and refine
+    # splits any panel that needs it.
+    near = min(y_max, 256.0)
+    seed = list(np.linspace(0.0, near, max(8, int(near / 4.0) + 1)))
+    while seed[-1] < y_max:
+        seed.append(min(2.0 * seed[-1], y_max))
     for a, b in zip(seed[:-1], seed[1:]):
         refine(float(a), float(b))
     segments.sort(key=lambda s: s[0])

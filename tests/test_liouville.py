@@ -50,6 +50,29 @@ def test_fixed_endpoint_and_domain():
         tm.tau(-1.0)
 
 
+def mu_power(y):
+    out = 1.0 + 1.0 / (1.0 + np.asarray(y, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def test_power_law_map_stays_small(power_profile):
+    # effective_depth runs to its 2**20 cap on power laws; the map must
+    # not tile that depth with fine panels
+    tm = sw.build_tau(power_profile)
+    assert tm.y_max > 1e6
+    assert len(tm.knots_y) < 1000
+    ys = np.concatenate([np.linspace(0.0, 300.0, 61), np.geomspace(300.0, 1e6, 61)])
+    back = tm.y_of(tm.tau(ys))
+    assert np.max(np.abs(back - ys) / np.maximum(ys, 1e-10)) < 1e-10
+    # a stiffness that still varies deep down: tau = y - log(1 + y/2)
+    tm = sw.build_tau(sw.from_callables(rho_one, mu_power, 1.0, 1.0))
+    assert len(tm.knots_y) < 5000
+    exact = ys - np.log1p(ys / 2.0)
+    assert np.max(np.abs(tm.tau(ys) - exact) / np.maximum(exact, 1.0)) < 1e-10
+    back = tm.y_of(tm.tau(ys))
+    assert np.max(np.abs(back - ys) / np.maximum(ys, 1e-10)) < 1e-10
+
+
 def test_round_trip():
     p = sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0)
     tm = sw.build_tau(p, y_max=40.0)
