@@ -21,7 +21,6 @@ Config schema ("schema": "shwave-run/1")::
       "k_grid": [1, 2, 3]        # branches/estimate; or {"start","stop","num"}
       "tolerances": {"rel_tol":..., "abs_tol":..., "root_tol":...,
                      "residual_tol":..., "max_modes":..., "omega_grid_n":...},
-                                 # any other key is a configuration error
       "space": "y" | "tau",
       "output": {"basename": "run"},
       "workers": 1
@@ -30,6 +29,7 @@ Config schema ("schema": "shwave-run/1")::
 Table profiles: ``{"name": "table", "params": {"rows": [[y, rho, mu], ...]}}``
 or ``{"name": "table", "path": "samples.txt"}`` with whitespace-separated
 ``y rho mu`` rows.  A ``--workers`` flag overrides the config's ``workers``.
+A ``tolerances`` key other than the six above is a configuration error.
 """
 
 from __future__ import annotations

@@ -78,7 +78,6 @@ def _frozen_step(gamma_of, inv_mu_of, y, h, phi, want_mag):
     f = np.where(hyp, f_h, f_e)
     c = np.where(small, 1.0 + disc * (0.5 + disc / 24.0), c)
     f = np.where(small, 1.0 + disc * (1.0 / 6.0 + disc / 120.0), f)
-    scale = np.where(hyp & ~small, s, 0.0)
     rot = np.where(hyp | small, 0.0, s)
 
     w0 = np.cos(phi)
@@ -106,6 +105,9 @@ def _frozen_step(gamma_of, inv_mu_of, y, h, phi, want_mag):
     rot_max = float(rot.max()) if rot.size else 0.0
     logmag = None
     if want_mag:
+        # (c, f) carry a factor exp(-s) on hyperbolic steps, except in
+        # the series branch for small |disc|
+        scale = np.where(hyp & ~small, s, 0.0)
         logmag = scale + 0.5 * np.log(w1 * w1 + u1 * u1)
     return phi_new, rot_max, logmag, g1, g2
 
