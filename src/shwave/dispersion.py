@@ -468,11 +468,11 @@ def estimate_mode_count(profile: MaterialProfile, K: float):
     pieces = [0.0] + turning.tolist() + [y_tr]
     total = 0.0
     for aa, bb in zip(pieces[:-1], pieces[1:]):
-        total += _adaptive_integral(f, aa, bb, tol=1e-11)
+        total += _adaptive_integral(f, aa, bb)
     return total / math.pi
 
 
-def _adaptive_integral(f, a, b, tol=1e-11, depth=0):
+def _adaptive_integral(f, a, b, depth=0):
     from numpy.polynomial.legendre import leggauss
 
     if not hasattr(_adaptive_integral, "_nodes"):
@@ -481,11 +481,11 @@ def _adaptive_integral(f, a, b, tol=1e-11, depth=0):
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     c = half * float(np.dot(w1, f(mid + half * x1)))
     fine = half * float(np.dot(w2, f(mid + half * x2)))
-    if abs(fine - c) <= tol * max(1.0, abs(fine)) or depth > 48:
+    if abs(fine - c) <= 1e-11 * max(1.0, abs(fine)) or depth > 48:
         return fine
     m = 0.5 * (a + b)
-    return (_adaptive_integral(f, a, m, tol, depth + 1)
-            + _adaptive_integral(f, m, b, tol, depth + 1))
+    return (_adaptive_integral(f, a, m, depth + 1)
+            + _adaptive_integral(f, m, b, depth + 1))
 
 
 @dataclass(frozen=True)

@@ -161,10 +161,9 @@ def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap
         refine(a, mid, depth + 1)
         refine(mid, b, depth + 1)
 
-    # Seed with moderate panels so structure is not skipped.  Past y=256
-    # the panel edges double: a profile still varying that deep (a power
-    # law runs effective_depth to its cap) does so slowly, and refine
-    # splits any panel that needs it.
+    # Seed with moderate panels so structure is not skipped; past y=256
+    # panel edges double, as a profile still varying that deep (a power
+    # law at effective_depth's cap) does so slowly and refine splits them.
     near = min(y_max, 256.0)
     seed = list(np.linspace(0.0, near, max(8, int(near / 4.0) + 1)))
     while seed[-1] < y_max:

@@ -515,13 +515,13 @@ def classify(profile: MaterialProfile) -> ProfileClass:
     )
 
 
-def _golden_min(f, a, b, tol=1e-12, maxiter=200):
+def _golden_min(f, a, b):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(maxiter):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
+    for _ in range(200):
+        if b - a <= 1e-12 * (1.0 + abs(a) + abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc

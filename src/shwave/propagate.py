@@ -105,8 +105,7 @@ def _frozen_step(gamma_of, inv_mu_of, y, h, phi, want_mag):
     rot_max = float(rot.max()) if rot.size else 0.0
     logmag = None
     if want_mag:
-        # (c, f) carry a factor exp(-s) on hyperbolic steps, except in
-        # the series branch for small |disc|
+        # hyperbolic (c, f) are scaled by exp(-s); the small-disc series is not
         scale = np.where(hyp & ~small, s, 0.0)
         logmag = scale + 0.5 * np.log(w1 * w1 + u1 * u1)
     return phi_new, rot_max, logmag, g1, g2

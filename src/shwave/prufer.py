@@ -63,8 +63,7 @@ class PhasePath:
         self._dense = dense
 
     def __call__(self, y):
-        vals = self._dense(y)
-        return vals
+        return self._dense(y)
 
     def sample(self, per_step: int = 4):
         knots = self._dense.ts
