@@ -287,6 +287,9 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     matching depth (the backward sweep covers the hull).  The doubling
     robustness check runs on the whole batch at once; ``check=False``
     skips it for repeat sweeps over a window that already validated.
+
+    Returns (phi, window): the check may widen the tail window by
+    doubling, and repeat sweeps must reuse the window it accepted.
     """
     settings = settings or DEFAULT_SETTINGS
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -313,13 +316,13 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
                           cfg_cur.y_tail, y_target, settings=settings,
                           read_at=y_bars, breakpoints=problem.breakpoints)
         if exact_tail or not check:
-            return phi
+            return phi, cfg_cur
         phi2 = phase_batch(gamma_vec, problem.stiffness,
                            seed(cfg_cur.stretched(2.0).y_tail),
                            cfg_cur.stretched(2.0).y_tail, y_target,
                            settings=settings, read_at=y_bars,
                            breakpoints=problem.breakpoints)
         if float(np.max(np.abs(phi2 - phi))) <= tol:
-            return phi
+            return phi, cfg_cur
         cfg_cur = cfg_cur.stretched(2.0)
     raise TailConvergenceError("batched tail doubling failed to stabilize")

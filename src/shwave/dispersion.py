@@ -9,8 +9,9 @@ angle phi+(y_bar) agree modulo pi.  The mismatch
 is strictly increasing in Omega at a fixed matching depth (the forward
 angle grows with the coefficient, the decaying angle shrinks), so each
 crossing of an integer multiple of pi is a certified bracket, refined
-by bisection.  The integer n at the root indexes the mode: the matched
-tail angle lies in ((n + 1/2)pi, (n + 1)pi), i.e. mode m = n + 1.
+by ITP (interpolate, truncate, project) on the sign of Phi - n*pi.  The
+integer n at the root indexes the mode: the matched tail angle lies in
+((n + 1/2)pi, (n + 1)pi), i.e. mode m = n + 1.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .profile import (MaterialProfile, ProfileClass, _as_param, _gamma,
 _REASON_GLOBAL_NEGATIVE = ("nonexistence: globally negative monotonicity "
                            "(Arg a(y) >= Arg a_inf at every depth)")
 _REASON_EMPTY_INTERVAL = "nonexistence: empty admissible frequency interval"
-_MAX_BISECT = 80                # refinement rounds per batch of brackets
+_MAX_ROUNDS = 80                # refinement rounds per batch of brackets
 
 
 @dataclass(frozen=True)
@@ -116,21 +117,23 @@ def _problem_for(profile: MaterialProfile, space: str):
 def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
                     settings: IntegratorSettings, y_bars=None,
                     tail_check: bool = True):
-    """(Phi, phi0, phi_plus) for a vector of frequencies at one K.
+    """(Phi, phi0, phi_plus, cfg) for a vector of frequencies at one K.
 
     All members share the tail window of cfg, which must be valid for
     the largest Omega in the batch (it then covers the smaller ones).
     ``y_bars`` optionally assigns each member its own matching depth;
-    both sweeps then use dense output and are read off per member.
+    both sweeps then use dense output and are read off per member.  The
+    returned cfg carries the tail window the decaying sweep accepted.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     phi0 = phase_batch(partial(_gamma, problem, K, omegas), problem.stiffness,
                        np.full(omegas.shape, HALF_PI), 0.0, cfg.y_bar,
                        settings=settings, read_at=y_bars,
                        breakpoints=problem.breakpoints)
-    phi_plus = decaying_phase_batch(problem, K, omegas, cfg, settings=settings,
-                                    y_bars=y_bars, check=tail_check)
-    return phi0 - phi_plus, phi0, phi_plus
+    phi_plus, cfg = decaying_phase_batch(problem, K, omegas, cfg,
+                                         settings=settings, y_bars=y_bars,
+                                         check=tail_check)
+    return phi0 - phi_plus, phi0, phi_plus, cfg
 
 
 def mismatch(profile, K, Omega, cfg: Optional[MatchingConfig] = None,
@@ -143,7 +146,7 @@ def mismatch(profile, K, Omega, cfg: Optional[MatchingConfig] = None,
     settings = settings or DEFAULT_SETTINGS
     if cfg is None:
         cfg = matching_config(problem, A)
-    phi, _, _ = _mismatch_batch(problem, K, np.array([Omega]), cfg, settings)
+    phi = _mismatch_batch(problem, K, np.array([Omega]), cfg, settings)[0]
     return float(phi[0])
 
 
@@ -173,7 +176,7 @@ def find_modes(profile: MaterialProfile, K: float,
     The admissible interval is scanned on a uniform grid plus a
     geometric refinement toward the cutoff (where high modes
     accumulate); every upward crossing of Phi through a multiple of pi
-    is bisected to ``root_tol`` relative in Omega.  Profiles whose
+    is refined by ITP to ``root_tol`` relative in Omega.  Profiles whose
     material angle never drops below its limit are rejected without
     solving, and frequencies at or below K*min(mu/rho) are never
     scanned - no modes can live there.
@@ -248,8 +251,8 @@ def find_modes(profile: MaterialProfile, K: float,
             chunk = chunk[: feasible + 1]
             hit_tail_limit = True
         scan_ceiling = float(chunk[-1])
-        phi_chunk, _, _ = _mismatch_batch(problem, K, chunk, cfg_cache,
-                                          scan_settings)
+        phi_chunk = _mismatch_batch(problem, K, chunk, cfg_cache,
+                                    scan_settings)[0]
         omegas = chunk
         phis = phi_chunk
         if prev_omega is not None:
@@ -277,13 +280,19 @@ def find_modes(profile: MaterialProfile, K: float,
             modes.extend(_refine_brackets(problem, K, brackets, cfg_cache,
                                           settings, opts, noisy_flags))
 
-    # dedupe by mode index, keep the smallest residual
+    # two roots with one index mean a band slip: keep the smaller
+    # residual and flag it
     by_m: dict[int, Mode] = {}
+    duplicated = set()
     for md in modes:
         cur = by_m.get(md.m)
+        if cur is not None:
+            duplicated.add(md.m)
         if cur is None or md.residual < cur.residual:
             by_m[md.m] = md
-    out = sorted(by_m.values(), key=lambda md: md.Omega)
+    out = sorted((replace(md, flag=_add_flag(md.flag, "duplicate mode index"))
+                  if md.m in duplicated else md for md in by_m.values()),
+                 key=lambda md: md.Omega)
     if len(out) > opts.max_modes:
         out = out[: opts.max_modes]
         truncated = True
@@ -328,57 +337,100 @@ def _polish_depths(problem, K, omega_tops, cfg: MatchingConfig):
     return out
 
 
+def _add_flag(flag: Optional[str], note: str) -> str:
+    return flag + "; " + note if flag else note
+
+
 def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
-    """Bisect all pending brackets simultaneously, one batch per sweep.
+    """Refine all pending brackets simultaneously by ITP, one batch per sweep.
 
-    Each bracket gets its own matching depth near its turning point
-    (see _polish_depths); the shared backward sweep starts at the
-    worst-case tail depth and every member is read off at its own
-    y_bar, so one vector integration per bisection step serves all
-    pending roots.
+    ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) steps from the
+    regula-falsi point toward the midpoint and projects it into a
+    radius that halves every round, so it converges superlinearly on
+    the smooth mismatch yet never needs more rounds than bisection.  A
+    point is kept at least 0.4 root_tol inside the bracket (Brent's
+    guard), which stops a bracket from shrinking one-sidedly just above
+    the tolerance.  Brackets move only by the sign of g = Phi - n*pi, so
+    every root stays certified.
+
+    Round 0 evaluates both ends and the midpoint of every bracket with
+    the tail check on (the scan's values come from looser settings and
+    other depths); later rounds reuse the tail window it accepted.  Each
+    bracket gets its own matching depth near its turning point (see
+    _polish_depths); the shared backward sweep starts at the worst-case
+    tail depth and every member is read off at its own y_bar.  A mode
+    reports the bracket end with the smaller |g|, with its angles.
     """
-    a = np.array([b[0] for b in brackets])
-    b_ = np.array([b[1] for b in brackets])
+    nb = len(brackets)
+    a0 = np.array([b[0] for b in brackets])
+    b0 = np.array([b[1] for b in brackets])
     targets = np.array([b[2] * math.pi for b in brackets])
-    ns = [b[2] for b in brackets]
-    y_bars = _polish_depths(problem, K, b_, cfg)
-    last_phi0 = np.zeros(len(brackets))
-    last_phip = np.zeros(len(brackets))
-    resid = np.full(len(brackets), np.inf)
+    y_bars = _polish_depths(problem, K, b0, cfg)
 
-    eps = np.finfo(float).eps
-    for it in range(_MAX_BISECT):
-        widths = b_ - a
-        at_float_limit = widths <= 8 * eps * np.abs(b_)
-        active = ((widths > opts.root_tol * np.maximum(np.abs(a), np.abs(b_)))
-                  | (resid > opts.residual_tol)) & ~at_float_limit
+    def rows(omegas, targets, phi, phi0, phip):
+        return np.stack([omegas, phi - targets, phi0, phip])
+
+    def update(idx, new):
+        ends[(new[1] >= 0).astype(int), :, idx] = new.T
+
+    x0 = np.concatenate([a0, 0.5 * (a0 + b0), b0])
+    phi, phi0, phip, cfg = _mismatch_batch(problem, K, x0, cfg, settings,
+                                           y_bars=np.tile(y_bars, 3),
+                                           tail_check=True)
+    first = rows(x0, np.tile(targets, 3), phi, phi0, phip).reshape(4, 3, nb)
+    # ends[s, :, j] = (Omega, g, phi0, phi+) at the lower (s=0) or upper
+    # (s=1) end of bracket j; the midpoint then replaces one of them
+    ends = first[:, 0::2].swapaxes(0, 1).copy()
+    all_idx = np.arange(nb)
+    update(all_idx, first[:, 1])
+
+    # ITP from the halved brackets: kappa1 = 0.2/w0, kappa2 = 2, n0 = 1
+    w0 = ends[1, 0] - ends[0, 0]
+    eps = 0.5 * opts.root_tol * np.max(np.abs(ends[:, 0]), axis=0)
+    n_max = np.ceil(np.log2(w0 / (2.0 * eps))) + 1.0
+    kappa1 = 0.2 / w0
+    for j in range(_MAX_ROUNDS - 1):
+        (a, ga), (b, gb) = ends[0, :2], ends[1, :2]
+        width = b - a
+        tol = opts.root_tol * np.maximum(np.abs(a), np.abs(b))
+        resid = np.minimum(np.abs(ga), np.abs(gb))
+        at_float_limit = width <= 8 * np.finfo(float).eps * np.abs(b)
+        active = ((width > tol) | (resid > opts.residual_tol)) & ~at_float_limit
         if not np.any(active):
             break
-        mids = 0.5 * (a + b_)
-        phi, phi0, phip = _mismatch_batch(problem, K, mids[active], cfg,
-                                          settings, y_bars=y_bars[active],
-                                          tail_check=(it == 0))
-        g = phi - targets[active]
-        idx = np.nonzero(active)[0]
-        below = g < 0
-        a[idx[below]] = mids[idx[below]]
-        b_[idx[~below]] = mids[idx[~below]]
-        resid[idx] = np.abs(g)
-        last_phi0[idx] = phi0
-        last_phip[idx] = phip
+        mid = 0.5 * (a + b)
+        bracketed = (ga < 0) & (gb > 0)
+        x_f = np.where(bracketed, (b * ga - a * gb)
+                       / np.where(bracketed, ga - gb, 1.0), mid)
+        sigma = np.sign(mid - x_f)
+        delta = kappa1 * width ** 2
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        radius = np.maximum(eps * 2.0 ** (n_max - j) - 0.5 * width, 0.0)
+        x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
+        guard = np.minimum(0.4 * tol, 0.5 * width)
+        x = np.where(bracketed, np.clip(x, a + guard, b - guard), mid)
 
+        idx = np.nonzero(active)[0]
+        phi, phi0, phip, _ = _mismatch_batch(problem, K, x[idx], cfg, settings,
+                                             y_bars=y_bars[idx],
+                                             tail_check=False)
+        update(idx, rows(x[idx], targets[idx], phi, phi0, phip))
+
+    best = (np.abs(ends[1, 1]) < np.abs(ends[0, 1])).astype(int)
+    omega, g, phi0, phip = ends[best, :, all_idx].T
     out = []
-    for j, nn in enumerate(ns):
-        omega = 0.5 * (a[j] + b_[j])
+    for j, (_, _, nn, _, _) in enumerate(brackets):
+        resid = abs(float(g[j]))
         flag = None
-        if resid[j] > opts.residual_tol:
+        if resid > opts.residual_tol:
             flag = "residual above tolerance"
         if noisy_flags[j]:
-            flag = (flag + "; " if flag else "") + "non-monotone scan values"
-        out.append(Mode(K=K, Omega=float(omega), m=nn + 1,
-                        phi_surface=float(last_phi0[j]),
-                        phi_decay=float(last_phip[j]), residual=float(resid[j]),
-                        matching=replace(cfg, y_bar=float(y_bars[j])), flag=flag))
+            flag = _add_flag(flag, "non-monotone scan values")
+        out.append(Mode(K=K, Omega=float(omega[j]), m=nn + 1,
+                        phi_surface=float(phi0[j]), phi_decay=float(phip[j]),
+                        residual=resid,
+                        matching=replace(cfg, y_bar=float(y_bars[j])),
+                        flag=flag))
     return out
 
 

@@ -202,7 +202,7 @@ def test_criterion_06_monotone_mismatch():
         width = hi - lo
         oms = np.linspace(lo + 0.04 * width, hi - 0.04 * width, 20)
         cfg = matching_config(p, (K, float(oms[-1])))
-        phi, _, _ = _mismatch_batch(p, K, oms, cfg, IntegratorSettings())
+        phi = _mismatch_batch(p, K, oms, cfg, IntegratorSettings())[0]
         assert np.all(np.diff(phi) > 0), (p.name, p.params, K)
         checked += 1
     _line(6, "mismatch strictly increasing in frequency (50 cases)", t0)

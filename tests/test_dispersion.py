@@ -2,12 +2,15 @@
 
 import json
 import math
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shwave as sw
+from shwave import dispersion
 from shwave.decay import matching_config
 from shwave.dispersion import SearchOptions, mismatch
 from shwave.prufer import IntegratorSettings
@@ -223,6 +226,56 @@ def test_tail_stretch_stability(exp_profile):
     assert len(base.modes) == len(far.modes)
     for a, b in zip(base.modes, far.modes):
         assert abs(a.Omega - b.Omega) / a.Omega <= 1e-8
+
+
+def test_tail_window_kept_after_check(exp_profile):
+    # the first refinement round's tail check widens a short window by
+    # doubling; the later rounds must sweep the widened one
+    opts = SearchOptions()
+    base = sw.find_modes(exp_profile, 4.0, opts)
+    short = sw.find_modes(exp_profile, 4.0, replace(opts, tail_stretch=0.2))
+    assert len(base.modes) == len(short.modes) == 3
+    for a, b in zip(base.modes, short.modes):
+        assert abs(a.Omega - b.Omega) / a.Omega <= 2 * opts.root_tol
+
+
+def test_duplicate_mode_index_flagged(exp_profile, monkeypatch):
+    refine = dispersion._refine_brackets
+    found = []
+
+    def doubled(*args):
+        found.extend(refine(*args))
+        slip = replace(found[0], Omega=found[0].Omega * (1 + 1e-6),
+                       residual=found[0].residual + 1e-9)
+        return found + [slip]
+
+    monkeypatch.setattr(dispersion, "_refine_brackets", doubled)
+    res = sw.find_modes(exp_profile, 1.0)
+    assert [m.m for m in res.modes] == [1, 2]
+    assert res.modes[0] == replace(found[0], flag="duplicate mode index")
+    assert res.modes[1] == found[1]
+
+
+@pytest.mark.parametrize("profile, K", [
+    (sw.from_registry("exp_density", {"rho_inf": 1.0, "drho": 5.0, "d": 1.0}),
+     16.0),
+    (sw.from_registry("smoothed_layer", SHARP_LAYER), 25.0),
+], ids=["exp", "sharp_layer"])
+def test_refine_round_count(profile, K, monkeypatch):
+    # each refinement round is one batched sweep called from
+    # _refine_brackets; bisection to root_tol took 26-28
+    sweep = dispersion._mismatch_batch
+    rounds = []
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_refine_brackets":
+            rounds.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "_mismatch_batch", counted)
+    res = sw.find_modes(profile, K)
+    assert res.modes and all(m.flag is None for m in res.modes)
+    assert 1 <= len(rounds) <= 12
 
 
 def test_invalid_inputs(exp_profile):
