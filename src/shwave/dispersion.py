@@ -40,7 +40,11 @@ _MAX_ROUNDS = 80                # refinement rounds per batch of brackets
 
 @dataclass(frozen=True)
 class Mode:
-    """One matched root (K, Omega) with its matching diagnostics."""
+    """One matched root (K, Omega) with its matching diagnostics.
+
+    ``phi_surface``, ``phi_decay`` and ``residual`` = |Phi - (m-1)*pi|
+    are evaluated at ``Omega`` itself.
+    """
 
     K: float
     Omega: float
@@ -367,8 +371,8 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
     targets = np.array([b[2] * math.pi for b in brackets])
     y_bars = _polish_depths(problem, K, b0, cfg)
 
-    def rows(omegas, targets, phi, phi0, phip):
-        return np.stack([omegas, phi - targets, phi0, phip])
+    def rows(omegas, n_pi, phi, phi0, phip):
+        return np.stack([omegas, phi - n_pi, phi0, phip])
 
     def update(idx, new):
         ends[(new[1] >= 0).astype(int), :, idx] = new.T

@@ -263,7 +263,8 @@ def test_duplicate_mode_index_flagged(exp_profile, monkeypatch):
 ], ids=["exp", "sharp_layer"])
 def test_refine_round_count(profile, K, monkeypatch):
     # each refinement round is one batched sweep called from
-    # _refine_brackets; bisection to root_tol took 26-28
+    # _refine_brackets; ITP needs 9 here, and a bracket that stalls just
+    # above the tolerance (no guard) or plain bisection needs 26-28
     sweep = dispersion._mismatch_batch
     rounds = []
 
