@@ -102,7 +102,6 @@ class SearchOptions:
     root_tol: float = 1e-10          # relative, in Omega
     residual_tol: float = 1e-8       # absolute, in angle
     settings: IntegratorSettings = field(default_factory=IntegratorSettings)
-    scan_settings: Optional[IntegratorSettings] = None
     tail_stretch: float = 1.0        # >1 widens the tail window (robustness runs)
     space: str = "y"                 # "y" or "tau"
 
@@ -198,7 +197,7 @@ def find_modes(profile: MaterialProfile, K: float,
 
     problem = _problem_for(profile, opts.space)
     settings = opts.settings
-    scan_settings = opts.scan_settings or IntegratorSettings(
+    scan_settings = IntegratorSettings(
         rel_tol=max(settings.rel_tol, 1e-8), abs_tol=max(settings.abs_tol, 1e-10))
 
     cap = hi * (1.0 - NEAR_THRESHOLD_DELTA)

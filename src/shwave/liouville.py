@@ -4,8 +4,10 @@ The substitution maps the wave equation (mu u')' + gamma u = 0 to its
 standard form u_tautau + mu*gamma u = 0, which provides an independent
 coordinate system for cross-checking dispersion results.  The map is
 built once per profile by adaptive quadrature and evaluated through a
-monotone C1 interpolant whose inverse is solved exactly per interval,
-so forward/inverse round trips are accurate to machine precision.
+monotone C1 cubic Hermite interpolant.  Its inverse starts from the
+Hermite interpolant of y(tau) on the same knots and takes two Newton
+steps on the forward map over the whole array, so forward/inverse round
+trips are accurate to machine precision.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ProfileError
-from .profile import MaterialProfile, _as_param, _gamma, effective_depth
+from .profile import MaterialProfile, effective_depth
 
 _GL5_X, _GL5_W = leggauss(5)
 _GL10_X, _GL10_W = leggauss(10)
@@ -29,6 +31,25 @@ def _gl(f, a, b, xs, ws):
     return half * float(np.dot(ws, f(mid + half * xs)))
 
 
+def _hermite(x, xs, fs, ds, tail_slope):
+    """Cubic Hermite through (xs, fs) with slopes ds: (value, slope) at x.
+
+    Past the last knot it continues linearly with ``tail_slope``.
+    """
+    x = np.asarray(x, dtype=float)
+    xc = np.minimum(x, xs[-1])
+    i = np.searchsorted(xs[1:-1], xc)     # interval index, 0..len(xs)-2
+    h = xs[i + 1] - xs[i]
+    t = (xc - xs[i]) / h
+    p0, p1 = fs[i], fs[i + 1]
+    m0, m1 = ds[i] * h, ds[i + 1] * h
+    value = (1 + 2 * t) * (1 - t) ** 2 * p0 + t * (1 - t) ** 2 * m0 \
+        + t * t * (3 - 2 * t) * p1 + t * t * (t - 1) * m1
+    slope = ((6 * t * t - 6 * t) * (p0 - p1) + (3 * t * t - 4 * t + 1) * m0
+             + (3 * t * t - 2 * t) * m1) / h
+    return value + (x - xc) * tail_slope, np.where(x > xs[-1], tail_slope, slope)
+
+
 @dataclass(frozen=True)
 class TauMap:
     """Monotone map between physical depth y and transformed depth tau.
@@ -36,7 +57,8 @@ class TauMap:
     ``knots_y``/``knots_tau`` are the paired subdivision points with
     tau(0) = 0; between knots the map is cubic Hermite with the exact
     slopes 1/mu(y).  Beyond the last knot the extrapolation is linear
-    with ``tail_slope`` = 1/mu_inf.
+    with ``tail_slope`` = 1/mu_inf.  ``y_of`` inverts it by Newton from
+    a Hermite start, to machine precision.
     """
 
     knots_y: np.ndarray
@@ -50,75 +72,28 @@ class TauMap:
 
     def tau(self, y):
         y = np.asarray(y, dtype=float)
-        if np.any(y < 0):
+        if (y < 0).any():
             raise DomainError("depth must be non-negative")
-        scalar = y.ndim == 0
-        yy = np.atleast_1d(y)
-        out = np.empty_like(yy)
-        inside = yy <= self.y_max
-        out[~inside] = self.knots_tau[-1] + (yy[~inside] - self.y_max) * self.tail_slope
-        if np.any(inside):
-            out[inside] = self._hermite(yy[inside])
-        return float(out[0]) if scalar else out
-
-    def _hermite(self, y):
-        i = np.clip(np.searchsorted(self.knots_y, y) - 1, 0, len(self.knots_y) - 2)
-        h = self.knots_y[i + 1] - self.knots_y[i]
-        t = (y - self.knots_y[i]) / h
-        p0, p1 = self.knots_tau[i], self.knots_tau[i + 1]
-        m0, m1 = self.slopes[i] * h, self.slopes[i + 1] * h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
+        out = _hermite(y, self.knots_y, self.knots_tau, self.slopes,
+                       self.tail_slope)[0]
+        return float(out) if out.ndim == 0 else out
 
     def y_of(self, tau):
-        """Inverse map; solves the forward interpolant per interval."""
+        """Inverse map, for a scalar or an array of tau.
+
+        The start is the Hermite interpolant of y(tau) with the exact knot
+        slopes dy/dtau = mu; two Newton steps on ``tau`` polish it.
+        """
         tau = np.asarray(tau, dtype=float)
-        if np.any(tau < 0):
+        if (tau < 0).any():
             raise DomainError("tau must be non-negative")
-        scalar = tau.ndim == 0
-        tt = np.atleast_1d(tau).copy()
-        out = np.empty_like(tt)
-        tau_max = self.knots_tau[-1]
-        outside = tt > tau_max
-        out[outside] = self.y_max + (tt[outside] - tau_max) / self.tail_slope
-        for j in np.nonzero(~outside)[0]:
-            out[j] = self._invert_one(tt[j])
-        return float(out[0]) if scalar else out
-
-    def _invert_one(self, target):
-        i = np.clip(np.searchsorted(self.knots_tau, target) - 1, 0,
-                    len(self.knots_tau) - 2)
-        a, b = self.knots_y[i], self.knots_y[i + 1]
-        # Newton on the monotone cubic, bisection fallback.
-        y = a + (b - a) * (target - self.knots_tau[i]) / max(
-            self.knots_tau[i + 1] - self.knots_tau[i], 1e-300)
-        for _ in range(60):
-            fy = self._hermite(np.array([y]))[0] - target
-            if fy > 0:
-                b = y
-            else:
-                a = y
-            slope = self._slope_at(y, i)
-            step = fy / slope if slope > 0 else 0.0
-            y_new = y - step
-            if not (a <= y_new <= b):
-                y_new = 0.5 * (a + b)
-            if abs(y_new - y) <= 1e-15 * (1.0 + abs(y)):
-                return y_new
-            y = y_new
-        return y
-
-    def _slope_at(self, y, i):
-        h = self.knots_y[i + 1] - self.knots_y[i]
-        t = (y - self.knots_y[i]) / h
-        p0, p1 = self.knots_tau[i], self.knots_tau[i + 1]
-        m0, m1 = self.slopes[i] * h, self.slopes[i + 1] * h
-        d = (6 * t * t - 6 * t) * (p0 - p1) + (3 * t * t - 4 * t + 1) * m0 \
-            + (3 * t * t - 2 * t) * m1
-        return d / h
+        y = _hermite(tau, self.knots_tau, self.knots_y, 1.0 / self.slopes,
+                     1.0 / self.tail_slope)[0]
+        for _ in range(2):
+            value, slope = _hermite(y, self.knots_y, self.knots_tau,
+                                    self.slopes, self.tail_slope)
+            y = y - (value - tau) / slope
+        return float(y) if y.ndim == 0 else y
 
 
 def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap:
@@ -144,13 +119,12 @@ def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap
         fine = _gl(inv_mu, a, b, _GL10_X, _GL10_W)
         quad_ok = abs(fine - coarse) <= 1e-10 * max(abs(fine), 1e-30)
         if quad_ok and depth >= 1:
-            # Hermite midpoint check against the directly integrated value.
+            # Hermite midpoint check against the directly integrated value,
+            # on the unit interval with the slopes scaled by b - a.
             mid = 0.5 * (a + b)
             left = _gl(inv_mu, a, mid, _GL10_X, _GL10_W)
-            h = b - a
-            t = 0.5
-            interp = (1 + 2 * t) * (1 - t) ** 2 * 0.0 + t * (1 - t) ** 2 * inv_mu(a) * h \
-                + t * t * (3 - 2 * t) * fine + t * t * (t - 1) * inv_mu(b) * h
+            interp = _hermite(0.5, np.array([0.0, 1.0]), np.array([0.0, fine]),
+                              np.array([inv_mu(a), inv_mu(b)]) * (b - a), 0.0)[0]
             if abs(interp - left) <= 1e-9:
                 segments.append((a, b, fine))
                 return
@@ -219,16 +193,6 @@ class TransformedMedium:
     @property
     def coef_pair_inf(self):
         return self.rho_inf, self.mu_inf
-
-    def gamma_bar(self, A, tau):
-        """Standard-form coefficient mu(y(tau)) * gamma_A(y(tau))."""
-        A = _as_param(A)
-        return _gamma(self, A.K, A.Omega, tau)
-
-    def arg_a(self, tau):
-        """Material angle in tau; equals the physical Arg a at y(tau)."""
-        p, q = self.coef_pair(tau)
-        return np.arctan2(q, p)
 
 
 def transform(profile: MaterialProfile) -> TransformedMedium:

@@ -44,11 +44,6 @@ class ParamPoint:
         if not (self.K > 0 and self.Omega > 0):
             raise ProfileError("ParamPoint requires K > 0 and Omega > 0")
 
-    @property
-    def arg(self) -> float:
-        """Polar angle arctan(Omega/K) of the parameter vector, in (0, pi/2)."""
-        return math.atan2(self.Omega, self.K)
-
 
 def _as_param(A) -> ParamPoint:
     if isinstance(A, ParamPoint):

@@ -85,8 +85,7 @@ def test_criterion_03_count_growth_and_estimate():
     # so the sweep runs with documented loosened options for speed
     opts = SearchOptions(
         omega_grid_n=128, root_tol=1e-6, residual_tol=1e-2,
-        settings=IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9),
-        scan_settings=IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9))
+        settings=IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9))
     ks = np.arange(1.0, 41.0)
     _, results = sw.trace_branches(EXP, ks, opts, workers=2)
     counts = [len(r.modes) for r in results]

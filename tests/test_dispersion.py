@@ -49,15 +49,19 @@ def test_mismatch_tau_coordinates_agree(exp_profile):
 
 
 def test_mismatch_tau_agrees_with_varying_mu():
-    p = sw.from_registry("smoothed_layer", {"rho_1": 2.0, "mu_1": 0.7,
-                                            "rho_s": 1.0, "mu_s": 1.0,
-                                            "y_s": 2.0, "width": 1.0})
-    ry = sw.find_modes(p, 25.0)
-    rt = sw.find_modes(p, 25.0, SearchOptions(space="tau"))
-    assert len(ry.modes) == len(rt.modes) > 0
-    rel = max(abs(a.Omega - b.Omega) / a.Omega
-              for a, b in zip(ry.modes, rt.modes))
-    assert rel < 1e-8
+    layer = sw.from_registry("smoothed_layer", {"rho_1": 2.0, "mu_1": 0.7,
+                                                "rho_s": 1.0, "mu_s": 1.0,
+                                                "y_s": 2.0, "width": 1.0})
+    # a PCHIP table whose stiffness varies at every row
+    table = sw.from_table([[0, 3, 0.6], [1, 2.5, 0.8], [2, 1.5, 0.9], [4, 1, 1]])
+    for p, K in ((layer, 25.0), (table, 9.0)):
+        ry = sw.find_modes(p, K)
+        rt = sw.find_modes(p, K, SearchOptions(space="tau"))
+        assert len(ry.modes) == len(rt.modes) > 0
+        assert [m.m for m in ry.modes] == [m.m for m in rt.modes]
+        rel = max(abs(a.Omega - b.Omega) / a.Omega
+                  for a, b in zip(ry.modes, rt.modes))
+        assert rel < 1e-8
 
 
 def test_find_modes_empty_constant(constant_profile):

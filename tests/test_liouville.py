@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import shwave as sw
@@ -89,18 +90,24 @@ def test_knots_strictly_increasing():
     assert np.all(np.diff(tm.knots_tau) > 0)
 
 
+def gamma_bar(med, K, Om, tau):
+    """Standard-form coefficient Omega*p - K*q in tau."""
+    p, q = med.coef_pair(tau)
+    return Om * p - K * q
+
+
 def test_transform_identity_and_constants(exp_profile):
     med = sw.transform(exp_profile)
     taus = np.linspace(0.0, 10.0, 21)
-    gb = np.array([med.gamma_bar((1.0, 0.5), float(t)) for t in taus])
+    gb = np.array([gamma_bar(med, 1.0, 0.5, float(t)) for t in taus])
     g = exp_profile.gamma((1.0, 0.5), taus)
     assert np.max(np.abs(gb - g)) < 1e-12   # mu = 1: identity substitution
 
     p2 = sw.from_registry("constant", {"rho": 1.0, "mu": 2.0})
     med2 = sw.transform(p2)
-    assert abs(med2.gamma_bar((1.0, 1.0), 0.7) - (-2.0)) < 1e-14
+    assert abs(gamma_bar(med2, 1.0, 1.0, 0.7) - (-2.0)) < 1e-14
 
-    assert abs(med.gamma_bar((1.0, 0.5), 0.0) - 2.0) < 1e-13
+    assert abs(gamma_bar(med, 1.0, 0.5, 0.0) - 2.0) < 1e-13
 
 
 def test_transform_limit():
@@ -111,7 +118,7 @@ def test_transform_limit():
     K, Om = 3.0, 1.0
     expect = Om * p.mu_inf * p.rho_inf - K * p.mu_inf ** 2
     deep = float(med.taumap.tau(30.0))
-    assert abs(med.gamma_bar((K, Om), deep) - expect) < 1e-10
+    assert abs(gamma_bar(med, K, Om, deep) - expect) < 1e-10
 
 
 def test_arg_preservation():
@@ -121,7 +128,8 @@ def test_arg_preservation():
     med = sw.transform(p)
     ys = np.linspace(0.01, 6.0, 23)
     taus = med.taumap.tau(ys)
-    assert np.max(np.abs(med.arg_a(taus) - p.arg_a(ys))) < 1e-12
+    pp, qq = med.coef_pair(taus)
+    assert np.max(np.abs(np.arctan2(qq, pp) - p.arg_a(ys))) < 1e-12
 
 
 def test_assumption_preservation_integrability():
@@ -132,7 +140,7 @@ def test_assumption_preservation_integrability():
     ginf = Om * med.rho_inf - K * med.mu_inf
 
     def dev(tau):
-        out = np.array([abs(med.gamma_bar((K, Om), float(t)) - ginf)
+        out = np.array([abs(gamma_bar(med, K, Om, float(t)) - ginf)
                         for t in np.atleast_1d(tau)])
         return out
 
@@ -154,3 +162,53 @@ def test_tau_breakpoints_mapped():
     assert len(med.breakpoints) == 2
     assert abs(med.breakpoints[0] - med.taumap.tau(1.0)) < 1e-12
     assert abs(med.breakpoints[1] - med.taumap.tau(2.0)) < 1e-12
+
+
+@st.composite
+def table_maps(draw):
+    """Tau map of a PCHIP table with 3-8 rows and a varying stiffness."""
+    n = draw(st.integers(3, 8))
+    gaps = draw(st.lists(st.floats(0.2, 3.0), min_size=n - 1, max_size=n - 1))
+    rho = draw(st.lists(st.floats(0.5, 5.0), min_size=n, max_size=n))
+    mu = draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n))
+    assume(max(mu) - min(mu) > 0.1)
+    ys = np.concatenate([[0.0], np.cumsum(gaps)])
+    return sw.build_tau(sw.from_table(list(zip(ys, rho, mu))))
+
+
+TAU_MAP_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@TAU_MAP_SETTINGS
+@given(table_maps(), st.floats(0.0, 3.0))
+def test_property_round_trip(tm, past):
+    # depths inside the knots and up to three map lengths past y_max
+    ys = np.concatenate([np.linspace(0.0, 4.0 * tm.y_max, 81),
+                         [tm.y_max * (1.0 + past)]])
+    back = tm.y_of(tm.tau(ys))
+    assert np.max(np.abs(back - ys) / np.maximum(ys, 1e-10)) < 1e-10
+
+
+@TAU_MAP_SETTINGS
+@given(table_maps())
+def test_property_inverse_increasing(tm):
+    taus = np.linspace(0.0, 2.0 * tm.knots_tau[-1], 1001)
+    assert np.all(np.diff(tm.y_of(taus)) > 0)
+
+
+@TAU_MAP_SETTINGS
+@given(table_maps())
+def test_property_inverse_hits_knots(tm):
+    # at a knot the start is exact and the Newton residual is zero
+    assert np.array_equal(tm.y_of(tm.knots_tau), tm.knots_y)
+
+
+@TAU_MAP_SETTINGS
+@given(table_maps(), st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
+def test_property_scalar_matches_array(tm, fractions):
+    taus = np.asarray(fractions) * tm.knots_tau[-1]
+    arr = tm.y_of(taus)
+    for t, y in zip(taus, arr):
+        one = tm.y_of(float(t))
+        assert type(one) is float
+        assert one == y

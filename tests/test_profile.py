@@ -82,7 +82,7 @@ def test_arg_sign_relation(exp_profile):
         K, Om = rng.uniform(0.05, 10, 2)
         y = rng.uniform(0, 10)
         arg_a = float(exp_profile.arg_a(y))
-        arg_A = sw.ParamPoint(K, Om).arg
+        arg_A = math.atan2(Om, K)
         g = exp_profile.gamma((K, Om), y)
         if arg_a < arg_A - 1e-12:
             assert g > 0
