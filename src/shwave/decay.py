@@ -294,10 +294,8 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     settings = settings or DEFAULT_SETTINGS
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
 
-    gamma_vec = partial(_gamma, problem, K, omegas)
-
     def seed(y_tail):
-        g = gamma_vec(y_tail)
+        g = _gamma(problem, K, omegas, y_tail)
         if np.any(g >= 0):
             raise ThresholdError("gamma_A(Y) must be negative at the tail start")
         return np.arctan2(1.0, -np.sqrt(-g * problem.stiffness(y_tail)))
@@ -312,16 +310,14 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
                                                     cfg.y_bar)
     cfg_cur = cfg
     for _ in range(_TAIL_ATTEMPTS):
-        phi = phase_batch(gamma_vec, problem.stiffness, seed(cfg_cur.y_tail),
+        phi = phase_batch(problem, K, omegas, seed(cfg_cur.y_tail),
                           cfg_cur.y_tail, y_target, settings=settings,
-                          read_at=y_bars, breakpoints=problem.breakpoints)
+                          read_at=y_bars)
         if exact_tail or not check:
             return phi, cfg_cur
-        phi2 = phase_batch(gamma_vec, problem.stiffness,
-                           seed(cfg_cur.stretched(2.0).y_tail),
-                           cfg_cur.stretched(2.0).y_tail, y_target,
-                           settings=settings, read_at=y_bars,
-                           breakpoints=problem.breakpoints)
+        y_tail2 = cfg_cur.stretched(2.0).y_tail
+        phi2 = phase_batch(problem, K, omegas, seed(y_tail2), y_tail2,
+                           y_target, settings=settings, read_at=y_bars)
         if float(np.max(np.abs(phi2 - phi))) <= tol:
             return phi, cfg_cur
         cfg_cur = cfg_cur.stretched(2.0)

@@ -20,7 +20,11 @@ control is by step doubling on the lifted angle, which also flags any
 disagreement between the frozen and true flows long before it could
 amount to a band slip.
 
-This engine drives the batched frequency scans; the public
+A sweep carries a batch of parameter points (K, Omega) of one problem
+and forms gamma = Omega*p - K*q from ``problem.coef_pair``; that and
+``problem.stiffness`` take an array of depths, and each step attempt
+(the full step and its two halves) calls each of them once.  This
+engine drives the batched frequency scans; the public
 ``integrate_phase`` keeps the embedded Runge-Kutta pair on the scalar
 phase equation, and the two are cross-checked in the test suite.
 """
@@ -46,22 +50,30 @@ _TINY = 1e-300
 _MAX_STEPS = 200000       # accepted and rejected steps per sweep
 
 
-def _frozen_step(gamma_of, inv_mu_of, y, h, phi, want_mag):
-    """One Magnus step of signed length h from depth y.
+def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag):
+    """One Magnus attempt of signed length h from depth y, three steps at once.
 
-    Freezes the system matrix at its fourth-order two-node average and
-    applies the closed-form exponential to the direction (cos phi,
-    sin phi).  Returns (phi_new, rot_max, logmag) where phi_new is the
-    exactly re-banded lift and rot_max the largest elliptic rotation in
-    the batch.
+    The full step and both half steps are stacked as (members, 3) from
+    one ``coef_pair`` call on their 6 Gauss nodes plus the step end and
+    one ``stiffness`` call on the nodes.  The full step and half 1 act
+    on (cos phi, sin phi), half 2 on the half-1 state.  Returns (full,
+    half, rot_max, logmag, drift): the exactly re-banded lifts after the
+    full step and after both halves, the largest elliptic rotation (the
+    halves summed), the halves' log magnitude (None unless want_mag),
+    and how far gamma at the step end drifts off the full step's nodes.
     """
-    g1 = np.asarray(gamma_of(y + _GAUSS_LO * h), dtype=float)
-    g2 = np.asarray(gamma_of(y + _GAUSS_HI * h), dtype=float)
-    b1 = inv_mu_of(y + _GAUSS_LO * h)
-    b2 = inv_mu_of(y + _GAUSS_HI * h)
-    alpha = (-0.5 * h) * (g1 + g2)
-    beta = 0.5 * h * (b1 + b2)              # scalar: stiffness is shared
-    delta = (_COMM * h * h) * (g1 * b2 - g2 * b1)
+    hh = 0.5 * h
+    ys = np.array([y + _GAUSS_LO * h, y + _GAUSS_HI * h, y + _GAUSS_LO * hh,
+                   y + _GAUSS_HI * hh, (y + hh) + _GAUSS_LO * hh,
+                   (y + hh) + _GAUSS_HI * hh, y + h])
+    p, q = coef_pair(ys)
+    g = Omega[:, None] * p - K[:, None] * q
+    b = 1.0 / stiffness(ys[:6])
+    hs = np.array([h, hh, hh])
+    g1, g2, b1, b2 = g[:, 0:6:2], g[:, 1:6:2], b[0::2], b[1::2]
+    alpha = (-0.5 * hs) * (g1 + g2)
+    beta = 0.5 * hs * (b1 + b2)             # per step: stiffness is shared
+    delta = (_COMM * hs * hs) * (g1 * b2 - g2 * b1)
 
     disc = delta * delta + alpha * beta
     s = np.sqrt(np.abs(disc))
@@ -70,70 +82,62 @@ def _frozen_step(gamma_of, inv_mu_of, y, h, phi, want_mag):
     s_safe = np.where(s > 1e-30, s, 1.0)
 
     e2 = np.exp(-2.0 * np.minimum(np.where(hyp, s, 0.0), 350.0))
-    c_h = 0.5 * (1.0 + e2)
-    f_h = 0.5 * (1.0 - e2) / s_safe
-    c_e = np.cos(s)
-    f_e = np.sin(s) / s_safe
-    c = np.where(hyp, c_h, c_e)
-    f = np.where(hyp, f_h, f_e)
+    c = np.where(hyp, 0.5 * (1.0 + e2), np.cos(s))
+    f = np.where(hyp, 0.5 * (1.0 - e2) / s_safe, np.sin(s) / s_safe)
     c = np.where(small, 1.0 + disc * (0.5 + disc / 24.0), c)
     f = np.where(small, 1.0 + disc * (1.0 / 6.0 + disc / 120.0), f)
     rot = np.where(hyp | small, 0.0, s)
 
-    w0 = np.cos(phi)
-    u0 = np.sin(phi)
-    w1 = (c + f * delta) * w0 + (f * alpha) * u0
-    u1 = (f * beta) * w0 + (c - f * delta) * u0
+    m_ww, m_wu, m_uw, m_uu = c + f * delta, f * alpha, f * beta, c - f * delta
+    w0 = np.repeat(np.cos(phi)[:, None], 3, axis=1)
+    u0 = np.repeat(np.sin(phi)[:, None], 3, axis=1)
+    w1 = m_ww * w0 + m_wu * u0
+    u1 = m_uw * w0 + m_uu * u0
+    w0[:, 2], u0[:, 2] = w1[:, 1], u1[:, 1]
+    w1[:, 2] = m_ww[:, 2] * w0[:, 2] + m_wu[:, 2] * u0[:, 2]
+    u1[:, 2] = m_uw[:, 2] * w0[:, 2] + m_uu[:, 2] * u0[:, 2]
 
     # multiples of pi crossed: zeros of u(t) along the frozen flow.
     # Elliptic: u(t) = R sin(rot*t + chi); hyperbolic/degenerate: at
     # most one zero, from the endpoint sign change.  Every zero moves
-    # the band by sign(beta).
+    # the band by sign(h).
     ell = rot > 0.0
-    rot_c = np.where(ell, rot, 1.0)
-    chi = np.arctan2(u0, (beta * w0 - delta * u0) / rot_c)
+    chi = np.arctan2(u0, (beta * w0 - delta * u0) / np.where(ell, rot, 1.0))
     cnt_e = np.floor((chi + rot) / _PI) - np.floor(chi / _PI)
     flip = ((u0 == 0.0) | (np.sign(u1) != np.sign(u0))) & (u1 != 0.0)
-    inc = np.where(ell, cnt_e, flip.astype(float))
-    if beta < 0.0:
-        inc = -inc
+    inc = math.copysign(1.0, h) * np.where(ell, cnt_e, flip)
+    inc[:, 2] += inc[:, 1]              # half 2 starts in half 1's band
 
-    band0 = np.floor(phi / _PI)
     raw = np.arctan2(u1, w1)
-    pos = raw - _PI * np.floor(raw / _PI)
-    phi_new = _PI * (band0 + inc) + pos
-    rot_max = float(rot.max()) if rot.size else 0.0
+    lift = (_PI * (np.floor(phi / _PI)[:, None] + inc)
+            + (raw - _PI * np.floor(raw / _PI)))
+    rot_max = np.max(rot, axis=0, initial=0.0)
     logmag = None
     if want_mag:
-        # hyperbolic (c, f) are scaled by exp(-s); the small-disc series is not
+        # hyperbolic (c, f) are scaled by exp(-s); the small-disc series
+        # is not.  Half 2 acts on the scaled half-1 state.
         scale = np.where(hyp & ~small, s, 0.0)
-        logmag = scale + 0.5 * np.log(w1 * w1 + u1 * u1)
-    return phi_new, rot_max, logmag, g1, g2
+        logmag = scale[:, 1] + scale[:, 2] + 0.5 * np.log(
+            w1[:, 2] * w1[:, 2] + u1[:, 2] * u1[:, 2])
+    g_ext = g2[:, 0] + (g2[:, 0] - g1[:, 0]) * 0.36602540378443865
+    drift = float(np.max(np.abs(g[:, 6] - g_ext), initial=0.0))
+    return (lift[:, 0], lift[:, 2], max(rot_max[0], rot_max[1] + rot_max[2]),
+            logmag, drift)
 
 
-def _initial_h(gamma_of, inv_mu_of, y0, span):
-    g = np.asarray(gamma_of(y0), dtype=float)
-    b = inv_mu_of(y0)
-    w_max = math.sqrt(max(float(np.max(g * b)), 0.0) + _TINY)
-    h = min(0.1 * span, 1.0)
-    if w_max > 0:
-        h = min(h, _ROT_CAP / w_max)
-    return max(h, 1e-12 * span)
+def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
+                read_at=None, want_log_r=False):
+    """Sweep the lifted phase of the batch (K, Omega) of ``problem``.
 
-
-def sweep_phase(gamma_of, inv_mu_of, phi0, y0, y1, rtol=1e-10, atol=1e-12,
-                read_at=None, want_log_r=False, breakpoints=()):
-    """Sweep the lifted phase of a frequency batch from y0 to y1.
-
-    ``gamma_of(y)`` returns the coefficient vector of the batch at a
-    scalar depth, ``inv_mu_of(y)`` the scalar reciprocal stiffness.
-    ``read_at`` gives one read depth per member; those depths are
-    forced to be step boundaries and each member's angle is recorded
-    when its depth is hit, so one sweep serves many matching depths
-    (reads beyond y1 in the sweep direction extend the sweep).
-    ``breakpoints`` lists depths where the coefficients are not smooth;
-    steps never straddle them, which keeps the Gauss-node sampling of
-    piecewise coefficients honest.
+    ``K`` is a scalar or one value per member.  Each step attempt calls
+    ``problem.coef_pair`` and ``problem.stiffness`` once, on an array of
+    depths (see the module docstring).  ``read_at`` gives one read
+    depth per member; those depths are forced to be step boundaries and
+    each member's angle is recorded when its depth is hit, so one sweep
+    serves many matching depths (reads beyond y1 in the sweep direction
+    extend the sweep; a read behind y0 is a ValueError).  Steps never
+    straddle ``problem.breakpoints``, which keeps the Gauss-node
+    sampling of piecewise coefficients honest.
 
     Error control is step doubling on the lifted angle: the halved
     result is kept, the Richardson-reduced difference is the local
@@ -143,7 +147,9 @@ def sweep_phase(gamma_of, inv_mu_of, phi0, y0, y1, rtol=1e-10, atol=1e-12,
     log_r or None) where phi holds each member's angle at its read
     depth when ``read_at`` is given, else at the sweep end.
     """
-    phi = np.atleast_1d(np.asarray(phi0, dtype=float)).copy()
+    Omega = np.atleast_1d(np.asarray(Omega, dtype=float))
+    K = np.broadcast_to(np.asarray(K, dtype=float), Omega.shape)
+    phi = np.broadcast_to(np.asarray(phi0, dtype=float), Omega.shape).copy()
     log_r = np.zeros_like(phi) if want_log_r else None
     if y1 != y0:
         direction = 1.0 if y1 > y0 else -1.0
@@ -153,21 +159,16 @@ def sweep_phase(gamma_of, inv_mu_of, phi0, y0, y1, rtol=1e-10, atol=1e-12,
     else:
         direction = 1.0
 
+    boundary_set = {float(y1)}
+    reads = out = done = None
     if read_at is not None:
         reads = np.asarray(read_at, dtype=float)
-        inside = reads[(reads - y0) * direction >= 0]
-        boundary_set = set(float(v) for v in inside) | {float(y1)}
-        out = np.empty_like(phi)
         done = np.isclose(reads, y0, rtol=1e-12, atol=1e-14)
-        out[done] = phi[done]
-    else:
-        reads = None
-        boundary_set = {float(y1)}
-        out = None
-        done = None
+        boundary_set |= set(reads[(reads - y0) * direction > 0].tolist())
+        out = phi.copy()
 
     far = max(boundary_set, key=lambda v: direction * v)
-    for brk in breakpoints:
+    for brk in problem.breakpoints:
         brk = float(brk)
         if (brk - y0) * direction > 0 and (far - brk) * direction > 0:
             boundary_set.add(brk)
@@ -175,9 +176,14 @@ def sweep_phase(gamma_of, inv_mu_of, phi0, y0, y1, rtol=1e-10, atol=1e-12,
 
     end = boundaries[-1]
     if end == y0:
-        return (out if out is not None else phi), log_r
+        return (phi if reads is None else out), log_r
 
-    h = _initial_h(gamma_of, inv_mu_of, y0, abs(end - y0))
+    p, q = problem.coef_pair(y0)
+    w_max = math.sqrt(max(float(np.max((Omega * p - K * q)
+                                       * (1.0 / problem.stiffness(y0)))), 0.0)
+                      + _TINY)
+    h = min(0.1 * abs(end - y0), 1.0, _ROT_CAP / w_max)
+    h = max(h, 1e-12 * abs(end - y0))
     y = float(y0)
     nsteps = 0
     for b in boundaries:
@@ -189,16 +195,10 @@ def sweep_phase(gamma_of, inv_mu_of, phi0, y0, y1, rtol=1e-10, atol=1e-12,
             if h < 1e-15 * max(1.0, abs(y)):
                 raise IntegrationError("propagator step underflow at y=%g" % y)
             hd = direction * h
-            full, rot_f, _, g1, g2 = _frozen_step(gamma_of, inv_mu_of, y, hd,
-                                                  phi, False)
-            half1, rot_h1, mag_h1, _, _ = _frozen_step(gamma_of, inv_mu_of, y,
-                                                       0.5 * hd, phi,
-                                                       want_log_r)
-            half2, rot_h2, mag_h2, _, _ = _frozen_step(gamma_of, inv_mu_of,
-                                                       y + 0.5 * hd, 0.5 * hd,
-                                                       half1, want_log_r)
-            rot_max = max(rot_f, rot_h1 + rot_h2)
-            err_norm = float(np.max(np.abs(full - half2))) / (15.0 * (atol + rtol))
+            full, half, rot_max, mag, drift = _frozen_step(
+                problem.coef_pair, problem.stiffness, y, hd, phi, K, Omega,
+                want_log_r)
+            err_norm = float(np.max(np.abs(full - half))) / (15.0 * (atol + rtol))
             if not math.isfinite(err_norm):
                 h *= 0.5
                 continue
@@ -210,17 +210,14 @@ def sweep_phase(gamma_of, inv_mu_of, phi0, y0, y1, rtol=1e-10, atol=1e-12,
             # node-implied linear trend there would be invisible to the
             # doubling estimate (it hides features that sit entirely
             # past every node, e.g. the onset of a ramp)
-            g_end = np.asarray(gamma_of(y + hd), dtype=float)
-            g_ext = g2 + (g2 - g1) * 0.36602540378443865
-            threat = 0.05 * float(np.max(np.abs(g_end - g_ext))) * h
-            if threat > 15000.0 * (atol + rtol):
+            if 0.05 * drift * h > 15000.0 * (atol + rtol):
                 h *= 0.4
                 continue
             if err_norm <= 1.0:
                 y = y + hd
-                phi = half2
+                phi = half
                 if want_log_r:
-                    log_r = log_r + mag_h1 + mag_h2
+                    log_r = log_r + mag
                 factor = _MAX_FACTOR if err_norm == 0.0 else \
                     min(_MAX_FACTOR, _SAFETY * err_norm ** -0.2)
                 h = h * factor
@@ -233,7 +230,7 @@ def sweep_phase(gamma_of, inv_mu_of, phi0, y0, y1, rtol=1e-10, atol=1e-12,
             sel = np.isclose(reads, y, rtol=1e-12, atol=1e-12) & ~done
             out[sel] = phi[sel]
             done |= sel
-    if reads is not None:
-        out[~done] = phi[~done]
-        return out, log_r
-    return phi, log_r
+    if reads is None:
+        return phi, log_r
+    out[~done] = phi[~done]
+    return out, log_r

@@ -135,14 +135,14 @@ def integrate_phase(gamma: Callable, mu: Callable, phi0: float, y_from: float,
     return state
 
 
-def phase_batch(gamma_vec: Callable, mu: Callable, phi0, y_from: float,
-                y_to: float, settings: Optional[IntegratorSettings] = None,
-                read_at=None, breakpoints=()):
-    """Propagate a whole vector of independent phase angles in one sweep.
+def phase_batch(problem, K, omegas, phi0, y_from: float, y_to: float,
+                settings: Optional[IntegratorSettings] = None, read_at=None):
+    """Propagate the phase angles of a frequency batch in one sweep.
 
-    ``gamma_vec(y)`` must return the coefficient vector for all batch
-    members at scalar depth y.  Used by the dispersion scan, where the
-    members are the same profile at many frequencies.
+    The members are the parameter points (K, omegas) of ``problem``,
+    ``K`` a scalar or one value per member; ``phi0`` holds their angles
+    at ``y_from``.  Used by the dispersion scan, where the members are
+    the same profile at many frequencies.
 
     ``read_at``, when given, is a per-member depth array: the sweep
     covers the hull of those depths and each member's angle is read off
@@ -151,7 +151,9 @@ def phase_batch(gamma_vec: Callable, mu: Callable, phi0, y_from: float,
     Batch sweeps run on the frozen-coefficient propagator engine (see
     :mod:`shwave.propagate`), which agrees with the direct phase
     integration to tolerance but is not stability-limited in stiff
-    evanescent stretches.
+    evanescent stretches; it evaluates the coefficients of the whole
+    batch once per step attempt and never steps across
+    ``problem.breakpoints``.
     """
     from . import propagate
 
@@ -159,13 +161,9 @@ def phase_batch(gamma_vec: Callable, mu: Callable, phi0, y_from: float,
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     if read_at is None and y_from == y_to:
         return phi0.copy()
-
-    def inv_mu(y, _mu=mu):
-        return 1.0 / _mu(y)
-
-    phi, _ = propagate.sweep_phase(gamma_vec, inv_mu, phi0, y_from, y_to,
+    phi, _ = propagate.sweep_phase(problem, K, omegas, phi0, y_from, y_to,
                                    rtol=settings.rel_tol, atol=settings.abs_tol,
-                                   read_at=read_at, breakpoints=breakpoints)
+                                   read_at=read_at)
     return phi
 
 

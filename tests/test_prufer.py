@@ -79,12 +79,7 @@ def test_surface_phase_dual_formulation_oracle(exp_profile):
 def test_phase_batch_matches_scalar(exp_profile):
     A_list = [(1.0, 0.4), (1.0, 0.7), (4.0, 2.0)]
     omegas = np.array([a[1] for a in A_list])
-
-    def gv(y):
-        rho, mu = exp_profile.coef_pair(y)
-        return omegas * rho - np.array([1.0, 1.0, 4.0]) * mu
-
-    batch = phase_batch(gv, exp_profile.stiffness,
+    batch = phase_batch(exp_profile, np.array([1.0, 1.0, 4.0]), omegas,
                         np.full(3, HALF_PI), 0.0, 6.0)
     for j, (K, Om) in enumerate(A_list):
         st = surface_phase(exp_profile, (K, Om), 6.0)
@@ -93,13 +88,8 @@ def test_phase_batch_matches_scalar(exp_profile):
 
 def test_phase_batch_read_at(exp_profile):
     omegas = np.array([0.4, 0.7])
-
-    def gv(y):
-        rho, mu = exp_profile.coef_pair(y)
-        return omegas * rho - 1.0 * mu
-
     reads = np.array([2.0, 5.0])
-    vals = phase_batch(gv, exp_profile.stiffness, np.full(2, HALF_PI),
+    vals = phase_batch(exp_profile, 1.0, omegas, np.full(2, HALF_PI),
                        0.0, 5.0, read_at=reads)
     for j, (om, r) in enumerate(zip(omegas, reads)):
         st = surface_phase(exp_profile, (1.0, om), float(r))
@@ -117,21 +107,23 @@ def test_propagator_vs_rk_engines_random():
         def gam(y):
             return Om * (1 + q * np.exp(-np.asarray(y, dtype=float) / d)) - K
 
+        # the same gamma from rho = 1 + q exp(-y/d), mu = 1
+        prof = sw.from_registry("exp_density",
+                                {"rho_inf": 1.0, "drho": q, "d": d})
         y1 = rng.uniform(0.5, 10.0)
         st = integrate_phase(gam, ones, HALF_PI, 0.0, y1)
-        pb = phase_batch(lambda y: np.atleast_1d(gam(y)), ones,
-                         [HALF_PI], 0.0, y1)
+        pb = phase_batch(prof, K, [Om], [HALF_PI], 0.0, y1)
         assert abs(st.phi - pb[0]) < 2e-7
 
 
-def test_propagator_constant_coefficient_exact():
-    g = 4000.0
+def test_propagator_constant_coefficient_exact(constant_profile):
+    g = 4000.0                    # = Omega - K with rho = mu = 1
     om = math.sqrt(g)
     ys = np.linspace(0.0, 5.43, 4000001)
     u = np.cos(om * ys)
     w = -om * np.sin(om * ys)
     truth = lift_from_samples(u, w, HALF_PI)[-1]
-    pb = phase_batch(lambda y: np.array([g]), ones, [HALF_PI], 0.0, 5.43)
+    pb = phase_batch(constant_profile, 1.0, [g + 1.0], [HALF_PI], 0.0, 5.43)
     assert abs(pb[0] - truth) < 1e-9
 
 

@@ -44,24 +44,27 @@ def test_param_point_validation():
         sw.ParamPoint(1.0, 0.0)
 
 
-def test_sweep_reads_beyond_target_extend():
-    # a read past the nominal end extends the sweep to reach it
-    phi, _ = sweep_phase(lambda y: np.array([1.0, 1.0]), lambda y: 1.0,
+def test_sweep_reads_beyond_target_extend(constant_profile):
+    # a read past the nominal end extends the sweep to reach it;
+    # gamma = 2 - 1 = 1, mu = 1
+    phi, _ = sweep_phase(constant_profile, 1.0, np.array([2.0, 2.0]),
                          np.array([HALF_PI, HALF_PI]), 0.0, 2.0,
                          read_at=np.array([2.0, 5.0]))
     assert abs(phi[0] - (HALF_PI + 2.0)) < 1e-9
     assert abs(phi[1] - (HALF_PI + 5.0)) < 1e-9
 
 
-def test_sweep_backward_reads():
-    phi, _ = sweep_phase(lambda y: np.array([-1.0]), lambda y: 1.0,
+def test_sweep_backward_reads(constant_profile):
+    # gamma = 1 - 2 = -1, mu = 1
+    phi, _ = sweep_phase(constant_profile, 2.0, np.array([1.0]),
                          np.array([3 * math.pi / 4]), 6.0, 1.0,
                          read_at=np.array([1.0]))
     assert abs(phi[0] - 3 * math.pi / 4) < 1e-10   # stationary angle
 
 
-def test_sweep_zero_span_read_at_start():
-    phi, _ = sweep_phase(lambda y: np.array([2.0]), lambda y: 1.0,
+def test_sweep_zero_span_read_at_start(constant_profile):
+    # gamma = 3 - 1 = 2, mu = 1
+    phi, _ = sweep_phase(constant_profile, 1.0, np.array([3.0]),
                          np.array([0.3]), 1.0, 1.0, read_at=np.array([1.0]))
     assert phi[0] == 0.3
 
@@ -71,12 +74,11 @@ def test_phase_batch_log_r_consistency(exp_profile):
     # with want_log_r, on the log-amplitude; (16, 10) at y=4 ends on a
     # nearly degenerate hyperbolic step
     for A in ((1.0, 0.5), (16.0, 10.0)):
-        gam = lambda y: np.atleast_1d(exp_profile.gamma(A, y))
         for y_end in (4.0, 6.0, 9.0, 12.0):
             st = sw.surface_phase(exp_profile, A, y_end)
-            pb = phase_batch(gam, exp_profile.stiffness, [HALF_PI], 0.0, y_end)
+            pb = phase_batch(exp_profile, A[0], [A[1]], [HALF_PI], 0.0, y_end)
             assert abs(pb[0] - st.phi) < 1e-7
-            phi, log_r = sweep_phase(gam, lambda y: 1.0 / exp_profile.stiffness(y),
+            phi, log_r = sweep_phase(exp_profile, A[0], [A[1]],
                                      np.array([HALF_PI]), 0.0, y_end,
                                      want_log_r=True)
             assert abs(phi[0] - st.phi) < 1e-7
@@ -94,19 +96,11 @@ def test_breakpoints_force_landings():
     blind = sw.from_callables(rho, ones, 1.0, 1.0)
     declared = sw.from_callables(rho, ones, 1.0, 1.0, breakpoints=(3.0,))
     A = (2.0, 1.5)
-
-    def gv(p):
-        def g(y, _p=p):
-            r, m = _p.coef_pair(y)
-            return np.atleast_1d(1.5 * r - 2.0 * m)
-        return g
-
-    ref = integrate_phase(lambda y: float(gv(declared)(y)[0]), ones,
+    ref = integrate_phase(lambda y: declared.gamma(A, y), ones,
                           HALF_PI, 0.0, 6.0,
                           settings=IntegratorSettings(rel_tol=1e-12,
                                                       abs_tol=1e-14))
-    got = phase_batch(gv(declared), ones, [HALF_PI], 0.0, 6.0,
-                      breakpoints=declared.breakpoints)
+    got = phase_batch(declared, A[0], [A[1]], [HALF_PI], 0.0, 6.0)
     assert abs(got[0] - ref.phi) < 1e-7
 
 
