@@ -18,7 +18,10 @@ the flow, and for the frozen propagator the number of such zeros has a
 closed form - there is no wrap ambiguity at any step size.  Error
 control is by step doubling on the lifted angle, which also flags any
 disagreement between the frozen and true flows long before it could
-amount to a band slip.
+amount to a band slip.  An accepted step keeps the Richardson
+combination of the full step and the two halves; its correction is at
+most atol + rtol, so the band lift stays exact, and it makes a
+member's angle nearly independent of the steps its batch mates force.
 
 A sweep carries a batch of parameter points (K, Omega) of one problem
 and forms gamma = Omega*p - K*q from ``problem.coef_pair``; that and
@@ -139,9 +142,10 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
     straddle ``problem.breakpoints``, which keeps the Gauss-node
     sampling of piecewise coefficients honest.
 
-    Error control is step doubling on the lifted angle: the halved
-    result is kept, the Richardson-reduced difference is the local
-    error estimate.  An endpoint-extrapolation guard additionally
+    Error control is step doubling on the lifted angle: an accepted
+    step keeps the local Richardson value half + (half - full)/15 (log r
+    keeps the halves' sum), and the Richardson-reduced difference is
+    the local error estimate.  An endpoint-extrapolation guard also
     rejects steps whose coefficient drifts off the node-implied trend
     in the unsampled trailing fraction of the step.  Returns (phi,
     log_r or None) where phi holds each member's angle at its read
@@ -215,7 +219,7 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
                 continue
             if err_norm <= 1.0:
                 y = y + hd
-                phi = half
+                phi = half + (half - full) / 15.0     # local Richardson
                 if want_log_r:
                     log_r = log_r + mag
                 factor = _MAX_FACTOR if err_norm == 0.0 else \

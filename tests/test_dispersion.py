@@ -94,6 +94,36 @@ def test_find_modes_live_bessel(exp_profile):
         assert abs(mode.Omega - om) / om < 1e-6
 
 
+@pytest.mark.parametrize("K", [1.0, 4.0, 16.0])
+def test_find_modes_tight_bessel(exp_profile, K):
+    # the kept local-Richardson value brings every root within 1e-10
+    # relative of the Bessel roots (the plain halved value gave 3e-10
+    # to 6e-10, above root_tol)
+    oracle = sw.bessel_mode_frequencies(5.0, 1.0, K)
+    res = sw.find_modes(exp_profile, K)
+    assert oracle.usable and len(res.modes) == len(oracle.omegas)
+    rel = max(abs(m.Omega - om) / om for m, om in zip(res.modes, oracle.omegas))
+    assert rel < 1e-10
+
+
+def test_phi_independent_of_batch_mates(exp_profile):
+    # one adaptive step sequence serves a whole batch, so a member's
+    # Phi moves with the steps its batch mates force; the kept local-
+    # Richardson value holds that spread far below residual_tol (the
+    # plain halved value spread 3e-8 here)
+    K, om = 4.0, 1.0880614858
+    lo, hi = sw.admissible_interval(exp_profile, K)
+    cfg = matching_config(exp_profile, (K, hi * (1.0 - 1e-6)))   # scan top
+    phis = []
+    for n in (1, 2, 3, 21, 64):
+        omegas = np.concatenate([[om], np.linspace(lo, hi, n + 1)[1:n]])
+        phi = dispersion._mismatch_batch(exp_profile, K, omegas, cfg,
+                                         IntegratorSettings(),
+                                         y_bars=np.full(n, 2.0))[0]
+        phis.append(phi[0])
+    assert max(phis) - min(phis) < 1e-10
+
+
 def test_mode_indices_and_bands(exp_profile):
     res = sw.find_modes(exp_profile, 16.0)
     assert [m.m for m in res.modes] == list(range(1, len(res.modes) + 1))
