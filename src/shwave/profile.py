@@ -60,7 +60,6 @@ def _gamma(problem, K, Omega, y=None):
     member; on a depth grid it gives a (members, depths) array.
     """
     p, q = problem.coef_pair_inf if y is None else problem.coef_pair(y)
-    # the sweeps' scalar depths fail the first test, which keeps them cheap
     if isinstance(p, np.ndarray) and p.ndim and np.ndim(Omega):
         Omega = Omega[:, None]
     return Omega * p - K * q

@@ -168,7 +168,11 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
     if read_at is not None:
         reads = np.asarray(read_at, dtype=float)
         done = np.isclose(reads, y0, rtol=1e-12, atol=1e-14)
-        boundary_set |= set(reads[(reads - y0) * direction > 0].tolist())
+        behind = ((reads - y0) * direction < 0) & ~done
+        if np.any(behind):
+            raise ValueError("read depths %s lie behind the sweep start %g"
+                             % (np.unique(reads[behind]).tolist(), y0))
+        boundary_set |= set(reads[~done].tolist())
         out = phi.copy()
 
     far = max(boundary_set, key=lambda v: direction * v)

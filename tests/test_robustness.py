@@ -69,6 +69,51 @@ def test_sweep_zero_span_read_at_start(constant_profile):
     assert phi[0] == 0.3
 
 
+def test_sweep_rejects_reads_behind_start(constant_profile):
+    # gamma = mu = 1; a read behind the start used to get the angle at
+    # the far end (phi(5) = 4.0 for the read at 1, phi(1) = 0.0 for the
+    # read at 4 of the zero-span sweep)
+    for y1 in (5.0, 2.0):
+        with pytest.raises(ValueError, match="behind the sweep start"):
+            sweep_phase(constant_profile, 1.0, np.array([2.0, 2.0]),
+                        np.array([1.0, 1.0]), 2.0, y1,
+                        read_at=np.array([1.0, 4.0]))
+
+
+def test_sweep_one_coef_call_per_attempt(exp_profile, monkeypatch):
+    # each step attempt evaluates the coefficients of the whole batch
+    # once, on its 7 depths; one more call picks the initial step
+    import shwave.propagate as propagate
+
+    class Counting:
+        breakpoints = ()
+
+        def __init__(self):
+            self.sizes = []
+
+        def coef_pair(self, y):
+            self.sizes.append(np.size(y))
+            return exp_profile.coef_pair(y)
+
+        def stiffness(self, y):
+            return exp_profile.stiffness(y)
+
+    attempts = []
+    step = propagate._frozen_step
+
+    def counted(*args):
+        attempts.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(propagate, "_frozen_step", counted)
+    prof = Counting()
+    sweep_phase(prof, 4.0, np.linspace(1.0, 3.5, 8), np.full(8, HALF_PI),
+                0.0, 9.0)
+    assert len(attempts) > 10
+    assert len(prof.sizes) == len(attempts) + 1
+    assert prof.sizes[1:] == [7] * len(attempts)
+
+
 def test_phase_batch_log_r_consistency(exp_profile):
     # the batch engine and the scalar integrator agree on the angle and,
     # with want_log_r, on the log-amplitude; (16, 10) at y=4 ends on a
