@@ -151,16 +151,14 @@ def phase_batch(problem, K, omegas, phi0, y_from: float, y_to: float,
     Batch sweeps run on the frozen-coefficient propagator engine (see
     :mod:`shwave.propagate`), which agrees with the direct phase
     integration to tolerance but is not stability-limited in stiff
-    evanescent stretches; it evaluates the coefficients of the whole
-    batch once per step attempt and never steps across
-    ``problem.breakpoints``.
+    evanescent stretches.  Each step attempt calls ``problem.coef_pair``
+    and ``problem.stiffness`` once, on an array of depths, for the whole
+    batch; an accepted step keeps the local Richardson value of its
+    step doubling; no step crosses ``problem.breakpoints``.
     """
     from . import propagate
 
     settings = settings or DEFAULT_SETTINGS
-    phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
-    if read_at is None and y_from == y_to:
-        return phi0.copy()
     phi, _ = propagate.sweep_phase(problem, K, omegas, phi0, y_from, y_to,
                                    rtol=settings.rel_tol, atol=settings.abs_tol,
                                    read_at=read_at)
