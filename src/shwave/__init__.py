@@ -23,8 +23,8 @@ from .profile import (AssumptionReport, MaterialProfile, ParamPoint,
                       ProfileClass, admissible_interval, check_assumptions,
                       classify, from_callables, from_registry, from_table,
                       interval_is_empty)
-from .prufer import (IntegratorSettings, PhasePath, PhaseState,
-                     integrate_phase, reconstruct_mode_shape, surface_phase)
+from .prufer import (IntegratorSettings, PhaseState, integrate_phase,
+                     reconstruct_mode_shape, surface_phase)
 
 __all__ = [
     "errors",
@@ -32,7 +32,7 @@ __all__ = [
     "AssumptionReport", "from_registry", "from_callables", "from_table",
     "classify", "admissible_interval", "check_assumptions", "interval_is_empty",
     "TauMap", "TransformedMedium", "build_tau", "transform",
-    "IntegratorSettings", "PhaseState", "PhasePath", "integrate_phase",
+    "IntegratorSettings", "PhaseState", "integrate_phase",
     "surface_phase", "reconstruct_mode_shape",
     "MatchingConfig", "matching_config", "select_matching_point",
     "select_tail_start", "decaying_phase", "decaying_phase_at_tail",

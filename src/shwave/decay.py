@@ -6,26 +6,26 @@ vanishing at infinity.  Its phase angle is recovered by (i) picking a
 matching depth y_bar behind the last sign change of gamma_A, (ii)
 picking a tail-start depth Y where the coefficient is close to its
 limit, (iii) seeding the angle with the frozen-coefficient decaying
-direction at Y and integrating the phase equation backward to y_bar.
-The decay direction is an attractor of the backward flow, so the
-seeding error shrinks exponentially; a tail-window doubling re-solve
-verifies that the delivered angle is insensitive to the truncation.
+direction at Y and sweeping it backward to y_bar with the propagator
+of :mod:`shwave.propagate`.  The decay direction is an attractor of the
+backward flow, so the seeding error shrinks exponentially; a
+tail-window doubling re-solve verifies that the delivered angle is
+insensitive to the truncation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from . import propagate
 from .errors import (NoNegativeTailError, TailConvergenceError,
                      TailSelectionError, ThresholdError)
-from .prufer import (DEFAULT_SETTINGS, IntegratorSettings, integrate_phase,
-                     phase_batch)
-from .profile import _as_param, _gamma, _sign_scan, _trapezoid
+from .prufer import DEFAULT_SETTINGS, IntegratorSettings, PhaseState
+from .profile import ParamPoint, _as_param, _gamma, _sign_scan, _trapezoid
 
 NEAR_THRESHOLD_DELTA = 1e-9     # reject Omega above (1 - delta) * cutoff
 DEFAULT_MARGIN = 0.5            # depth margin behind the last sign change
@@ -132,7 +132,7 @@ def select_tail_start(problem, A, y_bar: float):
     can be unattainable at any reachable depth; the fallback then picks
     the smallest Y whose backward contraction budget
     integral of sqrt(-gamma/mu) over [y_bar, Y] exceeds a fixed budget,
-    which the doubling re-solve in :func:`decaying_phase` validates.
+    which the doubling re-solve in :func:`decaying_phase_batch` validates.
 
     Returns (Y, strict) where ``strict`` records which criterion fired.
     """
@@ -212,113 +212,96 @@ def matching_config(problem, A) -> MatchingConfig:
     return MatchingConfig(y_bar=y_bar, y_tail=y_tail, strict_tail=strict)
 
 
-def decaying_phase_at_tail(problem, A, Y: float) -> float:
+def decaying_phase_at_tail(problem, A, Y: float):
     """Frozen-coefficient decaying angle at the tail start.
 
     With coefficients frozen at Y the decaying solution is
     u = exp(-kappa*y), kappa = sqrt(-gamma_A(Y)/mu(Y)), so
     w/u = -sqrt(-gamma_A(Y)*mu(Y)) and the angle lands in (pi/2, pi).
+    ``A`` = (K, Omega); an array of Omega gives one angle per member.
     """
-    A = _as_param(A)
-    g = _gamma(problem, A.K, A.Omega, float(Y))
-    if g >= 0:
+    K, Omega = (A.K, A.Omega) if isinstance(A, ParamPoint) else A
+    g = _gamma(problem, K, np.asarray(Omega, dtype=float), float(Y))
+    if np.any(g >= 0):
         raise ThresholdError("gamma_A(Y) must be negative at the tail start")
-    s = problem.stiffness(float(Y))
-    return math.atan2(1.0, -math.sqrt(-g * s))
-
-
-def _backward_phase(problem, A, y_tail, y_bar, settings, with_path=False):
-    phi_Y = decaying_phase_at_tail(problem, A, y_tail)
-    return integrate_phase(partial(_gamma, problem, A.K, A.Omega),
-                           problem.stiffness, phi_Y, y_tail, y_bar,
-                           settings=settings, with_path=with_path)
+    phi = np.arctan2(1.0, -np.sqrt(-g * problem.stiffness(float(Y))))
+    return phi if phi.ndim else float(phi)
 
 
 def decaying_phase(problem, A, cfg: MatchingConfig,
-                   settings: Optional[IntegratorSettings] = None,
-                   with_path: bool = False):
-    """Phase angle of the decaying solution at the matching depth.
+                   settings: Optional[IntegratorSettings] = None) -> PhaseState:
+    """Phase angle and log amplitude of the decaying solution at y_bar.
 
-    Backward-integrates from the frozen-coefficient seed at y_tail.
-    The lifted angle is confirmed to stay inside (pi/2, pi) - the
-    invariant band of decaying solutions over a negative-coefficient
-    tail - and, unless the profile is exactly constant beyond y_tail,
-    a re-solve from a doubled tail window must reproduce phi+(y_bar)
-    to within 1e-8, else the window is enlarged and retried.
+    One member of :func:`decaying_phase_batch` (log r counts from r = 1
+    at the accepted tail start), confirmed to lie inside (pi/2, pi) -
+    the invariant band of decaying solutions over a negative-coefficient
+    tail.
     """
     A = _as_param(A)
-    settings = settings or DEFAULT_SETTINGS
     _guard_threshold(problem, A)
-    cfg_cur = cfg
-    tail_from = getattr(problem, "tail_constant_from", None)
-    exact_tail = tail_from is not None and cfg.y_tail >= tail_from
-
-    tol = max(TAIL_ANGLE_TOL, 100.0 * settings.rel_tol)
-    for _ in range(_TAIL_ATTEMPTS):
-        out = _backward_phase(problem, A, cfg_cur.y_tail, cfg_cur.y_bar,
-                              settings, with_path=with_path)
-        state, path = out if with_path else (out, None)
-        band_slack = 1e-9
-        if not (math.pi / 2 - band_slack < state.phi < math.pi + band_slack):
-            raise TailConvergenceError(
-                "decaying angle left the (pi/2, pi) band: phi=%.12g "
-                "at y_bar=%.6g" % (state.phi, cfg_cur.y_bar))
-        if exact_tail:
-            return (state, path) if with_path else state
-        check = _backward_phase(problem, A,
-                                cfg_cur.stretched(2.0).y_tail, cfg_cur.y_bar,
-                                settings, with_path=False)
-        if abs(check.phi - state.phi) <= tol:
-            return (state, path) if with_path else state
-        cfg_cur = cfg_cur.stretched(2.0)
-    raise TailConvergenceError(
-        "tail-window doubling failed to stabilize phi+ after %d windows "
-        "(last delta %.3e)" % (_TAIL_ATTEMPTS, abs(check.phi - state.phi)))
+    phi, log_r, _ = decaying_phase_batch(problem, A.K, A.Omega, cfg,
+                                         settings=settings, want_log_r=True)
+    band_slack = 1e-9
+    if not (math.pi / 2 - band_slack < phi[0] < math.pi + band_slack):
+        raise TailConvergenceError(
+            "decaying angle left the (pi/2, pi) band: phi=%.12g "
+            "at y_bar=%.6g" % (phi[0], cfg.y_bar))
+    return PhaseState(y=cfg.y_bar, phi=float(phi[0]), log_r=float(log_r[0]))
 
 
 def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
                          settings: Optional[IntegratorSettings] = None,
-                         y_bars=None, check: bool = True):
+                         y_bars=None, check: bool = True,
+                         want_log_r: bool = False):
     """Vectorized decaying angle at y_bar for many frequencies at one K.
 
     All members share the worst-case (largest-Omega) tail window, which
     is valid because gamma decreases pointwise as Omega does.  With
-    ``y_bars`` given, each member's angle is read off at its own
-    matching depth (the backward sweep covers the hull).  The doubling
-    robustness check runs on the whole batch at once; ``check=False``
-    skips it for repeat sweeps over a window that already validated.
+    ``y_bars`` given, each member's angle is read off at its own depth
+    (the backward sweep covers the hull).  Unless the profile is exactly
+    constant beyond y_tail, a re-solve from a doubled tail window must
+    reproduce the angles read at or above ``cfg.y_bar`` to within 1e-8,
+    else the window is doubled and retried; deeper reads ride along
+    unchecked.  ``check=False`` skips the check for repeat sweeps over a
+    window that already validated.
 
-    Returns (phi, window): the check may widen the tail window by
-    doubling, and repeat sweeps must reuse the window it accepted.
+    Returns (phi, log_r, window): log_r (None unless ``want_log_r``)
+    counts from r = 1 at the window's tail start, and repeat sweeps must
+    reuse the window the check accepted.
     """
     settings = settings or DEFAULT_SETTINGS
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-
-    def seed(y_tail):
-        g = _gamma(problem, K, omegas, y_tail)
-        if np.any(g >= 0):
-            raise ThresholdError("gamma_A(Y) must be negative at the tail start")
-        return np.arctan2(1.0, -np.sqrt(-g * problem.stiffness(y_tail)))
-
     tail_from = getattr(problem, "tail_constant_from", None)
     exact_tail = tail_from is not None and cfg.y_tail >= tail_from
 
     # at loose integration tolerances the two sweeps differ by
     # integration error, not truncation, so the bar scales with rel_tol
     tol = max(TAIL_ANGLE_TOL, 100.0 * settings.rel_tol)
-    y_target = cfg.y_bar if y_bars is None else min(float(np.min(y_bars)),
-                                                    cfg.y_bar)
+    if y_bars is None:
+        y_target, checked = cfg.y_bar, slice(None)
+    else:
+        y_bars = np.asarray(y_bars, dtype=float)
+        y_target = min(float(np.min(y_bars)), cfg.y_bar)
+        checked = y_bars <= cfg.y_bar
+
+    def sweep(y_tail, sel, log_r):
+        oms = omegas[sel]
+        return propagate.sweep_phase(
+            problem, K, oms, decaying_phase_at_tail(problem, (K, oms), y_tail),
+            y_tail, y_target, rtol=settings.rel_tol, atol=settings.abs_tol,
+            read_at=None if y_bars is None else y_bars[sel], want_log_r=log_r)
+
     cfg_cur = cfg
     for _ in range(_TAIL_ATTEMPTS):
-        phi = phase_batch(problem, K, omegas, seed(cfg_cur.y_tail),
-                          cfg_cur.y_tail, y_target, settings=settings,
-                          read_at=y_bars)
+        phi, log_r = sweep(cfg_cur.y_tail, slice(None), want_log_r)
         if exact_tail or not check:
-            return phi, cfg_cur
-        y_tail2 = cfg_cur.stretched(2.0).y_tail
-        phi2 = phase_batch(problem, K, omegas, seed(y_tail2), y_tail2,
-                           y_target, settings=settings, read_at=y_bars)
-        if float(np.max(np.abs(phi2 - phi))) <= tol:
-            return phi, cfg_cur
+            return phi, log_r, cfg_cur
+        # the check sweeps the checked members only
+        phi2, _ = sweep(cfg_cur.stretched(2.0).y_tail, checked, False)
+        delta = float(np.max(np.abs(phi2 - phi[checked]), initial=0.0))
+        if delta <= tol:
+            return phi, log_r, cfg_cur
         cfg_cur = cfg_cur.stretched(2.0)
-    raise TailConvergenceError("batched tail doubling failed to stabilize")
+    raise TailConvergenceError(
+        "tail-window doubling failed to stabilize phi+ after %d windows "
+        "(last delta %.3e)" % (_TAIL_ATTEMPTS, delta))

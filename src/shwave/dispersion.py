@@ -125,15 +125,15 @@ def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
     All members share the tail window of cfg, which must be valid for
     the largest Omega in the batch (it then covers the smaller ones).
     ``y_bars`` optionally assigns each member its own matching depth;
-    both sweeps then use dense output and are read off per member.  The
+    both sweeps then read each member off at its own depth.  The
     returned cfg carries the tail window the decaying sweep accepted.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     phi0 = phase_batch(problem, K, omegas, np.full(omegas.shape, HALF_PI),
                        0.0, cfg.y_bar, settings=settings, read_at=y_bars)
-    phi_plus, cfg = decaying_phase_batch(problem, K, omegas, cfg,
-                                         settings=settings, y_bars=y_bars,
-                                         check=tail_check)
+    phi_plus, _, cfg = decaying_phase_batch(problem, K, omegas, cfg,
+                                            settings=settings, y_bars=y_bars,
+                                            check=tail_check)
     return phi0 - phi_plus, phi0, phi_plus, cfg
 
 

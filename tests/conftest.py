@@ -25,6 +25,20 @@ def rho_one(y):
     return ones(y)
 
 
+def sampled_sweep(problem, K, Omega, phi0, y0, y1, n=128):
+    """(ys, phi, log_r) of one point (K, Omega) swept from y0 to y1.
+
+    Member j of the ``sweep_phase`` batch reads depth ys[j] of n evenly
+    spaced depths, so one sweep samples the whole trajectory.
+    """
+    from shwave.propagate import sweep_phase
+
+    ys = np.linspace(y0, y1, n)
+    phi, log_r = sweep_phase(problem, K, np.full(n, Omega), phi0, y0, y1,
+                             read_at=ys, want_log_r=True)
+    return ys, phi, log_r
+
+
 @pytest.fixture(scope="session")
 def exp_profile():
     """rho = 1 + 5 exp(-y), mu = 1."""

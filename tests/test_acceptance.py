@@ -17,6 +17,7 @@ from shwave.decay import matching_config
 from shwave.dispersion import SearchOptions, _mismatch_batch
 from shwave.prufer import IntegratorSettings
 from shwave.profile import classify, admissible_interval
+from tests.conftest import sampled_sweep
 
 EXP = sw.from_registry("exp_density", {"rho_inf": 1.0, "drho": 5.0, "d": 1.0})
 POWER = sw.from_registry("power_density", {"rho_inf": 1.0, "c": 3.0, "p": 1.5})
@@ -153,9 +154,7 @@ def test_criterion_05_phase_invariants():
             continue
         cases += 1
         y_end = float(rng.uniform(3.0, 9.0))
-        st, path = sw.surface_phase(p, (K, Om), y_end, with_path=True)
-        ys, vals = path.sample(4)
-        phis, logr = vals[:, 0], vals[:, 1]
+        ys, phis, logr = sampled_sweep(p, K, Om, math.pi / 2, 0.0, y_end)
         g = p.gamma((K, Om), ys)
         # (a) nondecreasing where gamma >= 0
         inc = np.diff(phis)
@@ -176,10 +175,10 @@ def test_criterion_05_phase_invariants():
                 cfg = matching_config(p, (K, Om))
             except sw.errors.ShwaveError:
                 continue
-            dst, dpath = sw.decaying_phase(p, (K, Om), cfg, with_path=True)
-            dys, dvals = dpath.sample(4)
-            violations += int(np.sum(dvals[:, 0] < math.pi / 2 - tol))
-            violations += int(np.sum(dvals[:, 0] > math.pi + tol))
+            seed = sw.decaying_phase_at_tail(p, (K, Om), cfg.y_tail)
+            _, dphis, _ = sampled_sweep(p, K, Om, seed, cfg.y_tail, cfg.y_bar)
+            violations += int(np.sum(dphis < math.pi / 2 - tol))
+            violations += int(np.sum(dphis > math.pi + tol))
     assert cases == 200
     assert violations == 0
     _line(5, "phase invariants over 200 randomized cases", t0)

@@ -10,7 +10,7 @@ from shwave.decay import (MatchingConfig, decaying_phase, decaying_phase_at_tail
                           matching_config, select_matching_point,
                           select_tail_start)
 from shwave.errors import ThresholdError
-from tests.conftest import lift_from_samples, ones
+from tests.conftest import lift_from_samples, ones, sampled_sweep
 
 
 def test_matching_point_negative_everywhere(constant_profile):
@@ -137,10 +137,11 @@ def test_band_invariant(exp_profile):
         K = rng.uniform(0.3, 20.0)
         Om = rng.uniform(0.2, 0.95) * K
         cfg = matching_config(exp_profile, (K, Om))
-        st, path = decaying_phase(exp_profile, (K, Om), cfg, with_path=True)
-        ys, vals = path.sample(4)
-        assert np.all(vals[:, 0] > math.pi / 2 - 1e-9)
-        assert np.all(vals[:, 0] < math.pi + 1e-9)
+        seed = decaying_phase_at_tail(exp_profile, (K, Om), cfg.y_tail)
+        _, phis, _ = sampled_sweep(exp_profile, K, Om, seed, cfg.y_tail,
+                                   cfg.y_bar)
+        assert np.all(phis > math.pi / 2 - 1e-9)
+        assert np.all(phis < math.pi + 1e-9)
 
 
 def test_monotone_response_to_omega(exp_profile):

@@ -9,7 +9,7 @@ import shwave as sw
 from shwave.errors import IntegrationError
 from shwave.prufer import (HALF_PI, IntegratorSettings, integrate_phase,
                            phase_batch, surface_phase)
-from tests.conftest import lift_from_samples, ones, rk4_uw
+from tests.conftest import lift_from_samples, ones, rk4_uw, sampled_sweep
 
 
 def test_linear_phase():
@@ -82,7 +82,9 @@ def test_phase_batch_matches_scalar(exp_profile):
     batch = phase_batch(exp_profile, np.array([1.0, 1.0, 4.0]), omegas,
                         np.full(3, HALF_PI), 0.0, 6.0)
     for j, (K, Om) in enumerate(A_list):
-        st = surface_phase(exp_profile, (K, Om), 6.0)
+        # the scalar Runge-Kutta integration of the same coefficients
+        st = integrate_phase(lambda y: exp_profile.gamma((K, Om), y),
+                             exp_profile.stiffness, HALF_PI, 0.0, 6.0)
         assert abs(batch[j] - st.phi) < 5e-8
 
 
@@ -92,7 +94,8 @@ def test_phase_batch_read_at(exp_profile):
     vals = phase_batch(exp_profile, 1.0, omegas, np.full(2, HALF_PI),
                        0.0, 5.0, read_at=reads)
     for j, (om, r) in enumerate(zip(omegas, reads)):
-        st = surface_phase(exp_profile, (1.0, om), float(r))
+        st = integrate_phase(lambda y: exp_profile.gamma((1.0, om), y),
+                             exp_profile.stiffness, HALF_PI, 0.0, float(r))
         assert abs(vals[j] - st.phi) < 5e-8
 
 
@@ -130,9 +133,7 @@ def test_propagator_constant_coefficient_exact(constant_profile):
 def test_monotone_where_gamma_nonnegative(exp_profile):
     # phase is nondecreasing wherever gamma >= 0 along the trajectory
     A = (1.0, 0.8)
-    st, path = surface_phase(exp_profile, A, 8.0, with_path=True)
-    ys, vals = path.sample(6)
-    phis = vals[:, 0]
+    ys, phis, _ = sampled_sweep(exp_profile, *A, HALF_PI, 0.0, 8.0)
     g = exp_profile.gamma(A, ys)
     inc = np.diff(phis)
     both_nonneg = (g[:-1] >= 0) & (g[1:] >= 0)
@@ -141,18 +142,14 @@ def test_monotone_where_gamma_nonnegative(exp_profile):
 
 def test_barrier_no_downward_pi_crossing(exp_profile):
     A = (4.0, 3.0)
-    st, path = surface_phase(exp_profile, A, 12.0, with_path=True)
-    ys, vals = path.sample(6)
-    phis = vals[:, 0]
+    ys, phis, _ = sampled_sweep(exp_profile, *A, HALF_PI, 0.0, 12.0)
     run_max_band = np.maximum.accumulate(np.floor(phis / math.pi))
     assert np.all(phis >= math.pi * run_max_band - 1e-8)
 
 
 def test_uw_nondecreasing_where_gamma_nonpositive(exp_profile):
     A = (1.0, 0.3)
-    st, path = surface_phase(exp_profile, A, 9.0, with_path=True)
-    ys, vals = path.sample(6)
-    phis, logr = vals[:, 0], vals[:, 1]
+    ys, phis, logr = sampled_sweep(exp_profile, *A, HALF_PI, 0.0, 9.0)
     uw = np.exp(2 * logr) * 0.5 * np.sin(2 * phis)
     g = exp_profile.gamma(A, ys)
     both_nonpos = (g[:-1] <= 0) & (g[1:] <= 0)
@@ -236,3 +233,21 @@ def test_mode_shape_against_bessel_oracle(exp_profile):
     u = sw.reconstruct_mode_shape(exp_profile, mode, ys)
     u_oracle = bessel_mode_shape(5.0, 1.0, 1.0, mode.Omega, ys)
     assert np.max(np.abs(u - u_oracle)) < 1e-5
+
+
+@pytest.fixture(scope="module")
+def exp_k16_modes(exp_profile):
+    return sw.find_modes(exp_profile, 16.0).modes
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_high_mode_shapes_against_bessel_oracle(exp_profile, exp_k16_modes, m):
+    # every mode of exp K=16, gated like the benchmark's shape checks
+    from shwave.oracle import bessel_mode_shape
+
+    assert len(exp_k16_modes) == 6
+    mode = exp_k16_modes[m - 1]
+    ys = np.linspace(0.0, 12.0, 200)
+    u = sw.reconstruct_mode_shape(exp_profile, mode, ys)
+    u_oracle = bessel_mode_shape(5.0, 1.0, 16.0, mode.Omega, ys)
+    assert np.max(np.abs(u - u_oracle)) <= 1e-6 * np.max(np.abs(u_oracle))

@@ -1,4 +1,4 @@
-"""Integrator unit tests: tableau integrity, accuracy, dense output."""
+"""Integrator unit tests: tableau integrity, accuracy, failure state."""
 
 import math
 
@@ -24,30 +24,19 @@ def test_tableau_matches_fractions():
     assert np.allclose(rk._E, E, rtol=0, atol=0)
 
 
-def test_interpolant_rows_sum_to_b():
-    # evaluating the dense polynomial at theta = 1 must reproduce the
-    # fifth-order update, i.e. each row of P sums to the b coefficient
-    sums = rk._P.sum(axis=1)
-    expect = np.array(B + [0.0])
-    assert np.allclose(sums, expect, rtol=0, atol=1e-12)
-
-
 def test_exponential_decay():
     res = rk.solve(lambda t, y: -y, 0.0, np.array([1.0]), 3.0,
                    rtol=1e-12, atol=1e-14)
     assert abs(res.y[0] - math.exp(-3.0)) < 1e-11
 
 
-def test_oscillator_and_dense_output():
+def test_oscillator():
     def f(t, y):
         return np.array([y[1], -y[0]])
 
     res = rk.solve(f, 0.0, np.array([1.0, 0.0]), 7.0, rtol=1e-11,
-                   atol=1e-13, dense=True)
+                   atol=1e-13)
     assert abs(res.y[0] - math.cos(7.0)) < 1e-9
-    ts = np.linspace(0.3, 6.7, 41)
-    vals = res.dense(ts)
-    assert np.max(np.abs(vals[:, 0] - np.cos(ts))) < 1e-8
 
 
 def test_backward_integration():
@@ -75,6 +64,5 @@ def test_nonfinite_rhs_raises_with_state():
 
 
 def test_zero_span():
-    res = rk.solve(lambda t, y: y, 1.0, np.array([2.0]), 1.0, dense=True)
+    res = rk.solve(lambda t, y: y, 1.0, np.array([2.0]), 1.0)
     assert res.y[0] == 2.0
-    assert res.dense(1.0)[0] == 2.0

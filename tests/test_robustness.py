@@ -114,13 +114,42 @@ def test_sweep_one_coef_call_per_attempt(exp_profile, monkeypatch):
     assert prof.sizes[1:] == [7] * len(attempts)
 
 
+def test_sweep_identical_members_swept_once(exp_profile, monkeypatch):
+    # members that differ only in their read depth share one trajectory:
+    # the steps carry two rows, and each member reads what a sweep of
+    # its own point alone reads at its depth
+    import shwave.propagate as propagate
+
+    rows = []
+    step = propagate._frozen_step
+
+    def counted(*args):
+        rows.append(args[4].size)
+        return step(*args)
+
+    monkeypatch.setattr(propagate, "_frozen_step", counted)
+    reads = np.linspace(0.0, 6.0, 40)
+    omegas = np.where(np.arange(40) % 2, 0.7, 0.4)
+    phi, log_r = sweep_phase(exp_profile, 1.0, omegas, HALF_PI, 0.0, 6.0,
+                             read_at=reads, want_log_r=True)
+    assert set(rows) == {2}
+    for om in (0.4, 0.7):
+        sel = omegas == om
+        phi1, log_r1 = sweep_phase(exp_profile, 1.0, omegas[sel], HALF_PI,
+                                   0.0, 6.0, read_at=reads[sel],
+                                   want_log_r=True)
+        assert np.max(np.abs(phi[sel] - phi1)) < 1e-10
+        assert np.max(np.abs(log_r[sel] - log_r1)) < 1e-8
+
+
 def test_phase_batch_log_r_consistency(exp_profile):
     # the batch engine and the scalar integrator agree on the angle and,
     # with want_log_r, on the log-amplitude; (16, 10) at y=4 ends on a
     # nearly degenerate hyperbolic step
     for A in ((1.0, 0.5), (16.0, 10.0)):
         for y_end in (4.0, 6.0, 9.0, 12.0):
-            st = sw.surface_phase(exp_profile, A, y_end)
+            st = integrate_phase(lambda y: exp_profile.gamma(A, y),
+                                 exp_profile.stiffness, HALF_PI, 0.0, y_end)
             pb = phase_batch(exp_profile, A[0], [A[1]], [HALF_PI], 0.0, y_end)
             assert abs(pb[0] - st.phi) < 1e-7
             phi, log_r = sweep_phase(exp_profile, A[0], [A[1]],
@@ -130,23 +159,56 @@ def test_phase_batch_log_r_consistency(exp_profile):
             assert abs(log_r[0] - st.log_r) < 1e-7
 
 
+def test_sweep_log_r_at_reads(constant_profile):
+    # gamma = 1 - 2 = -1, mu = 1: u = cosh y, w = sinh y, so each
+    # member's log r at its own read depth is log cosh(2y) / 2
+    reads = np.array([1.0, 2.0, 3.0])
+    _, log_r = sweep_phase(constant_profile, 2.0, np.ones(3),
+                           np.full(3, HALF_PI), 0.0, 3.0, read_at=reads,
+                           want_log_r=True)
+    assert np.max(np.abs(log_r - 0.5 * np.log(np.cosh(2.0 * reads)))) < 1e-9
+
+
+class _Straddles:
+    """A profile wrapper counting coef_pair calls whose depths straddle y_k."""
+
+    def __init__(self, profile, y_k):
+        self.profile, self.y_k, self.count = profile, y_k, 0
+        self.breakpoints = profile.breakpoints
+
+    def coef_pair(self, y):
+        y = np.atleast_1d(y)
+        self.count += int(np.min(y) < self.y_k < np.max(y))
+        return self.profile.coef_pair(y if y.size > 1 else float(y[0]))
+
+    def stiffness(self, y):
+        return self.profile.stiffness(y)
+
+
 def test_breakpoints_force_landings():
-    # a coefficient with a hidden kink is integrated exactly when the
-    # kink is declared, and the declared path differs from the blind one
+    # a coefficient with a hidden kink off the natural step grid: the
+    # blind sweep samples across it, the declared one never does and
+    # lands on the exact solution
+    y_k = 2.93
+
     def rho(y):
         yy = np.asarray(y, dtype=float)
-        out = np.where(yy < 3.0, 2.0, 1.0 + np.exp(-(yy - 3.0) * 4.0))
+        out = np.where(yy < y_k, 2.0, 1.0 + np.exp(-(yy - y_k) * 4.0))
         return float(out) if out.ndim == 0 else out
 
-    blind = sw.from_callables(rho, ones, 1.0, 1.0)
-    declared = sw.from_callables(rho, ones, 1.0, 1.0, breakpoints=(3.0,))
+    blind = _Straddles(sw.from_callables(rho, ones, 1.0, 1.0), y_k)
+    declared = _Straddles(sw.from_callables(rho, ones, 1.0, 1.0,
+                                            breakpoints=(y_k,)), y_k)
     A = (2.0, 1.5)
-    ref = integrate_phase(lambda y: declared.gamma(A, y), ones,
+    ref = integrate_phase(lambda y: declared.profile.gamma(A, y), ones,
                           HALF_PI, 0.0, 6.0,
                           settings=IntegratorSettings(rel_tol=1e-12,
                                                       abs_tol=1e-14))
     got = phase_batch(declared, A[0], [A[1]], [HALF_PI], 0.0, 6.0)
+    assert declared.count == 0
     assert abs(got[0] - ref.phi) < 1e-7
+    phase_batch(blind, A[0], [A[1]], [HALF_PI], 0.0, 6.0)
+    assert blind.count > 0
 
 
 def test_mode_search_result_iteration(exp_profile):
