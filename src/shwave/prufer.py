@@ -189,7 +189,8 @@ def reconstruct_mode_shape(problem, mode, y_grid,
     rf, rb = np.exp(lr_f), sigma * np.exp(lr_b)
     uf, wf = rf * np.sin(phi_f), rf * np.cos(phi_f)
     ub, wb = rb * np.sin(phi_b), rb * np.cos(phi_b)
-    mismatch = math.hypot(uf[0] - ub[0], wf[0] - wb[0]) / math.hypot(uf[0], wf[0])
+    mismatch = (math.hypot(uf[0] - ub[0], wf[0] - wb[0])
+                / math.hypot(uf[0], wf[0]))
     if mismatch > 1e-6:
         raise MatchConsistencyError(
             "forward/backward sweeps disagree at y_bar: relative mismatch "

@@ -213,6 +213,24 @@ def test_mode_shape_normalization_and_decay(exp_profile):
     assert abs(u[-1]) < 1e-6
 
 
+def test_mode_shape_sweep_count(exp_profile, monkeypatch):
+    # one forward sweep, one decaying sweep and one tail check, however
+    # many depths the grid has
+    import shwave.propagate as propagate
+
+    mode = sw.find_modes(exp_profile, 1.0).modes[0]
+    calls = []
+    sweep = propagate.sweep_phase
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(propagate, "sweep_phase", counted)
+    sw.reconstruct_mode_shape(exp_profile, mode, np.linspace(0.0, 30.0, 300))
+    assert len(calls) == 3
+
+
 def test_mode_shape_sign_change_count(exp_profile):
     res = sw.find_modes(exp_profile, 4.0)
     for mode in res.modes:
