@@ -4,7 +4,7 @@ Reads a JSON run configuration, executes one task (classify, modes,
 branches, estimate, oscillation) and writes a JSON report, a CSV of
 matched modes for the mode/branch tasks, and optionally an SVG plot of
 the dispersion branches.  Reports are byte-deterministic for a given
-config (modulo the ``generated_at`` field) regardless of worker count.
+config (modulo the ``generated_at`` field).
 
 Exit codes: 0 success, 1 configuration/validation error, 2 solver
 error (a diagnostic report is still written), 3 the modes task hit a
@@ -28,8 +28,11 @@ Config schema ("schema": "shwave-run/1")::
 
 Table profiles: ``{"name": "table", "params": {"rows": [[y, rho, mu], ...]}}``
 or ``{"name": "table", "path": "samples.txt"}`` with whitespace-separated
-``y rho mu`` rows.  A ``--workers`` flag overrides the config's ``workers``.
-A ``tolerances`` key other than the six above is a configuration error.
+``y rho mu`` rows.  A ``tolerances`` key other than the six above is a
+configuration error.  ``workers`` and the ``--workers`` flag are still
+accepted and must be a positive integer, but they have no effect: the
+branches task refines the brackets of its whole k-grid in one batch,
+in one process.
 """
 
 from __future__ import annotations
@@ -136,6 +139,12 @@ def _options(cfg) -> SearchOptions:
         residual_tol=float(tol.get("residual_tol", 1e-8)),
         settings=settings,
         space=str(cfg.get("space", "y")))
+
+
+def _check_workers(workers):
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError("workers must be a positive integer, got %r"
+                          % (workers,))
 
 
 def _mode_row(k, mode):
@@ -259,7 +268,8 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
         workers: int | None = None, fixtures_path: Path | None = None) -> int:
     """Execute one configured task; returns the process exit code.
 
-    ``workers=None`` defers to the config's ``workers`` (default 1).
+    ``workers`` (else the config's ``workers``) must be a positive
+    integer if given; it has no effect.
     """
     if config.get("schema") != SCHEMA:
         raise ConfigError("config schema must be %r" % SCHEMA)
@@ -268,8 +278,7 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
         raise ConfigError("unknown task %r" % task)
     profile_spec = config.get("profile")
     profile = _build_profile(profile_spec, base_dir)
-    if workers is None:
-        workers = int(config.get("workers") or 1)
+    _check_workers(config.get("workers", 1) if workers is None else workers)
     basename = (config.get("output") or {}).get("basename", "shwave_" + task)
     opts = _options(config)
 
@@ -323,7 +332,7 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
                 fixtures, profile_spec, {k * k: res})
     elif task == "branches":
         ks = _k_grid(config)
-        branches, results = trace_branches(profile, ks, opts, workers=workers,
+        branches, results = trace_branches(profile, ks, opts,
                                            classification=cls)
         report["branches"] = [
             {"mode_index": b.m,
@@ -386,7 +395,8 @@ def main(argv=None) -> int:
     parser.add_argument("--plot", action="store_true",
                         help="write an SVG dispersion plot (branches task)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="overrides the config's workers (default 1)")
+                        help="accepted for compatibility, no effect; must be "
+                             "a positive integer")
     parser.add_argument("--output-dir", default=".")
     parser.add_argument("--fixtures", default=None,
                         help="fixture file or directory for oracle comparison")

@@ -253,10 +253,12 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
                          settings: Optional[IntegratorSettings] = None,
                          y_bars=None, check: bool = True,
                          want_log_r: bool = False):
-    """Vectorized decaying angle at y_bar for many frequencies at one K.
+    """Vectorized decaying angle at y_bar for a batch of points (K, Omega).
 
-    All members share the worst-case (largest-Omega) tail window, which
-    is valid because gamma decreases pointwise as Omega does.  With
+    ``K`` is a scalar or one value per member.  All members share one
+    tail window, which must be valid for each of them: a worst-case
+    (largest-Omega) window covers the smaller Omega of its K, because
+    gamma decreases pointwise as Omega does.  With
     ``y_bars`` given, each member's angle is read off at its own depth
     (the backward sweep covers the hull).  Unless the profile is exactly
     constant beyond y_tail, a re-solve from a doubled tail window must
@@ -271,6 +273,7 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     """
     settings = settings or DEFAULT_SETTINGS
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    K = np.broadcast_to(np.asarray(K, dtype=float), omegas.shape)
     tail_from = getattr(problem, "tail_constant_from", None)
     exact_tail = tail_from is not None and cfg.y_tail >= tail_from
 
@@ -285,9 +288,9 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
         checked = y_bars <= cfg.y_bar
 
     def sweep(y_tail, sel, log_r):
-        oms = omegas[sel]
+        ks, oms = K[sel], omegas[sel]
         return propagate.sweep_phase(
-            problem, K, oms, decaying_phase_at_tail(problem, (K, oms), y_tail),
+            problem, ks, oms, decaying_phase_at_tail(problem, (ks, oms), y_tail),
             y_tail, y_target, rtol=settings.rel_tol, atol=settings.abs_tol,
             read_at=None if y_bars is None else y_bars[sel], want_log_r=log_r)
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -120,10 +119,11 @@ def _problem_for(profile: MaterialProfile, space: str):
 def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
                     settings: IntegratorSettings, y_bars=None,
                     tail_check: bool = True):
-    """(Phi, phi0, phi_plus, cfg) for a vector of frequencies at one K.
+    """(Phi, phi0, phi_plus, cfg) for a batch of points (K, Omega).
 
-    All members share the tail window of cfg, which must be valid for
-    the largest Omega in the batch (it then covers the smaller ones).
+    ``K`` is a scalar or one value per member.  All members share the
+    tail window of cfg, which must be valid for each of them (a window
+    valid for the largest Omega of a K covers its smaller ones).
     ``y_bars`` optionally assigns each member its own matching depth;
     both sweeps then read each member off at its own depth.  The
     returned cfg carries the tail window the decaying sweep accepted.
@@ -151,6 +151,18 @@ def mismatch(profile, K, Omega, cfg: Optional[MatchingConfig] = None,
     return float(phi[0])
 
 
+def _hull(cfgs) -> MatchingConfig:
+    """The deepest matching depth and tail start of the windows ``cfgs``.
+
+    select_matching_point certifies gamma < 0 from each window's y_bar
+    to infinity, so a deeper tail start is valid for the members of
+    every window.  The hull is strict only if every window is.
+    """
+    return MatchingConfig(y_bar=max(c.y_bar for c in cfgs),
+                          y_tail=max(c.y_tail for c in cfgs),
+                          strict_tail=all(c.strict_tail for c in cfgs))
+
+
 def _grow_cfg(problem, K, omega_top, cfg_prev: Optional[MatchingConfig],
               tail_stretch: float) -> MatchingConfig:
     """Worst-case matching window for everything scanned so far at this K.
@@ -161,12 +173,7 @@ def _grow_cfg(problem, K, omega_top, cfg_prev: Optional[MatchingConfig],
     cfg = matching_config(problem, (K, omega_top))
     if tail_stretch != 1.0:
         cfg = cfg.stretched(tail_stretch)
-    if cfg_prev is not None:
-        y_bar = max(cfg.y_bar, cfg_prev.y_bar)
-        y_tail = max(cfg.y_tail, cfg_prev.y_tail, y_bar)
-        cfg = replace(cfg, y_bar=y_bar, y_tail=y_tail,
-                      strict_tail=cfg.strict_tail and cfg_prev.strict_tail)
-    return cfg
+    return cfg if cfg_prev is None else _hull([cfg, cfg_prev])
 
 
 def find_modes(profile: MaterialProfile, K: float,
@@ -177,23 +184,34 @@ def find_modes(profile: MaterialProfile, K: float,
     The admissible interval is scanned on a uniform grid plus a
     geometric refinement toward the cutoff (where high modes
     accumulate); every upward crossing of Phi through a multiple of pi
-    is refined by ITP to ``root_tol`` relative in Omega.  Profiles whose
-    material angle never drops below its limit are rejected without
-    solving, and frequencies at or below K*min(mu/rho) are never
-    scanned - no modes can live there.
+    is refined by ITP to ``root_tol`` relative in Omega, all brackets in
+    one batch.  Profiles whose material angle never drops below its
+    limit are rejected without solving, and frequencies at or below
+    K*min(mu/rho) are never scanned - no modes can live there.  This is
+    the one-K case of :func:`trace_branches`.
     """
     if K <= 0:
         raise ValueError("K must be positive")
-    cls = classification or classify(profile)
-    lo, hi = admissible_interval(profile, K, cls)
-    if cls.global_negative:
-        return ModeSearchResult(K=K, modes=[], interval=(lo, hi),
-                                nonexistence_reason=_REASON_GLOBAL_NEGATIVE)
-    if interval_is_empty(lo, hi):
-        return ModeSearchResult(K=K, modes=[], interval=(lo, hi),
-                                nonexistence_reason=_REASON_EMPTY_INTERVAL)
+    return _search(profile, [K], opts, classification or classify(profile))[0]
 
-    problem = _problem_for(profile, opts.space)
+
+class _Scan(NamedTuple):
+    """What the scan of one K hands to the refinement."""
+
+    brackets: list                  # (a, b, n, Phi(a), Phi(b)) per root
+    noisy: list                     # per bracket: Phi fell across it
+    cfg: Optional[MatchingConfig]   # window of the last chunk with brackets
+    truncated: bool
+    scan_ceiling: Optional[float]
+
+
+def _scan(problem, K, lo, hi, opts: SearchOptions) -> _Scan:
+    """Bracket every crossing of Phi through a multiple of pi at one K.
+
+    Chunks (the uniform grid, then the geometric one) are swept in one
+    batch each at loosened settings, in a matching window grown to the
+    top of the chunk, until ``max_modes`` brackets are found.
+    """
     settings = opts.settings
     scan_settings = IntegratorSettings(
         rel_tol=max(settings.rel_tol, 1e-8), abs_tol=max(settings.abs_tol, 1e-10))
@@ -215,8 +233,10 @@ def find_modes(profile: MaterialProfile, K: float,
     if geo:
         chunks.append(np.asarray(geo))
 
-    modes: list[Mode] = []
+    brackets: list = []
+    noisy_flags: list = []
     cfg_cache: Optional[MatchingConfig] = None
+    cfg = None
     prev_omega = None
     prev_phi = None
     truncated = False
@@ -224,8 +244,8 @@ def find_modes(profile: MaterialProfile, K: float,
     hit_tail_limit = False
 
     for chunk in chunks:
-        if len(modes) >= opts.max_modes or hit_tail_limit:
-            truncated = truncated or len(modes) >= opts.max_modes
+        if len(brackets) >= opts.max_modes or hit_tail_limit:
+            truncated = truncated or len(brackets) >= opts.max_modes
             break
         # approaching the cutoff the decay length diverges; when no
         # reachable tail-start depth exists for the top of the chunk,
@@ -259,30 +279,89 @@ def find_modes(profile: MaterialProfile, K: float,
         if prev_omega is not None:
             omegas = np.concatenate([[prev_omega], omegas])
             phis = np.concatenate([[prev_phi], phis])
-        brackets = []
-        noisy_flags = []
+        new = []
+        noisy = []
         for i in range(len(omegas) - 1):
             fa, fb = phis[i], phis[i + 1]
             pair_noisy = bool(fb < fa - 1e-6)
             n_lo = math.floor(fa / math.pi) + 1
             n_hi = math.floor(fb / math.pi)
             for nn in range(max(n_lo, 0), n_hi + 1):
-                brackets.append((float(omegas[i]), float(omegas[i + 1]), nn,
-                                 float(fa), float(fb)))
-                noisy_flags.append(pair_noisy)
+                new.append((float(omegas[i]), float(omegas[i + 1]), nn,
+                            float(fa), float(fb)))
+                noisy.append(pair_noisy)
         prev_omega = float(omegas[-1])
         prev_phi = float(phis[-1])
-        room = opts.max_modes - len(modes)
-        if len(brackets) > room:
+        room = opts.max_modes - len(brackets)
+        if len(new) > room:
             truncated = True
-            brackets = brackets[:room]
-            noisy_flags = noisy_flags[:room]
-        if brackets:
-            modes.extend(_refine_brackets(problem, K, brackets, cfg_cache,
-                                          settings, opts, noisy_flags))
+            new = new[:room]
+            noisy = noisy[:room]
+        if new:
+            brackets.extend(new)
+            noisy_flags.extend(noisy)
+            cfg = cfg_cache
+    return _Scan(brackets, noisy_flags, cfg, truncated, scan_ceiling)
 
-    # two roots with one index mean a band slip: keep the smaller
-    # residual and flag it
+
+def _search(profile: MaterialProfile, Ks, opts: SearchOptions,
+            cls: ProfileClass) -> list:
+    """One ModeSearchResult per K of ``Ks``.
+
+    Each K is scanned on its own (see _scan); then the brackets of all K
+    are refined in one _refine_brackets batch, each bracket with its own
+    K and its matching depth polished in its own K's window, all in the
+    hull of those windows.
+    """
+    problem = None
+    results = []
+    scans = []
+    for K in Ks:
+        lo, hi = admissible_interval(profile, K, cls)
+        reason = (_REASON_GLOBAL_NEGATIVE if cls.global_negative else
+                  _REASON_EMPTY_INTERVAL if interval_is_empty(lo, hi) else None)
+        results.append(ModeSearchResult(K=K, modes=[], interval=(lo, hi),
+                                        nonexistence_reason=reason))
+        sc = None
+        if reason is None:
+            if problem is None:
+                problem = _problem_for(profile, opts.space)
+            sc = _scan(problem, K, lo, hi, opts)
+        scans.append(sc)
+
+    live = [(res.K, sc) for res, sc in zip(results, scans)
+            if sc is not None and sc.brackets]
+    modes = []
+    if live:
+        Kb = np.concatenate([np.full(len(sc.brackets), float(K))
+                             for K, sc in live])
+        y_bars = np.concatenate([
+            _polish_depths(problem, K, [b[1] for b in sc.brackets], sc.cfg)
+            for K, sc in live])
+        modes = _refine_brackets(problem, Kb,
+                                 [b for _, sc in live for b in sc.brackets],
+                                 _hull([sc.cfg for _, sc in live]),
+                                 opts.settings, opts,
+                                 [f for _, sc in live for f in sc.noisy],
+                                 y_bars)
+
+    by_K: dict = {}
+    for md in modes:
+        by_K.setdefault(md.K, []).append(md)
+    for res, sc in zip(results, scans):
+        if sc is not None:
+            res.modes, res.truncated = _dedupe(by_K.get(res.K, []),
+                                               opts.max_modes, sc.truncated)
+            res.scan_ceiling = sc.scan_ceiling
+    return results
+
+
+def _dedupe(modes, max_modes: int, truncated: bool):
+    """(modes sorted by Omega with one per index, truncated).
+
+    Two roots with one index mean a band slip: the smaller residual is
+    kept and flagged.
+    """
     by_m: dict[int, Mode] = {}
     duplicated = set()
     for md in modes:
@@ -294,11 +373,10 @@ def find_modes(profile: MaterialProfile, K: float,
     out = sorted((replace(md, flag=_add_flag(md.flag, "duplicate mode index"))
                   if md.m in duplicated else md for md in by_m.values()),
                  key=lambda md: md.Omega)
-    if len(out) > opts.max_modes:
-        out = out[: opts.max_modes]
+    if len(out) > max_modes:
+        out = out[:max_modes]
         truncated = True
-    return ModeSearchResult(K=K, modes=out, interval=(lo, hi),
-                            truncated=truncated, scan_ceiling=scan_ceiling)
+    return out, truncated
 
 
 def _polish_depths(problem, K, omega_tops, cfg: MatchingConfig):
@@ -342,7 +420,8 @@ def _add_flag(flag: Optional[str], note: str) -> str:
     return flag + "; " + note if flag else note
 
 
-def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
+def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
+                     y_bars):
     """Refine all pending brackets simultaneously by ITP, one batch per sweep.
 
     ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) steps from the
@@ -354,19 +433,21 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
     the tolerance.  Brackets move only by the sign of g = Phi - n*pi, so
     every root stays certified.
 
-    Round 0 evaluates both ends and the midpoint of every bracket with
-    the tail check on (the scan's values come from looser settings and
-    other depths); later rounds reuse the tail window it accepted.  Each
-    bracket gets its own matching depth near its turning point (see
-    _polish_depths); the shared backward sweep starts at the worst-case
-    tail depth and every member is read off at its own y_bar.  A mode
-    reports the bracket end with the smaller |g|, with its angles.
+    ``K`` and ``y_bars`` hold each bracket's squared wavenumber and its
+    matching depth near its turning point (see _polish_depths), so the
+    brackets of many K share every sweep.  ``cfg`` is the hull of their
+    windows: the shared backward sweep starts at its tail depth and
+    every member is read off at its own y_bar.  Round 0 evaluates both
+    ends and the midpoint of every bracket with the tail check on (the
+    scan's values come from looser settings and other depths); later
+    rounds reuse the tail window it accepted.  A mode reports the
+    bracket end with the smaller |g|, with its angles.
     """
     nb = len(brackets)
+    K = np.asarray(K, dtype=float)
     a0 = np.array([b[0] for b in brackets])
     b0 = np.array([b[1] for b in brackets])
     targets = np.array([b[2] * math.pi for b in brackets])
-    y_bars = _polish_depths(problem, K, b0, cfg)
 
     def rows(omegas, n_pi, phi, phi0, phip):
         return np.stack([omegas, phi - n_pi, phi0, phip])
@@ -375,8 +456,8 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
         ends[(new[1] >= 0).astype(int), :, idx] = new.T
 
     x0 = np.concatenate([a0, 0.5 * (a0 + b0), b0])
-    phi, phi0, phip, cfg = _mismatch_batch(problem, K, x0, cfg, settings,
-                                           y_bars=np.tile(y_bars, 3),
+    phi, phi0, phip, cfg = _mismatch_batch(problem, np.tile(K, 3), x0, cfg,
+                                           settings, y_bars=np.tile(y_bars, 3),
                                            tail_check=True)
     first = rows(x0, np.tile(targets, 3), phi, phi0, phip).reshape(4, 3, nb)
     # ends[s, :, j] = (Omega, g, phi0, phi+) at the lower (s=0) or upper
@@ -412,8 +493,8 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
         x = np.where(bracketed, np.clip(x, a + guard, b - guard), mid)
 
         idx = np.nonzero(active)[0]
-        phi, phi0, phip, _ = _mismatch_batch(problem, K, x[idx], cfg, settings,
-                                             y_bars=y_bars[idx],
+        phi, phi0, phip, _ = _mismatch_batch(problem, K[idx], x[idx], cfg,
+                                             settings, y_bars=y_bars[idx],
                                              tail_check=False)
         update(idx, rows(x[idx], targets[idx], phi, phi0, phip))
 
@@ -427,7 +508,7 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
             flag = "residual above tolerance"
         if noisy_flags[j]:
             flag = _add_flag(flag, "non-monotone scan values")
-        out.append(Mode(K=K, Omega=float(omega[j]), m=nn + 1,
+        out.append(Mode(K=float(K[j]), Omega=float(omega[j]), m=nn + 1,
                         phi_surface=float(phi0[j]), phi_decay=float(phip[j]),
                         residual=resid,
                         matching=replace(cfg, y_bar=float(y_bars[j])),
@@ -436,31 +517,24 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags):
 
 
 def trace_branches(profile: MaterialProfile, k_grid,
-                   opts: SearchOptions = DEFAULT_OPTIONS, workers: int = 1,
+                   opts: SearchOptions = DEFAULT_OPTIONS,
                    classification: Optional[ProfileClass] = None):
     """Dispersion branches over a strictly increasing wavenumber grid.
 
-    Runs an independent find_modes at every k (in parallel when
-    ``workers > 1``) and associates modes across k by their index m.
-    Results are assembled deterministically regardless of worker count.
+    Every k is scanned as find_modes scans it; then the brackets of all
+    k are refined in one ITP batch (see _refine_brackets), each with its
+    own K and its matching depth polished in its own k's window.  The
+    tail window swept is the hull of the k windows: the deepest y_bar,
+    the deepest y_tail, strict only if every k's is.  So every mode's
+    ``matching.y_tail`` is that shared window, and a root can differ
+    from find_modes at its k alone by up to ``root_tol`` relative.
+    Modes are associated across k by their index m.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
         raise ValueError("k_grid must be positive and strictly increasing")
-    cls = classification or classify(profile)
-
-    # Per-k searches are independent and share nothing mutable.  No
-    # state is carried between wavenumbers, so serial and parallel
-    # execution produce bit-identical results.
-    search = partial(find_modes, profile, opts=opts, classification=cls)
-    Ks = [float(k) ** 2 for k in k_grid]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(search, Ks))
-    else:
-        results = list(map(search, Ks))
+    results = _search(profile, [float(k) ** 2 for k in k_grid], opts,
+                      classification or classify(profile))
 
     by_m: dict[int, list] = {}
     found_at: dict[int, set] = {}

@@ -118,8 +118,8 @@ def phase_batch(problem, K, omegas, phi0, y_from: float, y_to: float,
 
     The members are the parameter points (K, omegas) of ``problem``,
     ``K`` a scalar or one value per member; ``phi0`` holds their angles
-    at ``y_from``.  Used by the dispersion scan, where the members are
-    the same profile at many frequencies.
+    at ``y_from``.  Used by the dispersion scan and refinement, whose
+    members are one profile at many frequencies of one K or of many.
 
     ``read_at``, when given, is a per-member depth array: the sweep
     covers the hull of those depths and each member's angle is read off

@@ -88,7 +88,7 @@ def test_criterion_03_count_growth_and_estimate():
         omega_grid_n=128, root_tol=1e-6, residual_tol=1e-2,
         settings=IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9))
     ks = np.arange(1.0, 41.0)
-    _, results = sw.trace_branches(EXP, ks, opts, workers=2)
+    _, results = sw.trace_branches(EXP, ks, opts)
     counts = [len(r.modes) for r in results]
     for p_res in results:
         _register(EXP, p_res)

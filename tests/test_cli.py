@@ -178,24 +178,19 @@ def test_determinism_across_worker_counts(tmp_path):
     assert reports[1] == reports[3]
 
 
-def test_workers_flag_overrides_config(tmp_path, monkeypatch):
-    import shwave.cli as cli
+@pytest.mark.parametrize("workers", ["abc", 0, -3, True, 2.5, None])
+def test_workers_must_be_positive_integer(tmp_path, capsys, workers):
+    code, _ = run_cli(tmp_path, base_config("classify", workers=workers))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: workers must be a positive integer")
 
-    seen = []
-    real = cli.trace_branches
 
-    def spy(*args, workers=1, **kwargs):
-        seen.append(workers)
-        return real(*args, workers=1, **kwargs)
-
-    monkeypatch.setattr(cli, "trace_branches", spy)
-    cfg = base_config("branches", k_grid=[1.0], workers=3)
-    cfg["tolerances"] = {"omega_grid_n": 32}
-    assert run_cli(tmp_path, cfg, "--workers", "2")[0] == 0
-    assert run_cli(tmp_path, cfg)[0] == 0
-    del cfg["workers"]
-    assert run_cli(tmp_path, cfg)[0] == 0
-    assert seen == [2, 3, 1]
+def test_workers_flag_must_be_positive_integer(tmp_path, capsys):
+    cfg = base_config("classify", workers=2)
+    assert run_cli(tmp_path, cfg, "--workers", "3")[0] == 0
+    assert run_cli(tmp_path, cfg, "--workers", "0")[0] == 1
+    assert "error: workers must be a positive integer" in capsys.readouterr().err
 
 
 def test_entry_point_runs():

@@ -190,15 +190,54 @@ def test_trace_branches_exponential(exp_profile):
         assert b.gaps == ()
 
 
-def test_trace_branches_parallel_identical(exp_profile):
-    ks = [1.0, 2.0, 3.0]
-    opts = SearchOptions(omega_grid_n=64)
-    b1, r1 = sw.trace_branches(exp_profile, ks, opts, workers=1)
-    b2, r2 = sw.trace_branches(exp_profile, ks, opts, workers=2)
-    assert len(b1) == len(b2)
-    for x, y in zip(b1, b2):
-        assert x.m == y.m
-        assert x.points == y.points
+# the options of the benchmark's CLI branches run
+LOOSE = SearchOptions(omega_grid_n=128, root_tol=1e-6, residual_tol=1e-2,
+                      settings=IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9))
+# a fast top over a buried slow layer: no mode at k = 0.3, two or more
+# at k = 4, so max_modes 2 truncates there
+BURIED = sw.from_table([(0.0, 0.4, 1.0), (3.0, 0.4, 1.0), (3.5, 2.0, 1.0),
+                        (4.5, 2.0, 1.0), (5.0, 1.0, 1.0), (6.0, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("profile, ks, opts", [
+    (sw.from_registry("exp_density", {"rho_inf": 1.0, "drho": 5.0, "d": 1.0}),
+     np.arange(1.0, 9.0), LOOSE),
+    (sw.from_registry("smoothed_layer", {
+        "rho_1": 2.5, "mu_1": 1.0, "rho_s": 1.0, "mu_s": 1.0, "y_s": 2.0,
+        "width": 1.0}), np.arange(1.0, 6.0), SearchOptions()),
+    (BURIED, [0.3, 1.0, 4.0], SearchOptions(max_modes=2)),
+], ids=["exp", "layer", "empty_and_truncated"])
+def test_trace_branches_matches_find_modes(profile, ks, opts):
+    # the trace refines every k in one batch in the hull of the k
+    # windows; per k it must agree with find_modes at that k alone
+    _, results = sw.trace_branches(profile, ks, opts)
+    assert len(results) == len(ks)
+    for k, res in zip(ks, results):
+        alone = sw.find_modes(profile, float(k) ** 2, opts)
+        assert res.K == alone.K
+        assert res.truncated == alone.truncated
+        assert res.nonexistence_reason == alone.nonexistence_reason
+        assert [(m.m, m.flag) for m in res.modes] == \
+            [(m.m, m.flag) for m in alone.modes]
+        for a, b in zip(res.modes, alone.modes):
+            assert abs(a.Omega - b.Omega) <= opts.root_tol * b.Omega
+    if profile is BURIED:
+        assert [len(r.modes) for r in results] == [0, 1, 2]
+        assert [r.truncated for r in results] == [False, False, True]
+
+
+def test_trace_branches_one_refinement_batch(exp_profile, monkeypatch):
+    refine = dispersion._refine_brackets
+    batches = []
+
+    def spy(*args):
+        batches.append(len(args[2]))
+        return refine(*args)
+
+    monkeypatch.setattr(dispersion, "_refine_brackets", spy)
+    _, results = sw.trace_branches(exp_profile, np.arange(1.0, 9.0), LOOSE)
+    assert batches == [54]
+    assert sum(len(r.modes) for r in results) == 54
 
 
 def test_estimate_mode_count(exp_profile, constant_profile, power_profile):
