@@ -125,12 +125,14 @@ def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
     tail window of cfg, which must be valid for each of them (a window
     valid for the largest Omega of a K covers its smaller ones).
     ``y_bars`` optionally assigns each member its own matching depth;
-    both sweeps then read each member off at its own depth.  The
-    returned cfg carries the tail window the decaying sweep accepted.
+    both sweeps then read each member off at its own depth, and the
+    forward sweep ends at the deepest of them.  The returned cfg
+    carries the tail window the decaying sweep accepted.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    y_end = cfg.y_bar if y_bars is None else float(np.max(y_bars))
     phi0 = phase_batch(problem, K, omegas, np.full(omegas.shape, HALF_PI),
-                       0.0, cfg.y_bar, settings=settings, read_at=y_bars)
+                       0.0, y_end, settings=settings, read_at=y_bars)
     phi_plus, _, cfg = decaying_phase_batch(problem, K, omegas, cfg,
                                             settings=settings, y_bars=y_bars,
                                             check=tail_check)

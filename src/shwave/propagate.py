@@ -7,10 +7,11 @@ half-multiples) that force tiny steps, and in the evanescent tail the
 attraction onto the decaying direction makes explicit steps
 stability-limited.  Both problems vanish for the linear system
 Z' = A(y) Z, A = [[0, -gamma], [1/mu, 0]]: over a step the
-coefficients are replaced by a fourth-order Magnus average (two-point
-Gauss nodes plus the commutator term) whose matrix exponential is
-closed-form for a traceless 2x2 matrix, so constant-coefficient
-stretches of any length and stiffness cost a single step.
+coefficients are replaced by the sixth-order Magnus exponent of Blanes,
+Casas & Ros (three Gauss nodes plus nested commutators, which for this
+A stay traceless 2x2 matrices) whose matrix exponential is closed-form,
+so constant-coefficient stretches of any length and stiffness cost a
+single step.
 
 The continuous angle lift is reconstructed exactly per step: each sign
 change of u is one crossing of a multiple of pi, in the direction of
@@ -19,19 +20,20 @@ closed form - there is no wrap ambiguity at any step size.  Error
 control is by step doubling on the lifted angle, which also flags any
 disagreement between the frozen and true flows long before it could
 amount to a band slip.  An accepted step keeps the Richardson
-combination of the full step and the two halves; its correction is at
-most atol + rtol, so the band lift stays exact, and it makes a
-member's angle nearly independent of the steps its batch mates force.
+combination half + (half - full)/63 of the full step and the two
+halves; its correction is at most atol + rtol, so the band lift stays
+exact, and it makes a member's angle nearly independent of the steps
+its batch mates force.
 
 A sweep carries a batch of parameter points (K, Omega) of one problem
 and forms gamma = Omega*p - K*q from ``problem.coef_pair``; that and
 ``problem.stiffness`` take an array of depths, and each step attempt
-(the full step and its two halves) calls each of them once.  This
-is the solver's one phase engine: the frequency scans, the refinement,
-the decaying tail, the public surface and tail angles and the mode
-shapes all run on :func:`sweep_phase`.  The Runge-Kutta integration of
-``prufer.integrate_phase`` is kept only as the independent reference
-the test suite checks it against.
+(the full step and its two halves) calls each of them once, on 10
+depths and on 9.  This is the solver's one phase engine: the frequency
+scans, the refinement, the decaying tail, the public surface and tail
+angles and the mode shapes all run on :func:`sweep_phase`.  The
+Runge-Kutta integration of ``prufer.integrate_phase`` is kept only as
+the independent reference the test suite checks it against.
 """
 
 from __future__ import annotations
@@ -42,9 +44,13 @@ import numpy as np
 
 from .errors import IntegrationError
 
-_GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
-_GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
-_COMM = math.sqrt(3.0) / 12.0
+_SQRT15 = math.sqrt(15.0)
+_NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
+# weights of the quadratic through the three nodes at the step end, from
+# the first node on (reversed, they give the step start)
+_EXT_LO = (0.5 - _SQRT15 / 10.0) / 0.6
+_EXT_MID = -2.0 / 3.0
+_EXT_HI = (0.5 + _SQRT15 / 10.0) / 0.6
 _PI = math.pi
 _ROT_CAP = 2.9            # target rotation per accepted step, < pi
 _ROT_REJECT = 5.8
@@ -55,30 +61,48 @@ _TINY = 1e-300
 _MAX_STEPS = 200000       # accepted and rejected steps per sweep
 
 
-def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag):
+def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag, g0):
     """One Magnus attempt of signed length h from depth y, three steps at once.
 
-    The full step and both half steps are stacked as (members, 3) from
-    one ``coef_pair`` call on their 6 Gauss nodes plus the step end and
-    one ``stiffness`` call on the nodes.  The full step and half 1 act
-    on (cos phi, sin phi), half 2 on the half-1 state.  Returns (full,
-    half, rot_max, logmag, drift): the exactly re-banded lifts after the
-    full step and after both halves, the largest elliptic rotation (the
-    halves summed), the halves' log magnitude (None unless want_mag),
-    and how far gamma at the step end drifts off the full step's nodes.
+    Each step is the sixth-order three-node Magnus step of Blanes, Casas
+    & Ros (BIT 40, 2000).  The full step and both half steps are stacked
+    as (members, 3) from one ``coef_pair`` call on their 9 Gauss nodes
+    plus the step end (10 depths) and one ``stiffness`` call on the
+    nodes.  The full step and half 1 act on (cos phi, sin phi), half 2
+    on the half-1 state.  ``g0`` is gamma at y (the previous step's end
+    sample), or None where that sample does not hold for this step.
+    Returns (full, half, rot_max, logmag, drift, g_end): the exactly
+    re-banded lifts after the full step and after both halves, the
+    largest elliptic rotation (the halves summed), the halves' log
+    magnitude (None unless want_mag), how far gamma at either end of
+    the step drifts off the quadratic through the full step's nodes,
+    and gamma at the step end.
     """
     hh = 0.5 * h
-    ys = np.array([y + _GAUSS_LO * h, y + _GAUSS_HI * h, y + _GAUSS_LO * hh,
-                   y + _GAUSS_HI * hh, (y + hh) + _GAUSS_LO * hh,
-                   (y + hh) + _GAUSS_HI * hh, y + h])
+    hs = np.array([h, hh, hh])
+    starts = np.array([y, y, y + hh])
+    ys = np.append(starts[:, None] + hs[:, None] * _NODES, y + h)
     p, q = coef_pair(ys)
     g = Omega[:, None] * p - K[:, None] * q
-    b = 1.0 / stiffness(ys[:6])
-    hs = np.array([h, hh, hh])
-    g1, g2, b1, b2 = g[:, 0:6:2], g[:, 1:6:2], b[0::2], b[1::2]
-    alpha = (-0.5 * hs) * (g1 + g2)
-    beta = 0.5 * hs * (b1 + b2)             # per step: stiffness is shared
-    delta = (_COMM * hs * hs) * (g1 * b2 - g2 * b1)
+    b = 1.0 / stiffness(ys[:9])
+    g1, g2, g3 = g[:, 0:9:3], g[:, 1:9:3], g[:, 2:9:3]
+    b1, b2, b3 = b[0::3], b[1::3], b[2::3]
+    # off-diagonals (upper u, lower l) of a1 = h A2,
+    # a2 = (sqrt15/3) h (A3 - A1) and a3 = (10/3) h (A3 - 2 A2 + A1)
+    u1, l1 = -hs * g2, hs * b2
+    u2, l2 = (-_SQRT15 / 3.0) * hs * (g3 - g1), (_SQRT15 / 3.0) * hs * (b3 - b1)
+    u3 = (-10.0 / 3.0) * hs * (g3 - 2.0 * g2 + g1)
+    l3 = (10.0 / 3.0) * hs * (b3 - 2.0 * b2 + b1)
+    # exponent a1 + a3/12 + [L, R]/240 with L = -20 a1 - a3 + [a1, a2]
+    # and R = a2 - [a1, 2 a3 + [a1, a2]]/60; [a1, a2] is diagonal, so
+    # the exponent is the traceless [[delta, alpha], [beta, -delta]]
+    d12 = u1 * l2 - u2 * l1
+    u_l, l_l = -20.0 * u1 - u3, -20.0 * l1 - l3
+    d_r = (u3 * l1 - u1 * l3) / 30.0
+    u_r, l_r = u2 + u1 * d12 / 30.0, l2 - l1 * d12 / 30.0
+    delta = (u_l * l_r - u_r * l_l) / 240.0
+    alpha = u1 + u3 / 12.0 + (d12 * u_r - u_l * d_r) / 120.0
+    beta = l1 + l3 / 12.0 + (l_l * d_r - d12 * l_r) / 120.0
 
     disc = delta * delta + alpha * beta
     s = np.sqrt(np.abs(disc))
@@ -124,10 +148,13 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag):
         scale = np.where(hyp & ~small, s, 0.0)
         logmag = scale[:, 1] + scale[:, 2] + 0.5 * np.log(
             w1[:, 2] * w1[:, 2] + u1[:, 2] * u1[:, 2])
-    g_ext = g2[:, 0] + (g2[:, 0] - g1[:, 0]) * 0.36602540378443865
-    drift = float(np.max(np.abs(g[:, 6] - g_ext), initial=0.0))
+    g_ext = _EXT_LO * g1[:, 0] + _EXT_MID * g2[:, 0] + _EXT_HI * g3[:, 0]
+    drift = float(np.max(np.abs(g[:, 9] - g_ext), initial=0.0))
+    if g0 is not None:
+        g_back = _EXT_HI * g1[:, 0] + _EXT_MID * g2[:, 0] + _EXT_LO * g3[:, 0]
+        drift = max(drift, float(np.max(np.abs(g0 - g_back), initial=0.0)))
     return (lift[:, 0], lift[:, 2], max(rot_max[0], rot_max[1] + rot_max[2]),
-            logmag, drift)
+            logmag, drift, g[:, 9])
 
 
 def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
@@ -145,11 +172,13 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
     keeps the Gauss-node sampling of piecewise coefficients honest.
 
     Error control is step doubling on the lifted angle: an accepted
-    step keeps the local Richardson value half + (half - full)/15 (log r
+    step keeps the local Richardson value half + (half - full)/63 (log r
     keeps the halves' sum), and the Richardson-reduced difference is
     the local error estimate.  An endpoint-extrapolation guard also
-    rejects steps whose coefficient drifts off the node-implied trend
-    in the unsampled trailing fraction of the step.  Returns (phi,
+    rejects steps whose coefficient drifts off the quadratic through
+    the full step's nodes in the unsampled fraction at either end of
+    the step (the start is checked against the previous step's end
+    sample, except at a breakpoint, where gamma may jump).  Returns (phi,
     log_r or None): each member's angle and log amplitude (counted from
     r = 1 at y0) at its read depth when ``read_at`` is given, else at
     the sweep end.
@@ -189,10 +218,9 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
     out, out_lr = phi[row], None if log_r is None else log_r[row]
 
     far = max(boundary_set, key=lambda v: direction * v)
-    for brk in problem.breakpoints:
-        brk = float(brk)
-        if (brk - y0) * direction > 0 and (far - brk) * direction > 0:
-            boundary_set.add(brk)
+    brks = {float(v) for v in problem.breakpoints}
+    boundary_set |= {v for v in brks
+                     if (v - y0) * direction > 0 and (far - v) * direction > 0}
     boundaries = sorted(boundary_set, key=lambda v: direction * v)
 
     end = boundaries[-1]
@@ -200,12 +228,15 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
         return out, out_lr
 
     p, q = problem.coef_pair(y0)
-    w_max = math.sqrt(max(float(np.max((Omega * p - K * q)
+    g_start = Omega * p - K * q
+    w_max = math.sqrt(max(float(np.max(g_start
                                        * (1.0 / problem.stiffness(y0)))), 0.0)
                       + _TINY)
     h = min(0.1 * abs(end - y0), 1.0, _ROT_CAP / w_max)
     h = max(h, 1e-12 * abs(end - y0))
     y = float(y0)
+    # at a breakpoint the sample of gamma may belong to the other side
+    g0 = None if y in brks else g_start
     nsteps = 0
     for b in boundaries:
         while (b - y) * direction > 1e-14 * max(1.0, abs(b)):
@@ -216,37 +247,40 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
             if h < 1e-15 * max(1.0, abs(y)):
                 raise IntegrationError("propagator step underflow at y=%g" % y)
             hd = direction * h
-            full, half, rot_max, mag, drift = _frozen_step(
+            full, half, rot_max, mag, drift, g_end = _frozen_step(
                 problem.coef_pair, problem.stiffness, y, hd, phi, K, Omega,
-                want_log_r)
-            err_norm = float(np.max(np.abs(full - half))) / (15.0 * (atol + rtol))
+                want_log_r, g0)
+            err_norm = float(np.max(np.abs(full - half))) / (63.0 * (atol + rtol))
             if not math.isfinite(err_norm):
                 h *= 0.5
                 continue
             if rot_max > _ROT_REJECT:
                 h *= 0.5
                 continue
-            # endpoint guard: the last ~21% of the step is never sampled
-            # by the Gauss nodes; a coefficient that runs away from the
-            # node-implied linear trend there would be invisible to the
-            # doubling estimate (it hides features that sit entirely
-            # past every node, e.g. the onset of a ramp)
+            # endpoint guard: the first and last ~11% of the step are
+            # never sampled by the Gauss nodes; a coefficient that runs
+            # away from the node-implied quadratic there would be
+            # invisible to the doubling estimate (it hides features that
+            # sit entirely outside every node, e.g. the onset of a ramp)
             if 0.05 * drift * h > 15000.0 * (atol + rtol):
                 h *= 0.4
                 continue
             if err_norm <= 1.0:
                 y = y + hd
-                phi = half + (half - full) / 15.0     # local Richardson
+                phi = half + (half - full) / 63.0     # local Richardson
+                g0 = g_end
                 if want_log_r:
                     log_r = log_r + mag
                 factor = _MAX_FACTOR if err_norm == 0.0 else \
-                    min(_MAX_FACTOR, _SAFETY * err_norm ** -0.2)
+                    min(_MAX_FACTOR, _SAFETY * err_norm ** (-1.0 / 7.0))
                 h = h * factor
                 if rot_max > _ROT_CAP:
                     h = min(h, abs(hd) * _ROT_CAP / rot_max)
             else:
-                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
+                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1.0 / 7.0))
         y = float(b)
+        if y in brks:
+            g0 = None
         if reads is not None:
             # np.isclose(reads, y, rtol=1e-12, atol=1e-12), at a tenth
             # of its cost on grids with a read at every boundary

@@ -269,3 +269,15 @@ def test_high_mode_shapes_against_bessel_oracle(exp_profile, exp_k16_modes, m):
     u = sw.reconstruct_mode_shape(exp_profile, mode, ys)
     u_oracle = bessel_mode_shape(5.0, 1.0, 16.0, mode.Omega, ys)
     assert np.max(np.abs(u - u_oracle)) <= 1e-6 * np.max(np.abs(u_oracle))
+
+
+def test_high_mode_shapes_tight_bessel(exp_profile, exp_k16_modes):
+    # at the default tolerances every exp K=16 shape, log amplitude
+    # included, stays well inside the oracle's own accuracy
+    from shwave.oracle import bessel_mode_shape
+
+    ys = np.linspace(0.0, 12.0, 200)
+    for mode in exp_k16_modes:
+        u = sw.reconstruct_mode_shape(exp_profile, mode, ys)
+        u_oracle = bessel_mode_shape(5.0, 1.0, 16.0, mode.Omega, ys)
+        assert np.max(np.abs(u - u_oracle)) <= 1.5e-8 * np.max(np.abs(u_oracle))

@@ -82,7 +82,7 @@ def test_sweep_rejects_reads_behind_start(constant_profile):
 
 def test_sweep_one_coef_call_per_attempt(exp_profile, monkeypatch):
     # each step attempt evaluates the coefficients of the whole batch
-    # once, on its 7 depths; one more call picks the initial step
+    # once, on its 10 depths; one more call picks the initial step
     import shwave.propagate as propagate
 
     class Counting:
@@ -111,7 +111,7 @@ def test_sweep_one_coef_call_per_attempt(exp_profile, monkeypatch):
                 0.0, 9.0)
     assert len(attempts) > 10
     assert len(prof.sizes) == len(attempts) + 1
-    assert prof.sizes[1:] == [7] * len(attempts)
+    assert prof.sizes[1:] == [10] * len(attempts)
 
 
 def test_sweep_identical_members_swept_once(exp_profile, monkeypatch):
@@ -209,6 +209,26 @@ def test_breakpoints_force_landings():
     assert abs(got[0] - ref.phi) < 1e-7
     phase_batch(blind, A[0], [A[1]], [HALF_PI], 0.0, 6.0)
     assert blind.count > 0
+
+
+@pytest.mark.parametrize("rate", [4.0, 40.0])
+@pytest.mark.parametrize("y_k", [0.77, 1.37, 2.93, 4.41])
+def test_undeclared_kink_accuracy(y_k, rate):
+    # the kink of test_breakpoints_force_landings, not declared: the
+    # endpoint guard must keep the blind sweep accurate wherever the
+    # kink falls between the Gauss nodes of a step
+    def rho(y):
+        yy = np.asarray(y, dtype=float)
+        out = np.where(yy < y_k, 2.0, 1.0 + np.exp(-(yy - y_k) * rate))
+        return float(out) if out.ndim == 0 else out
+
+    profile = sw.from_callables(rho, ones, 1.0, 1.0)
+    A = (2.0, 1.5)
+    ref = integrate_phase(lambda y: profile.gamma(A, y), ones, HALF_PI, 0.0,
+                          6.0, settings=IntegratorSettings(rel_tol=1e-12,
+                                                           abs_tol=1e-14))
+    got = phase_batch(profile, A[0], [A[1]], [HALF_PI], 0.0, 6.0)
+    assert abs(got[0] - ref.phi) < 2e-7
 
 
 def test_mode_search_result_iteration(exp_profile):
