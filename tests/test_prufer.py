@@ -254,30 +254,26 @@ def test_mode_shape_against_bessel_oracle(exp_profile):
 
 
 @pytest.fixture(scope="module")
-def exp_k16_modes(exp_profile):
-    return sw.find_modes(exp_profile, 16.0).modes
+def exp_k16_shapes(exp_profile):
+    """(u, Bessel u) of every exp K=16 mode on a 200-depth grid."""
+    from shwave.oracle import bessel_mode_shape
+
+    ys = np.linspace(0.0, 12.0, 200)
+    return [(sw.reconstruct_mode_shape(exp_profile, mode, ys),
+             bessel_mode_shape(5.0, 1.0, 16.0, mode.Omega, ys))
+            for mode in sw.find_modes(exp_profile, 16.0).modes]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_high_mode_shapes_against_bessel_oracle(exp_profile, exp_k16_modes, m):
+def test_high_mode_shapes_against_bessel_oracle(exp_k16_shapes, m):
     # every mode of exp K=16, gated like the benchmark's shape checks
-    from shwave.oracle import bessel_mode_shape
-
-    assert len(exp_k16_modes) == 6
-    mode = exp_k16_modes[m - 1]
-    ys = np.linspace(0.0, 12.0, 200)
-    u = sw.reconstruct_mode_shape(exp_profile, mode, ys)
-    u_oracle = bessel_mode_shape(5.0, 1.0, 16.0, mode.Omega, ys)
+    assert len(exp_k16_shapes) == 6
+    u, u_oracle = exp_k16_shapes[m - 1]
     assert np.max(np.abs(u - u_oracle)) <= 1e-6 * np.max(np.abs(u_oracle))
 
 
-def test_high_mode_shapes_tight_bessel(exp_profile, exp_k16_modes):
+def test_high_mode_shapes_tight_bessel(exp_k16_shapes):
     # at the default tolerances every exp K=16 shape, log amplitude
     # included, stays well inside the oracle's own accuracy
-    from shwave.oracle import bessel_mode_shape
-
-    ys = np.linspace(0.0, 12.0, 200)
-    for mode in exp_k16_modes:
-        u = sw.reconstruct_mode_shape(exp_profile, mode, ys)
-        u_oracle = bessel_mode_shape(5.0, 1.0, 16.0, mode.Omega, ys)
+    for u, u_oracle in exp_k16_shapes:
         assert np.max(np.abs(u - u_oracle)) <= 1.5e-8 * np.max(np.abs(u_oracle))

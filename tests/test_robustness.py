@@ -185,17 +185,21 @@ class _Straddles:
         return self.profile.stiffness(y)
 
 
+def _kinked_rho(y_k, rate):
+    """rho = 2 for y < y_k, then 1 + exp(-rate (y - y_k)): a kink at y_k."""
+    def rho(y):
+        yy = np.asarray(y, dtype=float)
+        out = np.where(yy < y_k, 2.0, 1.0 + np.exp(-(yy - y_k) * rate))
+        return float(out) if out.ndim == 0 else out
+    return rho
+
+
 def test_breakpoints_force_landings():
     # a coefficient with a hidden kink off the natural step grid: the
     # blind sweep samples across it, the declared one never does and
     # lands on the exact solution
     y_k = 2.93
-
-    def rho(y):
-        yy = np.asarray(y, dtype=float)
-        out = np.where(yy < y_k, 2.0, 1.0 + np.exp(-(yy - y_k) * 4.0))
-        return float(out) if out.ndim == 0 else out
-
+    rho = _kinked_rho(y_k, 4.0)
     blind = _Straddles(sw.from_callables(rho, ones, 1.0, 1.0), y_k)
     declared = _Straddles(sw.from_callables(rho, ones, 1.0, 1.0,
                                             breakpoints=(y_k,)), y_k)
@@ -217,12 +221,7 @@ def test_undeclared_kink_accuracy(y_k, rate):
     # the kink of test_breakpoints_force_landings, not declared: the
     # endpoint guard must keep the blind sweep accurate wherever the
     # kink falls between the Gauss nodes of a step
-    def rho(y):
-        yy = np.asarray(y, dtype=float)
-        out = np.where(yy < y_k, 2.0, 1.0 + np.exp(-(yy - y_k) * rate))
-        return float(out) if out.ndim == 0 else out
-
-    profile = sw.from_callables(rho, ones, 1.0, 1.0)
+    profile = sw.from_callables(_kinked_rho(y_k, rate), ones, 1.0, 1.0)
     A = (2.0, 1.5)
     ref = integrate_phase(lambda y: profile.gamma(A, y), ones, HALF_PI, 0.0,
                           6.0, settings=IntegratorSettings(rel_tol=1e-12,
