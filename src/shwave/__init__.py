@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .decay import (MatchingConfig, decaying_phase, decaying_phase_at_tail,
-                    matching_config, select_matching_point, select_tail_start)
+                    matching_config)
 from .dispersion import (Branch, Mode, ModeSearchResult, OscillationVerdict,
                          SearchOptions, estimate_mode_count, find_modes,
                          mismatch, oscillation_test, trace_branches)
@@ -34,8 +34,8 @@ __all__ = [
     "TauMap", "TransformedMedium", "build_tau", "transform",
     "IntegratorSettings", "PhaseState", "integrate_phase",
     "surface_phase", "reconstruct_mode_shape",
-    "MatchingConfig", "matching_config", "select_matching_point",
-    "select_tail_start", "decaying_phase", "decaying_phase_at_tail",
+    "MatchingConfig", "matching_config", "decaying_phase",
+    "decaying_phase_at_tail",
     "Mode", "Branch", "ModeSearchResult", "SearchOptions",
     "OscillationVerdict", "mismatch", "find_modes", "trace_branches",
     "estimate_mode_count", "oscillation_test",

@@ -5,12 +5,14 @@ negative, the equation has a one-dimensional family of solutions
 vanishing at infinity.  Its phase angle is recovered by (i) picking a
 matching depth y_bar behind the last sign change of gamma_A, (ii)
 picking a tail-start depth Y where the coefficient is close to its
-limit, (iii) seeding the angle with the frozen-coefficient decaying
-direction at Y and sweeping it backward to y_bar with the propagator
-of :mod:`shwave.propagate`.  The decay direction is an attractor of the
-backward flow, so the seeding error shrinks exponentially; a
-tail-window doubling re-solve verifies that the delivered angle is
-insensitive to the truncation.
+limit - both in :func:`matching_config`, from one outward sampling of
+gamma_A and one grid behind y_bar on which gamma_A must stay negative
+up to Y - and (iii) seeding the angle with the frozen-coefficient
+decaying direction at Y and sweeping it backward to y_bar with the
+propagator of :mod:`shwave.propagate`.  The decay direction is an
+attractor of the backward flow, so the seeding error shrinks
+exponentially; a tail-window doubling re-solve verifies that the
+delivered angle is insensitive to the truncation.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ TAIL_ANGLE_TOL = 1e-8           # doubling-robustness tolerance on phi+(y_bar)
 TAIL_REL_TOL = 1e-8             # |beta(Y)| / |gamma_inf| at the tail start
 TAIL_RESIDUAL_TOL = 1e-8        # remaining integral of |beta| beyond Y
 _CONTRACTION_BUDGET = 14.0      # integral of the decay rate over [y_bar, Y]
-_VERIFY_STEP = 0.01             # grid step of the negativity checks behind y_bar
 _Y_CAP = 1e8                    # deepest matching depth searched
 _TAIL_ATTEMPTS = 4              # tail windows tried, doubling each time
 
@@ -67,16 +68,29 @@ def _guard_threshold(problem, A):
             % (A.Omega, cutoff))
 
 
-def select_matching_point(problem, A) -> float:
-    """Depth y_bar with gamma_A < 0 on [y_bar, infinity).
+def matching_config(problem, A) -> MatchingConfig:
+    """Matching depth y_bar and tail start Y of a parameter point.
 
-    Scans outward for the last sign change of gamma_A, adds a margin,
-    and verifies negativity on a fine grid behind the chosen depth.
-    The scan stops only once a whole window shows |beta| < |gamma_inf|/2
-    with no nonnegative values, which certifies gamma_A < 0 from there
-    on (beta decays to zero).  If gamma_A is negative from the surface
-    the default interior depth is returned so the mismatch is never
-    evaluated on the boundary.
+    y_bar: windows doubling outward sample gamma_A until a whole window
+    shows |beta| < |gamma_inf|/2 with no nonnegative values, which
+    certifies gamma_A < 0 from there on (beta decays to zero).  The last
+    sign change is bisected between its two samples and y_bar is put
+    DEFAULT_MARGIN behind it.  If gamma_A is negative from the surface,
+    y_bar is DEFAULT_Y_BAR, so the mismatch is never evaluated on the
+    boundary.
+
+    Y is picked on one grid from y_bar: a step of 0.01 over the first 5
+    units, then 0.05 up to y_bar + 64, then geometric.  Primary
+    criterion: the smallest Y with |beta(Y)| <= TAIL_REL_TOL*|gamma_inf|
+    and an estimated remaining integral of |beta| below
+    TAIL_RESIDUAL_TOL.  For exactly-clamped profiles Y = y_max_data
+    suffices (beta vanishes beyond).  For slowly decaying tails (power
+    laws) the literal integral criterion can be unattainable at any
+    reachable depth; the fallback then picks the smallest Y whose
+    backward contraction budget, the integral of sqrt(-gamma/mu) over
+    [y_bar, Y], exceeds a fixed budget, which the doubling re-solve in
+    :func:`decaying_phase_batch` validates (``strict_tail`` False).
+    gamma_A must be negative on every sample of the grid up to Y.
     """
     A = _as_param(A)
     _guard_threshold(problem, A)
@@ -84,19 +98,21 @@ def select_matching_point(problem, A) -> float:
     if ginf >= 0:
         raise ThresholdError("gamma_inf >= 0: no decaying tail exists")
 
-    last_nonneg = None
+    def gamma(y):
+        return _gamma(problem, A.K, A.Omega, y)
+
+    crossing = None     # (last nonnegative sample, the sample after it)
     a, b = 0.0, 16.0
     while True:
         if b - a <= 64.0:
             ys = np.linspace(a, b, max(int((b - a) / 0.01), 64) + 1)
         else:
             ys = np.geomspace(max(a, 1e-3), b, 4096)
-        g = _gamma(problem, A.K, A.Omega, ys)
+        g = gamma(ys)
         last, _ = _sign_scan(ys, g)
         if last >= 0:       # windows move outward: the latest is the deepest
-            last_nonneg = float(ys[last])
-        settled = np.max(np.abs(g - ginf)) < 0.5 * abs(ginf)
-        if settled and last < 0 and (last_nonneg is None or a >= last_nonneg):
+            crossing = ys[last:last + 2]
+        elif np.max(np.abs(g - ginf)) < 0.5 * abs(ginf):
             break
         a, b = b, 2.0 * b
         if b > _Y_CAP:
@@ -104,58 +120,37 @@ def select_matching_point(problem, A) -> float:
                 "gamma_A keeps returning to >= 0 up to y=%.3g; parameters too "
                 "close to or above the limit ray" % _Y_CAP)
 
-    if last_nonneg is None:
+    if crossing is None:
         y_bar = DEFAULT_Y_BAR
     else:
-        y_bar = last_nonneg + DEFAULT_MARGIN
-    # verification pass behind y_bar
-    for _ in range(64):
-        ys = np.arange(y_bar, y_bar + 5.0 + _VERIFY_STEP, _VERIFY_STEP)
-        last, _ = _sign_scan(ys, _gamma(problem, A.K, A.Omega, ys))
-        if last < 0:
-            return float(y_bar)
-        y_bar = float(ys[last]) + DEFAULT_MARGIN
-        if y_bar > _Y_CAP:
-            break
-    raise NoNegativeTailError(
-        "could not verify a negative tail behind y=%.6g" % y_bar)
-
-
-def select_tail_start(problem, A, y_bar: float):
-    """Tail-start depth Y where the coefficient has settled to its limit.
-
-    Primary criterion: the smallest scanned Y >= y_bar with
-    |beta(Y)| <= TAIL_REL_TOL*|gamma_inf| and an estimated remaining
-    integral of |beta| below TAIL_RESIDUAL_TOL.  For exactly-clamped
-    profiles Y = y_max_data suffices (beta vanishes beyond).  For
-    slowly decaying tails (power laws) the literal integral criterion
-    can be unattainable at any reachable depth; the fallback then picks
-    the smallest Y whose backward contraction budget
-    integral of sqrt(-gamma/mu) over [y_bar, Y] exceeds a fixed budget,
-    which the doubling re-solve in :func:`decaying_phase_batch` validates.
-
-    Returns (Y, strict) where ``strict`` records which criterion fired.
-    """
-    A = _as_param(A)
-    ginf = _gamma(problem, A.K, A.Omega)
-    if ginf >= 0:
-        raise ThresholdError("gamma_inf >= 0: no decaying tail exists")
+        lo, hi = float(crossing[0]), float(crossing[1])
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if gamma(mid) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        y_bar = hi + DEFAULT_MARGIN
 
     tail_from = getattr(problem, "tail_constant_from", None)
-    if tail_from is not None:
-        return max(float(y_bar), float(tail_from)), True
+    y_tail, strict = None, True
+    if tail_from is None:
+        y_scan_max = max(1000.0, 32.0 * (y_bar + 1.0))
+    else:
+        y_tail = y_scan_max = max(y_bar, float(tail_from))
+    ys = np.concatenate([
+        y_bar + 0.01 * np.arange(500),
+        np.arange(y_bar + 5.0, min(y_bar + 64.0, y_scan_max), 0.05),
+        np.geomspace(max(y_bar + 64.0, 1.0), y_scan_max, 512)
+        if y_scan_max > y_bar + 64.0 else []])
+    g = gamma(ys)
+    bvals = np.abs(g - ginf)
 
     def beta_abs(y):
-        return np.abs(_gamma(problem, A.K, A.Omega, y) - ginf)
+        return np.abs(gamma(y) - ginf)
 
-    y_scan_max = max(1000.0, 32.0 * (y_bar + 1.0))
-    fine = np.arange(y_bar, min(y_bar + 64.0, y_scan_max), 0.05)
-    coarse = np.geomspace(max(y_bar + 64.0, 1.0), y_scan_max, 512) \
-        if y_scan_max > y_bar + 64.0 else np.array([])
-    ys = np.concatenate([fine, coarse])
-    g = _gamma(problem, A.K, A.Omega, ys)
-    bvals = np.abs(g - ginf)
-    candidates = np.nonzero(bvals <= TAIL_REL_TOL * abs(ginf))[0]
+    candidates = np.nonzero(bvals <= TAIL_REL_TOL * abs(ginf))[0] \
+        if y_tail is None else []
     if len(candidates) > 32:
         picks = np.unique(np.geomspace(1, len(candidates), 32).astype(int) - 1)
         candidates = candidates[picks]
@@ -171,44 +166,28 @@ def select_tail_start(problem, A, y_bar: float):
         else:
             residual = math.inf
         if residual <= TAIL_RESIDUAL_TOL:
-            return Y, True
+            y_tail = Y
+            break
+    if y_tail is None:
+        # contraction-budget fallback
+        kappa = np.sqrt(np.maximum(-g, 0.0) /
+                        np.asarray(problem.stiffness(ys), dtype=float))
+        budget = np.concatenate([[0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1])
+                                                  * np.diff(ys))])
+        feasible = np.nonzero((budget >= _CONTRACTION_BUDGET)
+                              & (bvals <= 0.25 * abs(ginf)))[0]
+        if not len(feasible):
+            raise TailSelectionError(
+                "no tail-start depth up to y=%.3g meets the closeness "
+                "tolerances (rel %.1e, residual %.1e) or the contraction "
+                "budget of the fallback"
+                % (y_scan_max, TAIL_REL_TOL, TAIL_RESIDUAL_TOL))
+        y_tail, strict = float(ys[feasible[0]]), False
 
-    # contraction-budget fallback
-    kappa = np.sqrt(np.maximum(-g, 0.0) /
-                    np.asarray(problem.stiffness(ys), dtype=float))
-    budget = np.concatenate([[0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1])
-                                              * np.diff(ys))])
-    feasible = (budget >= _CONTRACTION_BUDGET) & (bvals <= 0.25 * abs(ginf))
-    idx = np.nonzero(feasible)[0]
-    if len(idx):
-        return float(ys[idx[0]]), False
-
-    raise TailSelectionError(
-        "no tail-start depth up to y=%.3g meets the closeness tolerances "
-        "(rel %.1e, residual %.1e) or the contraction budget of the "
-        "fallback" % (y_scan_max, TAIL_REL_TOL, TAIL_RESIDUAL_TOL))
-
-
-def _verify_negative(problem, A, y_bar, y_tail):
-    """Raise unless gamma_A < 0 on a grid over [y_bar + 5, y_tail]; the
-    verification pass of select_matching_point covered [y_bar, y_bar + 5)."""
-    rest = np.geomspace(max(y_bar + 5.0, 1e-3), y_tail, 2048) \
-        if y_tail > y_bar + 5.0 else np.array([])
-    ys = np.concatenate([rest, [y_tail]])
-    last, _ = _sign_scan(ys, _gamma(problem, A.K, A.Omega, ys))
-    if last >= 0:
+    if np.any(g[ys <= y_tail] >= 0):
         raise NoNegativeTailError(
             "gamma_A is nonnegative inside the matching window "
             "[%.6g, %.6g]" % (y_bar, y_tail))
-
-
-def matching_config(problem, A) -> MatchingConfig:
-    """Select y_bar and Y for a parameter point (see the module docstring)."""
-    A = _as_param(A)
-    y_bar = select_matching_point(problem, A)
-    y_tail, strict = select_tail_start(problem, A, y_bar)
-    y_tail = max(y_tail, y_bar)
-    _verify_negative(problem, A, y_bar, y_tail)
     return MatchingConfig(y_bar=y_bar, y_tail=y_tail, strict_tail=strict)
 
 

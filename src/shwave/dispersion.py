@@ -156,7 +156,7 @@ def mismatch(profile, K, Omega, cfg: Optional[MatchingConfig] = None,
 def _hull(cfgs) -> MatchingConfig:
     """The deepest matching depth and tail start of the windows ``cfgs``.
 
-    select_matching_point certifies gamma < 0 from each window's y_bar
+    matching_config certifies gamma < 0 from each window's y_bar
     to infinity, so a deeper tail start is valid for the members of
     every window.  The hull is strict only if every window is.
     """

@@ -94,9 +94,8 @@ def _trapezoid(f, a, b, n):
 class MaterialProfile:
     """Material laws rho(y), mu(y) of a graded half-space.
 
-    Instances are immutable; all evaluations are pure, so profiles can
-    be shared freely across parallel workers.  Registry- and
-    table-backed profiles pickle by name and parameters.
+    Instances are immutable and all evaluations are pure.  Registry-
+    and table-backed profiles pickle by name and parameters.
 
     Attributes
     ----------
@@ -406,8 +405,8 @@ def from_callables(rho, mu, rho_inf, mu_inf, y_max_data=math.inf,
 
     The callables must accept scalars and numpy arrays; depths where
     they are not smooth should be listed in ``breakpoints`` so sweeps
-    never step across them.  Only module-level functions survive
-    pickling into worker processes.
+    never step across them.  Such a profile pickles only if its
+    callables are module-level functions.
     """
     _positive([rho_inf, mu_inf], "profile limits")
     return MaterialProfile(

@@ -67,8 +67,8 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag, g0):
     Each step is the sixth-order three-node Magnus step of Blanes, Casas
     & Ros (BIT 40, 2000).  The full step and both half steps are stacked
     as (members, 3) from one ``coef_pair`` call on their 9 Gauss nodes
-    plus the step end (10 depths) and one ``stiffness`` call on the
-    nodes.  The full step and half 1 act on (cos phi, sin phi), half 2
+    plus the step end, nudged inside the step (10 depths), and one
+    ``stiffness`` call on the nodes.  The full step and half 1 act on (cos phi, sin phi), half 2
     on the half-1 state.  ``g0`` is gamma at y (the previous step's end
     sample), or None where that sample does not hold for this step.
     Returns (full, half, rot_max, logmag, drift, g_end): the exactly
@@ -81,7 +81,10 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag, g0):
     hh = 0.5 * h
     hs = np.array([h, hh, hh])
     starts = np.array([y, y, y + hh])
-    ys = np.append(starts[:, None] + hs[:, None] * _NODES, y + h)
+    # the end sample sits a relative 1e-12 inside the step, so a step
+    # that lands on a breakpoint samples its own side of a jump
+    y_end = y + h - math.copysign(min(1e-12 * max(1.0, abs(y + h)), abs(hh)), h)
+    ys = np.append(starts[:, None] + hs[:, None] * _NODES, y_end)
     p, q = coef_pair(ys)
     g = Omega[:, None] * p - K[:, None] * q
     b = 1.0 / stiffness(ys[:9])

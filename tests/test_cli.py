@@ -205,6 +205,14 @@ def test_entry_point_runs():
     assert "--config" in proc.stdout
 
 
+def test_public_names_resolve():
+    # a name dropped from the package must leave __all__ with it
+    import shwave
+
+    missing = [name for name in shwave.__all__ if not hasattr(shwave, name)]
+    assert missing == []
+
+
 def test_table_from_file_modes(tmp_path):
     ys = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 18.0, 22.0]
     lines = []

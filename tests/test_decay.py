@@ -7,57 +7,64 @@ import pytest
 
 import shwave as sw
 from shwave.decay import (MatchingConfig, decaying_phase, decaying_phase_at_tail,
-                          matching_config, select_matching_point,
-                          select_tail_start)
+                          matching_config)
 from shwave.errors import ThresholdError
 from tests.conftest import lift_from_samples, ones, sampled_sweep
 
 
 def test_matching_point_negative_everywhere(constant_profile):
-    assert select_matching_point(constant_profile, (4.0, 1.0)) == 1.0
+    assert matching_config(constant_profile, (4.0, 1.0)).y_bar == 1.0
 
 
 def test_matching_point_exponential(exp_profile):
-    y_bar = select_matching_point(exp_profile, (1.0, 0.5))
+    y_bar = matching_config(exp_profile, (1.0, 0.5)).y_bar
     assert abs(y_bar - (math.log(5.0) + 0.5)) < 0.02
 
 
 def test_matching_point_threshold_guard(exp_profile):
     with pytest.raises(ThresholdError):
-        select_matching_point(exp_profile, (1.0, 1.0))
+        matching_config(exp_profile, (1.0, 1.0))
     with pytest.raises(ThresholdError):
-        select_matching_point(exp_profile, (1.0, 1.0 - 1e-12))
+        matching_config(exp_profile, (1.0, 1.0 - 1e-12))
+
+
+def test_matching_point_deep_single_crossing():
+    # rho = 1 + 30 (1+y)^{-3/2}: gamma_A changes sign once, at y* ~ 6.08e6,
+    # where the outward samples lie ~1,000 apart; y_bar sits just behind
+    # the bisected crossing and gamma_A stays negative up to y_tail
+    p = sw.from_registry("power_density", {"rho_inf": 1.0, "c": 30.0, "p": 1.5})
+    K, Om = 4.0, 4.0 * (1.0 - 2e-9)
+    y_star = (Om * 30.0 / (K - Om)) ** (1.0 / 1.5) - 1.0
+    cfg = matching_config(p, (K, Om))
+    assert y_star < cfg.y_bar <= y_star + 0.51
+    ys = np.linspace(cfg.y_bar, cfg.y_tail, 200001)
+    assert np.all(p.gamma((K, Om), ys) < 0)
 
 
 def test_tail_start_clamped_table():
     table = sw.from_table([(0.0, 3.0, 1.0), (1.5, 1.0, 1.0)], rho_inf=1.0)
-    Y, strict = select_tail_start(table, (1.0, 0.5), y_bar=0.7)
-    assert Y == 1.5
-    assert strict
+    cfg = matching_config(table, (1.0, 0.5))
+    assert cfg.y_tail == 1.5
+    assert cfg.strict_tail
 
 
 def test_tail_start_exponential_formula(exp_profile):
-    A = (1.0, 0.5)
-    y_bar = select_matching_point(exp_profile, A)
-    Y, strict = select_tail_start(exp_profile, A, y_bar=y_bar)
+    cfg = matching_config(exp_profile, (1.0, 0.5))
     # |beta(Y)| = 2.5 exp(-Y) <= 1e-8 * 0.5  =>  Y >= ln(5e8)
-    assert strict
-    assert math.log(5e8) - 1e-9 <= Y <= math.log(5e8) + 0.1
+    assert cfg.strict_tail
+    assert math.log(5e8) - 1e-9 <= cfg.y_tail <= math.log(5e8) + 0.1
 
 
 def test_tail_start_constant(constant_profile):
-    Y, strict = select_tail_start(constant_profile, (4.0, 1.0), y_bar=1.0)
-    assert Y == 1.0
+    assert matching_config(constant_profile, (4.0, 1.0)).y_tail == 1.0
 
 
 def test_tail_start_power_law_fallback(power_profile):
     # the literal residual criterion is unattainable for (1+y)^{-3/2};
     # the contraction-budget fallback must fire instead of erroring
-    A = (4.0, 3.5)
-    y_bar = select_matching_point(power_profile, A)
-    Y, strict = select_tail_start(power_profile, A, y_bar=y_bar)
-    assert not strict
-    assert Y > y_bar
+    cfg = matching_config(power_profile, (4.0, 3.5))
+    assert not cfg.strict_tail
+    assert cfg.y_tail > cfg.y_bar
 
 
 def test_decaying_phase_at_tail_values(constant_profile):

@@ -293,6 +293,32 @@ def test_breakpoint_profiles_unflagged(profile, K, n_modes):
     assert rel < 1e-8
 
 
+def test_scan_tail_limit_prefix(monkeypatch):
+    # rho = 1 + 3 (1+y)^{-3}: no tail start is reachable for the top of
+    # the geometric chunk, so the scan stops at its feasible prefix
+    profile = sw.from_registry("power_density", {"rho_inf": 1.0, "c": 3.0, "p": 3.0})
+    tops, failed = [], []
+    grow = dispersion._grow_cfg
+
+    def spy(problem, K, omega_top, *args):
+        tops.append(omega_top)
+        try:
+            return grow(problem, K, omega_top, *args)
+        except (sw.errors.TailSelectionError, sw.errors.NoNegativeTailError):
+            failed.append(omega_top)
+            raise
+
+    monkeypatch.setattr(dispersion, "_grow_cfg", spy)
+    res = sw.find_modes(profile, 4.0)
+    assert len(res.modes) == 2 and not res.truncated
+    assert max(tops) in failed
+    assert res.scan_ceiling < max(tops)
+    fd = sw.fd_mode_frequencies(profile, 4.0)
+    assert fd.usable
+    for md, om in zip(res.modes, fd.omegas):
+        assert abs(md.Omega - om) <= 1e-8 * om
+
+
 def test_tail_stretch_stability(exp_profile):
     base = sw.find_modes(exp_profile, 4.0)
     far = sw.find_modes(exp_profile, 4.0, SearchOptions(tail_stretch=2.0))

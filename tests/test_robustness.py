@@ -230,6 +230,49 @@ def test_undeclared_kink_accuracy(y_k, rate):
     assert abs(got[0] - ref.phi) < 2e-7
 
 
+def _constant_pieces_phi(phi, pieces):
+    """Lifted angle after constant (gamma = k^2, mu = 1) pieces (k, length).
+
+    With u = sin(theta), w = k cos(theta) the angle is atan2(sin theta,
+    k cos theta), which meets the multiples of pi where theta does.
+    """
+    for k, length in pieces:
+        n = math.floor(phi / math.pi)
+        theta = n * math.pi + math.atan2(k * math.sin(phi - n * math.pi),
+                                         math.cos(phi - n * math.pi)) + k * length
+        n = math.floor(theta / math.pi)
+        phi = n * math.pi + math.atan2(math.sin(theta - n * math.pi),
+                                       k * math.cos(theta - n * math.pi))
+    return phi
+
+
+def test_step_landing_on_declared_jump(monkeypatch):
+    # rho jumps from 2.5 to 2 at a declared breakpoint: the step that
+    # lands there must judge its end by its own side of the jump, so the
+    # endpoint guard does not shrink it toward the breakpoint
+    import shwave.propagate as propagate
+
+    def rho(y):
+        out = np.where(np.asarray(y, dtype=float) < 2.0, 2.5, 2.0)
+        return float(out) if out.ndim == 0 else out
+
+    attempts = []
+    step = propagate._frozen_step
+
+    def counted(*args):
+        attempts.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(propagate, "_frozen_step", counted)
+    profile = sw.from_callables(rho, ones, 2.0, 1.0, breakpoints=(2.0,))
+    phi, _ = sweep_phase(profile, 2.0, [1.5], HALF_PI, 0.0, 6.0)
+    # gamma = 1.5 rho - 2: 1.75 for y < 2, then 1
+    expected = _constant_pieces_phi(HALF_PI, [(math.sqrt(1.75), 2.0), (1.0, 4.0)])
+    assert len(attempts) <= 5
+    assert abs(phi[0] - expected) < 1e-10
+    assert abs(expected - 8.091294129557244) < 1e-12
+
+
 def test_mode_search_result_iteration(exp_profile):
     res = sw.find_modes(exp_profile, 1.0)
     assert len(res) == len(res.modes)
