@@ -80,15 +80,16 @@ def matching_config(problem, A) -> MatchingConfig:
     boundary.
 
     Y is picked on one grid from y_bar: a step of 0.01 over the first 5
-    units, then 0.05 up to y_bar + 64, then geometric.  Primary
-    criterion: the smallest Y with |beta(Y)| <= TAIL_REL_TOL*|gamma_inf|
-    and an estimated remaining integral of |beta| below
-    TAIL_RESIDUAL_TOL.  For exactly-clamped profiles Y = y_max_data
-    suffices (beta vanishes beyond).  For slowly decaying tails (power
-    laws) the literal integral criterion can be unattainable at any
-    reachable depth; the fallback then picks the smallest Y whose
-    backward contraction budget, the integral of sqrt(-gamma/mu) over
-    [y_bar, Y], exceeds a fixed budget, which the doubling re-solve in
+    units, then 0.05 up to y_bar + 64, then geometric up to
+    max(1000, 32 (y_bar + 1)).  Primary criterion: the smallest Y with
+    |beta(Y)| <= TAIL_REL_TOL*|gamma_inf| and an estimated remaining
+    integral of |beta| below TAIL_RESIDUAL_TOL.  For exactly-clamped
+    profiles Y = tail_constant_from suffices (beta vanishes beyond) and
+    the grid ends there.  For slowly decaying tails (power laws) the
+    literal integral criterion can be unattainable at any reachable
+    depth; the fallback then picks the smallest Y whose backward
+    contraction budget, the integral of sqrt(-gamma/mu) over [y_bar, Y],
+    exceeds a fixed budget, which the doubling re-solve in
     :func:`decaying_phase_batch` validates (``strict_tail`` False).
     gamma_A must be negative on every sample of the grid up to Y.
     """
