@@ -68,9 +68,10 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag, g0):
     & Ros (BIT 40, 2000).  The full step and both half steps are stacked
     as (members, 3) from one ``coef_pair`` call on their 9 Gauss nodes
     plus the step end, nudged inside the step (10 depths), and one
-    ``stiffness`` call on the nodes.  The full step and half 1 act on (cos phi, sin phi), half 2
-    on the half-1 state.  ``g0`` is gamma at y (the previous step's end
-    sample), or None where that sample does not hold for this step.
+    ``stiffness`` call on the nodes.  The full step and half 1 act on
+    (cos phi, sin phi), half 2 on the half-1 state.  ``g0`` is gamma at
+    y (the previous step's end sample), or None where that sample does
+    not hold for this step.
     Returns (full, half, rot_max, logmag, drift, g_end): the exactly
     re-banded lifts after the full step and after both halves, the
     largest elliptic rotation (the halves summed), the halves' log
