@@ -29,10 +29,10 @@ Config schema ("schema": "shwave-run/1")::
 Table profiles: ``{"name": "table", "params": {"rows": [[y, rho, mu], ...]}}``
 or ``{"name": "table", "path": "samples.txt"}`` with whitespace-separated
 ``y rho mu`` rows.  A ``tolerances`` key other than the six above is a
-configuration error.  ``workers`` and the ``--workers`` flag are still
-accepted and must be a positive integer, but they have no effect: the
-branches task refines the brackets of its whole k-grid in one batch,
-in one process.
+configuration error, as are values that ``SearchOptions`` rejects.
+``workers`` and the ``--workers`` flag are still accepted and must be a
+positive integer, but they have no effect: the branches task refines
+the brackets of its whole k-grid in one batch, in one process.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ from .profile import check_assumptions, classify, from_registry
 from .prufer import IntegratorSettings
 
 SCHEMA = "shwave-run/1"
-_TOLERANCE_KEYS = ("abs_tol", "max_modes", "omega_grid_n", "rel_tol",
-                   "residual_tol", "root_tol")
+_TOLERANCES = (("abs_tol", float, 1e-12), ("max_modes", int, 64),
+               ("omega_grid_n", int, 256), ("rel_tol", float, 1e-10),
+               ("residual_tol", float, 1e-8), ("root_tol", float, 1e-10))
+_TOLERANCE_KEYS = tuple(key for key, _, _ in _TOLERANCES)
 
 
 class ConfigError(ValueError):
@@ -94,22 +96,23 @@ def _build_profile(spec, base_dir: Path):
     params = dict(spec.get("params") or {})
     if name == "table" and "path" in spec:
         params["rows"] = _load_table_file(base_dir / spec["path"])
-    try:
-        return from_registry(name, params)
-    except ProfileError as exc:
-        raise ConfigError(str(exc))
+    return from_registry(name, params)
 
 
 def _k_grid(cfg):
     grid = cfg.get("k_grid")
     if grid is None:
         raise ConfigError("task requires 'k_grid'")
-    if isinstance(grid, dict):
-        ks = np.linspace(float(grid["start"]), float(grid["stop"]),
-                         int(grid["num"]))
-    else:
-        ks = np.asarray([float(k) for k in grid])
-    if len(ks) == 0 or np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
+    try:
+        if isinstance(grid, dict):
+            ks = np.linspace(float(grid["start"]), float(grid["stop"]),
+                             int(grid["num"]))
+        else:
+            ks = np.asarray([float(k) for k in grid])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("k_grid must be a list of numbers or an object "
+                          "with numeric start, stop and num: %r" % (exc,))
+    if len(ks) == 0 or not np.all(ks > 0) or not np.all(np.diff(ks) > 0):
         raise ConfigError("k_grid must be positive and strictly increasing")
     return ks
 
@@ -117,8 +120,11 @@ def _k_grid(cfg):
 def _k_single(cfg):
     if "k" not in cfg:
         raise ConfigError("task requires 'k'")
-    k = float(cfg["k"])
-    if k <= 0:
+    try:
+        k = float(cfg["k"])
+    except (TypeError, ValueError):
+        raise ConfigError("k must be a number, got %r" % (cfg["k"],))
+    if not k > 0:
         raise ConfigError("k must be positive")
     return k
 
@@ -129,16 +135,15 @@ def _options(cfg) -> SearchOptions:
     if unknown:
         raise ConfigError("unknown tolerances key(s) %s; accepted: %s"
                           % (", ".join(unknown), ", ".join(_TOLERANCE_KEYS)))
-    settings = IntegratorSettings(
-        rel_tol=float(tol.get("rel_tol", 1e-10)),
-        abs_tol=float(tol.get("abs_tol", 1e-12)))
-    return SearchOptions(
-        max_modes=int(tol.get("max_modes", 64)),
-        omega_grid_n=int(tol.get("omega_grid_n", 256)),
-        root_tol=float(tol.get("root_tol", 1e-10)),
-        residual_tol=float(tol.get("residual_tol", 1e-8)),
-        settings=settings,
-        space=str(cfg.get("space", "y")))
+    try:
+        values = {key: kind(tol.get(key, default))
+                  for key, kind, default in _TOLERANCES}
+        settings = IntegratorSettings(rel_tol=values.pop("rel_tol"),
+                                      abs_tol=values.pop("abs_tol"))
+        return SearchOptions(settings=settings,
+                             space=str(cfg.get("space", "y")), **values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("invalid tolerances or space: %s" % exc)
 
 
 def _check_workers(workers):

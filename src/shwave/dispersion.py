@@ -28,8 +28,8 @@ from .decay import (DEFAULT_MARGIN, DEFAULT_Y_BAR, NEAR_THRESHOLD_DELTA,
 from .errors import NoNegativeTailError, TailSelectionError
 from .prufer import DEFAULT_SETTINGS, HALF_PI, IntegratorSettings, phase_batch
 from .profile import (MaterialProfile, ProfileClass, _as_param, _gamma,
-                      _sign_scan, _trapezoid, admissible_interval, classify,
-                      interval_is_empty)
+                      _halves_every_three, _sign_scan, admissible_interval,
+                      classify, interval_is_empty)
 
 _REASON_GLOBAL_NEGATIVE = ("nonexistence: globally negative monotonicity "
                            "(Arg a(y) >= Arg a_inf at every depth)")
@@ -103,6 +103,15 @@ class SearchOptions:
     settings: IntegratorSettings = field(default_factory=IntegratorSettings)
     tail_stretch: float = 1.0        # >1 widens the tail window (robustness runs)
     space: str = "y"                 # "y" or "tau"
+
+    def __post_init__(self):
+        if not (self.max_modes >= 1 and self.omega_grid_n >= 1):
+            raise ValueError("max_modes and omega_grid_n must be at least 1")
+        if not (self.root_tol > 0 and self.residual_tol > 0
+                and self.tail_stretch > 0):
+            raise ValueError("root_tol, residual_tol, tail_stretch must be > 0")
+        if self.space not in ("y", "tau"):
+            raise ValueError("space must be 'y' or 'tau'")
 
 
 DEFAULT_OPTIONS = SearchOptions()
@@ -564,41 +573,31 @@ def estimate_mode_count(profile: MaterialProfile, K: float):
     Evaluates (1/pi) * integral of sqrt(max(gamma_{A_inf}, 0)/mu) dy at
     the limit-ray parameter A_inf = (K, K*mu_inf/rho_inf); the division
     by mu renders the count invariant under the coordinate substitution
-    that removes a variable stiffness.  Returns +inf when the integrand
-    fails to decay (the oscillatory regime has unbounded counts).
+    that removes a variable stiffness.  Since gamma_{A_inf} equals
+    (K/rho_inf) * gamma_hat, this is sqrt(K/rho_inf)/pi times one
+    K-independent integral: exactly linear in k.  Returns +inf unless
+    oscillation_test finds that integral convergent ("non_oscillatory").
     """
     if K <= 0:
         raise ValueError("K must be positive")
-    omega_bar = K * profile.mu_inf / profile.rho_inf
+    if oscillation_test(profile).verdict != "non_oscillatory":
+        return math.inf
+    ghat = profile.limit_gamma_hat
 
     def f(y):
-        return np.sqrt(np.maximum(_gamma(profile, K, omega_bar, y), 0.0)
-                       / profile.stiffness(y))
+        return np.sqrt(np.maximum(ghat(y), 0.0) / profile.mu(y))
 
-    # doubling-window divergence screen
-    windows = []
-    a = 1.0
-    for _ in range(24):
-        windows.append(_trapezoid(f, a, 2 * a, 257))
-        a *= 2.0
-    windows = np.asarray(windows)
-    scale = max(float(np.max(windows)), 1e-300)
-    for j in range(len(windows) - 3):
-        if windows[j + 3] > 0.5 * windows[j] and windows[j + 3] > 1e-10 * scale:
-            return math.inf
-    # truncation depth: integrand below 1e-14 and negligible windows
-    y_cut = 2.0 * a
-    ys = np.geomspace(1.0, y_cut, 512)
-    vals = f(ys)
-    below = np.nonzero(vals >= 1e-14)[0]
-    y_tr = float(ys[below[-1]] * 1.05) if len(below) else 2.0
+    # truncation depth: integrand below 1e-14
+    ys = np.geomspace(1.0, 2.0 ** 25, 512)
+    above = np.nonzero(f(ys) >= 1e-14)[0]
+    y_tr = float(ys[above[-1]] * 1.05) if len(above) else 2.0
     ys = np.linspace(0.0, y_tr, 4096)
-    _, turning = _sign_scan(ys, _gamma(profile, K, omega_bar, ys))
+    _, turning = _sign_scan(ys, ghat(ys))
     pieces = [0.0] + turning.tolist() + [y_tr]
     total = 0.0
     for aa, bb in zip(pieces[:-1], pieces[1:]):
         total += _adaptive_integral(f, aa, bb)
-    return total / math.pi
+    return math.sqrt(K / profile.rho_inf) / math.pi * total
 
 
 def _adaptive_integral(f, a, b, depth=0):
@@ -656,28 +655,19 @@ def oscillation_test(profile: MaterialProfile) -> OscillationVerdict:
         rows.append((float(t), iw, vw, has_pos, has_neg))
         t *= 2.0
 
-    tail_rows = rows[-4:]
-    if any(r[4] for r in tail_rows):
-        if not any(r[3] for r in rows):
-            return OscillationVerdict(
-                "non_oscillatory",
-                "limit-ray coefficient is nonpositive on the tail",
-                tuple(rows))
-        return OscillationVerdict(
-            "inconclusive", "limit-ray coefficient changes sign on the tail",
-            tuple(rows))
     if not any(r[3] for r in rows):
         return OscillationVerdict(
             "non_oscillatory",
             "limit-ray coefficient is nonpositive on the tail",
             tuple(rows))
+    if any(r[4] for r in rows[-4:]):
+        return OscillationVerdict(
+            "inconclusive", "limit-ray coefficient changes sign on the tail",
+            tuple(rows))
 
     iw = np.array([r[1] for r in rows])
-    # convergent phase integral: windows collapse over three doublings
-    converged = all(
-        iw[j + 3] <= 0.5 * iw[j] or iw[j + 3] <= 1e-12 * max(iw.max(), 1e-300)
-        for j in range(max(len(iw) - 6, 0), len(iw) - 3))
-    if converged:
+    # convergent phase integral: the last windows collapse over three doublings
+    if _halves_every_three(iw[-6:], 1e-12 * max(iw.max(), 1e-300)):
         return OscillationVerdict(
             "non_oscillatory",
             "the phase integral of the limit-ray equation converges",

@@ -84,6 +84,13 @@ def _sign_scan(ys, g):
     return last, changes
 
 
+def _halves_every_three(windows, floor):
+    """True when every window above ``floor`` holds at most half of the
+    window three doublings earlier (``windows`` on doubling intervals)."""
+    return all(w3 <= 0.5 * w0 or w3 <= floor
+               for w0, w3 in zip(windows[:-3], windows[3:]))
+
+
 def _trapezoid(f, a, b, n):
     """Trapezoid rule for ``f`` on ``n`` equispaced points of [a, b]."""
     ys = np.linspace(a, b, n)
@@ -391,7 +398,10 @@ def from_registry(name: str, params: Optional[dict] = None) -> MaterialProfile:
     else:
         raise ProfileError("unknown profile %r; known: %s"
                            % (name, sorted(_REGISTRY) + ["table"]))
-    rho_fn, mu_fn, rho_inf, mu_inf, y_max, tail_from, breaks = builder(params)
+    try:
+        rho_fn, mu_fn, rho_inf, mu_inf, y_max, tail_from, breaks = builder(params)
+    except KeyError as exc:
+        raise ProfileError("profile %r requires parameter %s" % (name, exc))
     return MaterialProfile(
         name=name, params=params, rho_inf=rho_inf, mu_inf=mu_inf,
         y_max_data=y_max, tail_constant_from=tail_from,
@@ -572,14 +582,8 @@ def check_assumptions(profile: MaterialProfile) -> AssumptionReport:
         windows.append(_trapezoid(dev, a, 2 * a, 513))
         a *= 2.0
     windows = np.array(windows)
-    scale = math.hypot(profile.rho_inf, profile.mu_inf)
-    floor = 1e-13 * scale
-    sig = windows > floor
-    integrable = True
-    for j in range(len(windows) - 3):
-        if sig[j + 3] and windows[j + 3] > 0.5 * windows[j]:
-            integrable = False
-            break
+    floor = 1e-13 * math.hypot(profile.rho_inf, profile.mu_inf)
+    integrable = _halves_every_three(windows, floor)
     total = head + float(np.sum(windows))
     if integrable and windows[-1] > floor:
         # geometric tail extrapolation from the last observed ratio

@@ -76,33 +76,41 @@ def layer_profile():
         "y_s": 2.0, "width": 1.0})
 
 
-def rk4_uw(gamma, mu, u0, w0, y0, y1, n=200000):
-    """Fixed-step classical RK4 on the first-order (u, w) system.
+def rk4_uw(gamma, mu, u0, w0, y0, y1, n=200000, renormalize=False):
+    """Fixed-step classical RK4 on the first-order system (u, w).
+
+    u' = w/mu, w' = -gamma*u.
+
+    Returns the trajectory (us, ws), sampled at the n + 1 grid depths
+    from y0 to y1 (y1 < y0 steps backward).  ``gamma`` and ``mu`` are
+    called on arrays, once at the grid depths and once at the interval
+    midpoints.  With ``renormalize``, (u, w) is scaled to unit length
+    after every step; the angle only depends on its direction.
 
     Independent of the package's integrators on purpose: this is the
     dual-formulation oracle for the phase solvers.
     """
+    ys = np.linspace(y0, y1, n + 1)
     h = (y1 - y0) / n
+    hh, h6 = h / 2, h / 6
+    mids = ys[:-1] + hh
+    g, gm = gamma(ys).tolist(), gamma(mids).tolist()
+    m, mm = mu(ys).tolist(), mu(mids).tolist()
     u, w = float(u0), float(w0)
-    y = y0
-
-    def f(yy, uu, ww):
-        return ww / mu(yy), -gamma(yy) * uu
-
-    for _ in range(n):
-        k1u, k1w = f(y, u, w)
-        k2u, k2w = f(y + h / 2, u + h / 2 * k1u, w + h / 2 * k1w)
-        k3u, k3w = f(y + h / 2, u + h / 2 * k2u, w + h / 2 * k2w)
-        k4u, k4w = f(y + h, u + h * k3u, w + h * k3w)
-        u += h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        w += h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        # renormalize to keep the direction in range; the angle only
-        # depends on the direction of (w, u)
-        s = math.hypot(u, w)
-        if s > 1e100 or s < 1e-100:
+    us, ws = [u], [w]
+    for g0, g_mid, g1, m0, m_mid, m1 in zip(g, gm, g[1:], m, mm, m[1:]):
+        k1u, k1w = w / m0, -g0 * u
+        k2u, k2w = (w + hh * k1w) / m_mid, -g_mid * (u + hh * k1u)
+        k3u, k3w = (w + hh * k2w) / m_mid, -g_mid * (u + hh * k2u)
+        k4u, k4w = (w + h * k3w) / m1, -g1 * (u + h * k3u)
+        u += h6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        w += h6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        if renormalize:
+            s = math.hypot(u, w)
             u, w = u / s, w / s
-        y += h
-    return u, w
+        us.append(u)
+        ws.append(w)
+    return np.array(us), np.array(ws)
 
 
 def lift_from_samples(u, w, phi0):

@@ -134,6 +134,24 @@ def test_unknown_tolerance_key_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task, change", [
+    ("modes", {"k": "abc"}),
+    ("branches", {"k_grid": {"start": 1, "stop": 2}}),
+    ("modes", {"k": 1.0, "tolerances": {"max_modes": "x"}}),
+    ("modes", {"k": 1.0, "space": "z"}),
+    ("classify", {"profile": {"name": "exp_density", "params": {}}}),
+    ("modes", {"k": 1.0, "tolerances": {"root_tol": -1}}),
+    ("modes", {"k": 1.0, "tolerances": {"max_modes": 0}}),
+], ids=["k_text", "k_grid_no_num", "max_modes_text", "space_z",
+        "missing_param", "negative_root_tol", "zero_max_modes"])
+def test_malformed_config_is_config_error(tmp_path, capsys, task, change):
+    code, _ = run_cli(tmp_path, base_config(task, **change))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_classify_task(tmp_path):
     cfg = base_config("classify")
     code, out = run_cli(tmp_path, cfg)

@@ -9,7 +9,7 @@ import shwave as sw
 from shwave.decay import (MatchingConfig, decaying_phase, decaying_phase_at_tail,
                           matching_config)
 from shwave.errors import ThresholdError
-from tests.conftest import lift_from_samples, ones, sampled_sweep
+from tests.conftest import lift_from_samples, ones, rk4_uw, sampled_sweep
 
 
 def test_matching_point_negative_everywhere(constant_profile):
@@ -91,29 +91,11 @@ def test_decaying_phase_dual_formulation_oracle(exp_profile):
     cfg = matching_config(exp_profile, A)
     st = decaying_phase(exp_profile, A, cfg)
     # independent backward fixed-step RK4 on (u, w) from the frozen seed
-    gam = lambda y: float(exp_profile.gamma(A, float(y)))
-    n = 400000
-    h = (cfg.y_bar - cfg.y_tail) / n   # negative step
-    u, w = 1.0, -math.sqrt(-gam(cfg.y_tail))
-    us, ws = [u], [w]
-    y = cfg.y_tail
-    for _ in range(n):
-        def f(yy, uu, ww):
-            return ww, -gam(yy) * uu
-
-        k1u, k1w = f(y, u, w)
-        k2u, k2w = f(y + h / 2, u + h / 2 * k1u, w + h / 2 * k1w)
-        k3u, k3w = f(y + h / 2, u + h / 2 * k2u, w + h / 2 * k2w)
-        k4u, k4w = f(y + h, u + h * k3u, w + h * k3w)
-        u += h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        w += h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        s = math.hypot(u, w)
-        u, w = u / s, w / s
-        us.append(u)
-        ws.append(w)
-        y += h
-    seed_phi = math.atan2(1.0, -math.sqrt(-gam(cfg.y_tail)))
-    expected = lift_from_samples(np.array(us), np.array(ws), seed_phi)[-1]
+    gam = lambda y: exp_profile.gamma(A, y)
+    w0 = -math.sqrt(-gam(cfg.y_tail))
+    us, ws = rk4_uw(gam, ones, 1.0, w0, cfg.y_tail, cfg.y_bar, n=400000,
+                    renormalize=True)
+    expected = lift_from_samples(us, ws, math.atan2(1.0, w0))[-1]
     assert abs(st.phi - expected) < 1e-7
 
 

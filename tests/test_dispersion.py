@@ -255,6 +255,38 @@ def test_estimate_against_solver_count(exp_profile):
     assert abs(len(res.modes) - est) <= max(2.0, 0.15 * est)
 
 
+POWER_P3 = sw.from_registry("power_density", {"rho_inf": 1.0, "c": 3.0, "p": 3.0})
+
+
+@pytest.mark.parametrize("profile", [
+    "exp_profile", "layer_profile", "constant_profile", "shallow_profile",
+    *(sw.from_registry("power_density", {"rho_inf": 1.0, "c": 3.0, "p": p})
+      for p in (1.5, 2.0, 2.5, 3.0, 4.0))],
+    ids=["exp", "layer", "constant", "shallow",
+         "p1.5", "p2", "p2.5", "p3", "p4"])
+def test_estimate_infinite_iff_not_convergent(request, profile):
+    if isinstance(profile, str):
+        profile = request.getfixturevalue(profile)
+    convergent = sw.oscillation_test(profile).verdict == "non_oscillatory"
+    assert math.isinf(sw.estimate_mode_count(profile, 4.0)) == (not convergent)
+
+
+@pytest.mark.parametrize("K, n_modes", [(4.0, 2), (16.0, 4)])
+def test_estimate_convergent_power_law(K, n_modes):
+    # rho = 1 + 3 (1+y)^{-3}: the limit-ray phase integral converges, so
+    # the count is finite and follows the phase integral
+    est = sw.estimate_mode_count(POWER_P3, K)
+    found = len(sw.find_modes(POWER_P3, K).modes)
+    assert found == n_modes
+    assert math.isfinite(est) and abs(found - est) <= max(2.0, 0.15 * est)
+
+
+def test_estimate_linear_in_k(exp_profile):
+    per_k = [sw.estimate_mode_count(exp_profile, K) / math.sqrt(K)
+             for K in (1.0, 16.0, 1600.0)]
+    assert max(abs(v - per_k[0]) for v in per_k) <= 1e-13 * per_k[0]
+
+
 def test_oscillation_verdicts(exp_profile, shallow_profile, power_profile):
     assert sw.oscillation_test(power_profile).verdict == "oscillatory"
     assert sw.oscillation_test(exp_profile).verdict == "non_oscillatory"
@@ -376,6 +408,15 @@ def test_refine_round_count(profile, K, monkeypatch):
     res = sw.find_modes(profile, K)
     assert res.modes and all(m.flag is None for m in res.modes)
     assert 1 <= len(rounds) <= 12
+
+
+@pytest.mark.parametrize("bad", [
+    {"max_modes": 0}, {"omega_grid_n": 0}, {"root_tol": -1.0},
+    {"residual_tol": 0.0}, {"tail_stretch": float("nan")},
+    {"root_tol": float("nan")}, {"space": "z"}])
+def test_search_options_validation(bad):
+    with pytest.raises(ValueError):
+        SearchOptions(**bad)
 
 
 def test_invalid_inputs(exp_profile):

@@ -163,6 +163,8 @@ def test_registry_validation():
         sw.from_registry("exp_density", {"drho": -2.0})   # negative surface density
     with pytest.raises(ProfileError):
         sw.from_registry("no_such_profile", {})
+    with pytest.raises(ProfileError, match="drho"):
+        sw.from_registry("exp_density", {})
     with pytest.raises(ProfileError):
         sw.from_registry("smoothed_layer", {"rho_1": 1, "mu_1": 1, "rho_s": 1,
                                             "mu_s": 1, "y_s": 1.0, "width": 2.0})

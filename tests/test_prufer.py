@@ -50,28 +50,9 @@ def test_surface_phase_dual_formulation_oracle(exp_profile):
     A = (1.0, 0.9)
     y_end = 10.0
     st = surface_phase(exp_profile, A, y_end)
-    gam = lambda y: exp_profile.gamma(A, y)
-    n = 400000
-    ys = np.linspace(0.0, y_end, n + 1)
-    us = np.empty(n + 1)
-    ws = np.empty(n + 1)
-    u, w = 1.0, 0.0
-    us[0], ws[0] = u, w
     # independent fixed-step RK4 on (u, w), sampled for the lift
-    h = y_end / n
-    for i in range(n):
-        y = ys[i]
-
-        def f(yy, uu, ww):
-            return ww, -gam(yy) * uu
-
-        k1u, k1w = f(y, u, w)
-        k2u, k2w = f(y + h / 2, u + h / 2 * k1u, w + h / 2 * k1w)
-        k3u, k3w = f(y + h / 2, u + h / 2 * k2u, w + h / 2 * k2w)
-        k4u, k4w = f(y + h, u + h * k3u, w + h * k3w)
-        u += h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        w += h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        us[i + 1], ws[i + 1] = u, w
+    us, ws = rk4_uw(lambda y: exp_profile.gamma(A, y), ones, 1.0, 0.0,
+                    0.0, y_end, n=400000)
     expected = lift_from_samples(us, ws, HALF_PI)[-1]
     assert abs(st.phi - expected) < 1e-7
 
@@ -162,27 +143,8 @@ def test_prufer_agrees_with_uw_system(exp_profile):
     # forward integration of the raw first-order system gives the same
     # lift as the direct phase equation
     A = (1.0, 0.6)
-    gam = lambda y: float(exp_profile.gamma(A, float(y)))
-    n = 200000
-    ys = np.linspace(0.0, 6.0, n + 1)
-    us = np.empty(n + 1)
-    ws = np.empty(n + 1)
-    u, w = 1.0, 0.0
-    us[0], ws[0] = u, w
-    h = 6.0 / n
-    for i in range(n):
-        y = float(ys[i])
-
-        def f(yy, uu, ww):
-            return ww, -gam(yy) * uu
-
-        k1u, k1w = f(y, u, w)
-        k2u, k2w = f(y + h / 2, u + h / 2 * k1u, w + h / 2 * k1w)
-        k3u, k3w = f(y + h / 2, u + h / 2 * k2u, w + h / 2 * k2w)
-        k4u, k4w = f(y + h, u + h * k3u, w + h * k3w)
-        u += h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        w += h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        us[i + 1], ws[i + 1] = u, w
+    us, ws = rk4_uw(lambda y: exp_profile.gamma(A, y), ones, 1.0, 0.0,
+                    0.0, 6.0, n=200000)
     expected = lift_from_samples(us, ws, HALF_PI)[-1]
     st = surface_phase(exp_profile, A, 6.0)
     assert abs(st.phi - expected) < 1e-8
