@@ -55,8 +55,18 @@ from .profile import check_assumptions, classify, from_registry
 from .prufer import IntegratorSettings
 
 SCHEMA = "shwave-run/1"
-_TOLERANCES = (("abs_tol", float, 1e-12), ("max_modes", int, 64),
-               ("omega_grid_n", int, 256), ("rel_tol", float, 1e-10),
+
+
+def _integer(value):
+    """int(value) for a count, refusing a bool or a fractional number."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError("expected an integer count, got %r" % (value,))
+    return int(value)
+
+
+_TOLERANCES = (("abs_tol", float, 1e-12), ("max_modes", _integer, 64),
+               ("omega_grid_n", _integer, 256), ("rel_tol", float, 1e-10),
                ("residual_tol", float, 1e-8), ("root_tol", float, 1e-10))
 _TOLERANCE_KEYS = tuple(key for key, _, _ in _TOLERANCES)
 
@@ -106,7 +116,7 @@ def _k_grid(cfg):
     try:
         if isinstance(grid, dict):
             ks = np.linspace(float(grid["start"]), float(grid["stop"]),
-                             int(grid["num"]))
+                             _integer(grid["num"]))
         else:
             ks = np.asarray([float(k) for k in grid])
     except (KeyError, TypeError, ValueError) as exc:

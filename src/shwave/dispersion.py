@@ -105,8 +105,9 @@ class SearchOptions:
     space: str = "y"                 # "y" or "tau"
 
     def __post_init__(self):
-        if not (self.max_modes >= 1 and self.omega_grid_n >= 1):
-            raise ValueError("max_modes and omega_grid_n must be at least 1")
+        if not (self.max_modes >= 1 and self.omega_grid_n >= 8):
+            raise ValueError("max_modes must be at least 1 and omega_grid_n "
+                             "at least 8")
         if not (self.root_tol > 0 and self.residual_tol > 0
                 and self.tail_stretch > 0):
             raise ValueError("root_tol, residual_tol, tail_stretch must be > 0")
@@ -229,7 +230,7 @@ def _scan(problem, K, lo, hi, opts: SearchOptions) -> _Scan:
 
     cap = hi * (1.0 - NEAR_THRESHOLD_DELTA)
     width = hi - lo
-    n = max(opts.omega_grid_n, 8)
+    n = opts.omega_grid_n
     uniform = lo + width * np.arange(1, n) / n
     head = np.array([lo + width * 1e-6])
     uniform = np.concatenate([head, uniform[uniform < cap]])

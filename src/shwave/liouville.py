@@ -3,16 +3,17 @@
 The substitution maps the wave equation (mu u')' + gamma u = 0 to its
 standard form u_tautau + mu*gamma u = 0, which provides an independent
 coordinate system for cross-checking dispersion results.  The map is
-built once per profile by adaptive quadrature and evaluated through a
-monotone C1 cubic Hermite interpolant.  Its inverse starts from the
-Hermite interpolant of y(tau) on the same knots and takes two Newton
-steps on the forward map over the whole array, so forward/inverse round
-trips are accurate to machine precision.
+built once per profile by adaptive quadrature and stored as per-piece
+power-form cubic tables on the paired knots: the monotone C1 Hermite
+interpolant of tau(y), and that of y(tau) with the same knot slopes.
+The inverse starts from the second table and takes two Newton steps on
+the first, so forward/inverse round trips are accurate to machine
+precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,23 +32,15 @@ def _gl(f, a, b, xs, ws):
     return half * float(np.dot(ws, f(mid + half * xs)))
 
 
-def _hermite(x, xs, fs, ds, tail_slope):
-    """Cubic Hermite through (xs, fs) with slopes ds: (value, slope) at x.
-
-    Past the last knot it continues linearly with ``tail_slope``.
-    """
-    x = np.asarray(x, dtype=float)
-    xc = np.minimum(x, xs[-1])
-    i = np.searchsorted(xs[1:-1], xc)     # interval index, 0..len(xs)-2
-    h = xs[i + 1] - xs[i]
-    t = (xc - xs[i]) / h
-    p0, p1 = fs[i], fs[i + 1]
-    m0, m1 = ds[i] * h, ds[i + 1] * h
-    value = (1 + 2 * t) * (1 - t) ** 2 * p0 + t * (1 - t) ** 2 * m0 \
-        + t * t * (3 - 2 * t) * p1 + t * t * (t - 1) * m1
-    slope = ((6 * t * t - 6 * t) * (p0 - p1) + (3 * t * t - 4 * t + 1) * m0
-             + (3 * t * t - 2 * t) * m1) / h
-    return value + (x - xc) * tail_slope, np.where(x > xs[-1], tail_slope, slope)
+def _cubic_table(xs, fs, ds, tail_slope):
+    """Rows c0..c3 of the Hermite cubic through (xs, fs), slopes ds, in
+    powers of x - xs[i]; the last column is the linear tail."""
+    h = np.diff(xs)
+    secant = np.diff(fs) / h
+    c2 = (3.0 * secant - 2.0 * ds[:-1] - ds[1:]) / h
+    c3 = (ds[:-1] + ds[1:] - 2.0 * secant) / (h * h)
+    return np.array([fs, np.append(ds[:-1], tail_slope),
+                     np.append(c2, 0.0), np.append(c3, 0.0)])
 
 
 @dataclass(frozen=True)
@@ -57,14 +50,23 @@ class TauMap:
     ``knots_y``/``knots_tau`` are the paired subdivision points with
     tau(0) = 0; between knots the map is cubic Hermite with the exact
     slopes 1/mu(y).  Beyond the last knot the extrapolation is linear
-    with ``tail_slope`` = 1/mu_inf.  ``y_of`` inverts it by Newton from
-    a Hermite start, to machine precision.
+    with ``tail_slope`` = 1/mu_inf.  ``tau`` evaluates the power-form
+    table of this cubic by Horner; ``y_of`` inverts it from a start on
+    the y(tau) table (slopes mu) with two Newton steps.
     """
 
     knots_y: np.ndarray
     knots_tau: np.ndarray
     slopes: np.ndarray          # 1/mu at the knots
     tail_slope: float
+    _forward: np.ndarray = field(init=False, repr=False, compare=False)
+    _start: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_forward", _cubic_table(
+            self.knots_y, self.knots_tau, self.slopes, self.tail_slope))
+        object.__setattr__(self, "_start", _cubic_table(
+            self.knots_tau, self.knots_y, 1.0 / self.slopes, 1.0 / self.tail_slope))
 
     @property
     def y_max(self) -> float:
@@ -74,25 +76,31 @@ class TauMap:
         y = np.asarray(y, dtype=float)
         if (y < 0).any():
             raise DomainError("depth must be non-negative")
-        out = _hermite(y, self.knots_y, self.knots_tau, self.slopes,
-                       self.tail_slope)[0]
+        i = np.searchsorted(self.knots_y, y, side="right") - 1
+        s = y - self.knots_y[i]
+        c0, c1, c2, c3 = self._forward.take(i, axis=1)
+        out = c0 + s * (c1 + s * (c2 + s * c3))
         return float(out) if out.ndim == 0 else out
 
     def y_of(self, tau):
         """Inverse map, for a scalar or an array of tau.
 
-        The start is the Hermite interpolant of y(tau) with the exact knot
-        slopes dy/dtau = mu; two Newton steps on ``tau`` polish it.
+        The paired knots give one piece index for both tables.  The
+        start can miss by 1e-4 relative where mu turns sharply inside a
+        piece, so two Newton steps polish the offset s = y - knots_y[i].
         """
         tau = np.asarray(tau, dtype=float)
         if (tau < 0).any():
             raise DomainError("tau must be non-negative")
-        y = _hermite(tau, self.knots_tau, self.knots_y, 1.0 / self.slopes,
-                     1.0 / self.tail_slope)[0]
+        i = np.searchsorted(self.knots_tau, tau, side="right") - 1
+        tau_i, c1, c2, c3 = self._forward.take(i, axis=1)
+        y_i, d1, d2, d3 = self._start.take(i, axis=1)
+        t = tau - tau_i
+        s = t * (d1 + t * (d2 + t * d3))
+        e2, e3 = 2.0 * c2, 3.0 * c3
         for _ in range(2):
-            value, slope = _hermite(y, self.knots_y, self.knots_tau,
-                                    self.slopes, self.tail_slope)
-            y = y - (value - tau) / slope
+            s = s - (s * (c1 + s * (c2 + s * c3)) - t) / (c1 + s * (e2 + s * e3))
+        y = y_i + s
         return float(y) if y.ndim == 0 else y
 
 
@@ -105,8 +113,7 @@ def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap
     map feeds the phase integrator without contributing above its error
     budget.
     """
-    mu0 = profile.mu(0.0)
-    if not mu0 > 0:
+    if not profile.mu(0.0) > 0:
         raise ProfileError("mu must be positive")
     if y_max is None:
         y_max = effective_depth(profile) + 5.0
@@ -118,20 +125,18 @@ def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap
         coarse = _gl(inv_mu, a, b, _GL5_X, _GL5_W)
         fine = _gl(inv_mu, a, b, _GL10_X, _GL10_W)
         quad_ok = abs(fine - coarse) <= 1e-10 * max(abs(fine), 1e-30)
+        mid = 0.5 * (a + b)
         if quad_ok and depth >= 1:
-            # Hermite midpoint check against the directly integrated value,
-            # on the unit interval with the slopes scaled by b - a.
-            mid = 0.5 * (a + b)
+            # Hermite midpoint value, fine/2 + (b - a)(1/mu(a) - 1/mu(b))/8,
+            # against the directly integrated value.
             left = _gl(inv_mu, a, mid, _GL10_X, _GL10_W)
-            interp = _hermite(0.5, np.array([0.0, 1.0]), np.array([0.0, fine]),
-                              np.array([inv_mu(a), inv_mu(b)]) * (b - a), 0.0)[0]
+            interp = 0.5 * fine + 0.125 * (b - a) * (inv_mu(a) - inv_mu(b))
             if abs(interp - left) <= 1e-9:
                 segments.append((a, b, fine))
                 return
         if depth > 40:
             segments.append((a, b, fine))
             return
-        mid = 0.5 * (a + b)
         refine(a, mid, depth + 1)
         refine(mid, b, depth + 1)
 
@@ -146,13 +151,8 @@ def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap
         refine(float(a), float(b))
     segments.sort(key=lambda s: s[0])
 
-    ys = [0.0]
-    taus = [0.0]
-    for a, b, inc in segments:
-        ys.append(b)
-        taus.append(taus[-1] + inc)
-    ys = np.asarray(ys)
-    taus = np.asarray(taus)
+    ys = np.array([0.0] + [b for _, b, _ in segments])
+    taus = np.cumsum([0.0] + [inc for _, _, inc in segments])
     slopes = 1.0 / np.asarray(profile.mu(ys))
     return TauMap(knots_y=ys, knots_tau=taus, slopes=slopes,
                   tail_slope=1.0 / profile.mu_inf)
@@ -181,8 +181,8 @@ class TransformedMedium:
                                  for b in getattr(profile, "breakpoints", ()))
 
     def coef_pair(self, tau):
-        y = self.taumap.y_of(tau)
-        rho, mu = self.base.eval(y)
+        # y_of rejects tau < 0, so the base profile's domain check is skipped
+        rho, mu = self.base.coef_pair(self.taumap.y_of(tau))
         return mu * rho, mu * mu
 
     def stiffness(self, tau):

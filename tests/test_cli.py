@@ -142,8 +142,18 @@ def test_unknown_tolerance_key_rejected(tmp_path, capsys):
     ("classify", {"profile": {"name": "exp_density", "params": {}}}),
     ("modes", {"k": 1.0, "tolerances": {"root_tol": -1}}),
     ("modes", {"k": 1.0, "tolerances": {"max_modes": 0}}),
+    ("modes", {"k": 1.0, "tolerances": {"max_modes": 2.5}}),
+    ("modes", {"k": 1.0, "tolerances": {"max_modes": True}}),
+    ("modes", {"k": 1.0, "tolerances": {"omega_grid_n": True}}),
+    ("modes", {"k": 1.0, "tolerances": {"omega_grid_n": 64.5}}),
+    ("modes", {"k": 1.0, "tolerances": {"omega_grid_n": 7}}),
+    ("branches", {"k_grid": {"start": 1, "stop": 2, "num": 2.5}}),
+    ("branches", {"k_grid": {"start": 1, "stop": 2, "num": True}}),
 ], ids=["k_text", "k_grid_no_num", "max_modes_text", "space_z",
-        "missing_param", "negative_root_tol", "zero_max_modes"])
+        "missing_param", "negative_root_tol", "zero_max_modes",
+        "fractional_max_modes", "bool_max_modes", "bool_omega_grid_n",
+        "fractional_omega_grid_n", "omega_grid_n_7", "fractional_num",
+        "bool_num"])
 def test_malformed_config_is_config_error(tmp_path, capsys, task, change):
     code, _ = run_cli(tmp_path, base_config(task, **change))
     err = capsys.readouterr().err

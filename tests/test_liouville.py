@@ -74,6 +74,65 @@ def test_power_law_map_stays_small(power_profile):
     assert np.max(np.abs(back - ys) / np.maximum(ys, 1e-10)) < 1e-10
 
 
+# a table whose y(tau) start misses by up to 1e-4 inside a piece: one
+# Newton step from it leaves 3.7e-9 relative, two reach the last ulp
+STEEP_TABLE = [
+    [0.0, 4.796002201837628, 0.32217683120884744],
+    [1.1610500675345623, 1.8382173535796051, 2.443908868638456],
+    [3.0011234966716156, 2.6654087193775617, 1.325169940652123],
+    [5.804239547675616, 2.6487443359209175, 2.138131466299065],
+    [7.271425055250762, 0.6979820505456763, 1.504749966827686],
+    [8.327470861291843, 0.9764016484117186, 1.6376868244332188]]
+
+
+def bisect_tau(tm, taus):
+    """Smallest float y with tm.tau(y) >= tau, by bisection on the forward map."""
+    lo = np.zeros_like(taus)
+    hi = tm.y_max + 1.0 + np.maximum(taus - tm.knots_tau[-1], 0.0) / tm.tail_slope
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return hi
+        below = tm.tau(mid) < taus
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+
+
+@pytest.mark.parametrize("name", ["exp", "layer", "table", "power", "mu_power",
+                                  "stiff", "steep"])
+def test_inverse_matches_bisection(name, exp_profile, power_profile):
+    profile = {
+        "exp": exp_profile,
+        "layer": sw.from_registry("smoothed_layer", {
+            "rho_1": 2.0, "mu_1": 0.7, "rho_s": 1.0, "mu_s": 1.0,
+            "y_s": 2.0, "width": 1.0}),
+        "table": sw.from_table([[0, 3, 0.6], [1, 2.5, 0.8], [2, 1.5, 0.9],
+                                [4, 1, 1]]),
+        "power": power_profile,
+        "mu_power": sw.from_callables(rho_one, mu_power, 1.0, 1.0),
+        "stiff": sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0),
+        "steep": sw.from_table(STEEP_TABLE)}[name]
+    tm = sw.build_tau(profile)
+    kt = tm.knots_tau
+    # knots, piece midpoints, 1e-12 either side of each knot, past the last
+    taus = np.concatenate([kt, 0.5 * (kt[:-1] + kt[1:]), kt[1:] - 1e-12,
+                           kt + 1e-12, kt[-1] * np.array([1.5, 4.0]),
+                           kt[-1] + np.array([1.0, 1e3])])
+    ref = bisect_tau(tm, taus)
+    ulp = np.finfo(float).eps * np.maximum(1.0, ref)
+    assert np.max(np.abs(tm.y_of(taus) - ref) / ulp) <= 4.0
+    assert np.array_equal(tm.y_of(kt), tm.knots_y)
+    one = tm.y_of(float(kt[len(kt) // 2]))
+    assert type(one) is float and one == tm.knots_y[len(kt) // 2]
+
+
+def test_transformed_coef_pair_rejects_negative_tau(layer_profile):
+    med = sw.transform(layer_profile)
+    with pytest.raises(DomainError):
+        med.coef_pair(-1e-3)
+    with pytest.raises(DomainError):
+        med.coef_pair(np.array([0.5, -0.1, 2.0]))
+
+
 def test_round_trip():
     p = sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0)
     tm = sw.build_tau(p, y_max=40.0)
