@@ -412,8 +412,7 @@ def test_refine_round_count(profile, K, monkeypatch):
 
 @pytest.mark.parametrize("bad", [
     {"max_modes": 0}, {"omega_grid_n": 0}, {"omega_grid_n": 7},
-    {"root_tol": -1.0},
-    {"residual_tol": 0.0}, {"tail_stretch": float("nan")},
+    {"root_tol": -1.0}, {"residual_tol": 0.0}, {"tail_stretch": float("nan")},
     {"root_tol": float("nan")}, {"space": "z"}])
 def test_search_options_validation(bad):
     with pytest.raises(ValueError):

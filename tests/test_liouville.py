@@ -74,7 +74,7 @@ def test_power_law_map_stays_small(power_profile):
     assert np.max(np.abs(back - ys) / np.maximum(ys, 1e-10)) < 1e-10
 
 
-# a table whose y(tau) start misses by up to 1e-4 inside a piece: one
+# a table whose y(tau) start misses by 1.2e-4 inside a piece: one
 # Newton step from it leaves 3.7e-9 relative, two reach the last ulp
 STEEP_TABLE = [
     [0.0, 4.796002201837628, 0.32217683120884744],
