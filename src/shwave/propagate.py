@@ -29,11 +29,14 @@ A sweep carries a batch of parameter points (K, Omega) of one problem
 and forms gamma = Omega*p - K*q from ``problem.coef_pair``; that and
 ``problem.stiffness`` take an array of depths, and each step attempt
 (the full step and its two halves) calls each of them once, on 10
-depths and on 9.  This is the solver's one phase engine: the frequency
-scans, the refinement, the decaying tail, the public surface and tail
-angles and the mode shapes all run on :func:`sweep_phase`.  The
-Runge-Kutta integration of ``prufer.integrate_phase`` is kept only as
-the independent reference the test suite checks it against.
+depths and on 9.  An attempt is a fixed run of numpy calls on
+(3, members) arrays, one row per step: two matmuls give every Magnus
+term, and one formula serves elliptic and hyperbolic members alike.
+This is the solver's one phase engine: the frequency scans, the
+refinement, the decaying tail, the public surface and tail angles and
+the mode shapes all run on :func:`sweep_phase`.  The Runge-Kutta
+integration of ``prufer.integrate_phase`` is kept only as the
+independent reference the test suite checks it against.
 """
 
 from __future__ import annotations
@@ -45,12 +48,31 @@ import numpy as np
 from .errors import IntegrationError
 
 _SQRT15 = math.sqrt(15.0)
-_NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
-# weights of the quadratic through the three nodes at the step end, from
-# the first node on (reversed, they give the step start)
-_EXT_LO = (0.5 - _SQRT15 / 10.0) / 0.6
-_EXT_MID = -2.0 / 3.0
-_EXT_HI = (0.5 + _SQRT15 / 10.0) / 0.6
+_NODES = (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
+
+
+def _coef_map():
+    """(29, 99) map from the samples [p (10), q (10), 1/s (9 nodes)] to the
+    weights of (Omega, K, 1) in 33 rows: per step, the upper (u) and lower
+    (l) entries over h of a1 = h A2, a2 = (sqrt15/3) h (A3 - A1),
+    a3 = (10/3) h (A3 - 2 A2 + A1), -20 a1 - a3 and a1 + a3/12; then gamma
+    at the step end, its excess over the quadratic through the full
+    step's nodes, and that quadratic at the step start."""
+    a1, a2 = np.array([0.0, 1.0, 0.0]), _SQRT15 / 3.0 * np.array([-1.0, 0.0, 1.0])
+    a3 = 10.0 / 3.0 * np.array([1.0, -2.0, 1.0])
+    forms = np.array([a1, a2, a3, -20.0 * a1 - a3, a1 + a3 / 12.0])
+    steps = np.einsum("fn,sS->fsSn", forms, np.diag([1.0, 0.5, 0.5])).reshape(15, 9)
+    lo, hi = (0.5 - _SQRT15 / 10.0) / 0.6, (0.5 + _SQRT15 / 10.0) / 0.6
+    ends = np.zeros((3, 10))
+    ends[:2, 9] = 1.0
+    ends[1, :3], ends[2, :3] = (-lo, 2.0 / 3.0, -hi), (hi, -2.0 / 3.0, lo)
+    m = np.zeros((29, 33, 3))
+    m[:9, :15, 0], m[10:19, :15, 1], m[20:, 15:30, 2] = -steps.T, steps.T, steps.T
+    m[:10, 30:, 0], m[10:20, 30:, 1] = ends.T, -ends.T
+    return m.reshape(29, 99)
+
+
+_COEF_MAP = _coef_map()
 _PI = math.pi
 _ROT_CAP = 2.9            # target rotation per accepted step, < pi
 _ROT_REJECT = 5.8
@@ -65,13 +87,14 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag, g0):
     """One Magnus attempt of signed length h from depth y, three steps at once.
 
     Each step is the sixth-order three-node Magnus step of Blanes, Casas
-    & Ros (BIT 40, 2000).  The full step and both half steps are stacked
-    as (members, 3) from one ``coef_pair`` call on their 9 Gauss nodes
-    plus the step end, nudged inside the step (10 depths), and one
-    ``stiffness`` call on the nodes.  The full step and half 1 act on
-    (cos phi, sin phi), half 2 on the half-1 state.  ``g0`` is gamma at
-    y (the previous step's end sample), or None where that sample does
-    not hold for this step.
+    & Ros (BIT 40, 2000).  The full step and both half steps are the rows
+    of (3, members) arrays, from one ``coef_pair`` call on their 9 Gauss
+    nodes plus the step end, nudged inside the step (10 depths), and one
+    ``stiffness`` call on the nodes; those samples times ``_COEF_MAP``,
+    times the rows (Omega, K, 1), give every Magnus term at once.  The
+    full step and half 1 act on (cos phi, sin phi), half 2 on the half-1
+    state.  ``g0`` is gamma at y (the previous step's end sample), or
+    None where that sample does not hold for this step.
     Returns (full, half, rot_max, logmag, drift, g_end): the exactly
     re-banded lifts after the full step and after both halves, the
     largest elliptic rotation (the halves summed), the halves' log
@@ -80,85 +103,66 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag, g0):
     and gamma at the step end.
     """
     hh = 0.5 * h
-    hs = np.array([h, hh, hh])
-    starts = np.array([y, y, y + hh])
     # the end sample sits a relative 1e-12 inside the step, so a step
     # that lands on a breakpoint samples its own side of a jump
     y_end = y + h - math.copysign(min(1e-12 * max(1.0, abs(y + h)), abs(hh)), h)
-    ys = np.append(starts[:, None] + hs[:, None] * _NODES, y_end)
+    ys = np.array([y + h * t for t in _NODES] + [y + hh * t for t in _NODES]
+                  + [(y + hh) + hh * t for t in _NODES] + [y_end])
     p, q = coef_pair(ys)
-    g = Omega[:, None] * p - K[:, None] * q
-    b = 1.0 / stiffness(ys[:9])
-    g1, g2, g3 = g[:, 0:9:3], g[:, 1:9:3], g[:, 2:9:3]
-    b1, b2, b3 = b[0::3], b[1::3], b[2::3]
-    # off-diagonals (upper u, lower l) of a1 = h A2,
-    # a2 = (sqrt15/3) h (A3 - A1) and a3 = (10/3) h (A3 - 2 A2 + A1)
-    u1, l1 = -hs * g2, hs * b2
-    u2, l2 = (-_SQRT15 / 3.0) * hs * (g3 - g1), (_SQRT15 / 3.0) * hs * (b3 - b1)
-    u3 = (-10.0 / 3.0) * hs * (g3 - 2.0 * g2 + g1)
-    l3 = (10.0 / 3.0) * hs * (b3 - 2.0 * b2 + b1)
+    w = (np.concatenate((p, q, 1.0 / stiffness(ys[:9]))) @ _COEF_MAP).reshape(33, 3)
+    w[:30] *= h
+    rows = w @ np.array((Omega, K, np.ones(Omega.size)))
+    u1, u2, u3, u_l, u_e, l1, l2, l3, l_l, l_e = rows[:30].reshape(10, 3, -1)
     # exponent a1 + a3/12 + [L, R]/240 with L = -20 a1 - a3 + [a1, a2]
     # and R = a2 - [a1, 2 a3 + [a1, a2]]/60; [a1, a2] is diagonal, so
-    # the exponent is the traceless [[delta, alpha], [beta, -delta]]
+    # the exponent is the traceless X = [[delta, alpha], [beta, -delta]]
     d12 = u1 * l2 - u2 * l1
-    u_l, l_l = -20.0 * u1 - u3, -20.0 * l1 - l3
     d_r = (u3 * l1 - u1 * l3) / 30.0
     u_r, l_r = u2 + u1 * d12 / 30.0, l2 - l1 * d12 / 30.0
     delta = (u_l * l_r - u_r * l_l) / 240.0
-    alpha = u1 + u3 / 12.0 + (d12 * u_r - u_l * d_r) / 120.0
-    beta = l1 + l3 / 12.0 + (l_l * d_r - d12 * l_r) / 120.0
+    alpha = u_e + (d12 * u_r - u_l * d_r) / 120.0
+    beta = l_e + (l_l * d_r - d12 * l_r) / 120.0
 
+    # exp(X) = c + f X with X^2 = disc = +-s^2: c = cos s, f = sin(s)/s
+    # (elliptic), or both scaled by exp(-s): c = (1 + e)/2, f = (1 - e)/2s
+    # with e = exp(-2s) (hyperbolic); the floor on s makes f = 1 at s = 0
     disc = delta * delta + alpha * beta
-    s = np.sqrt(np.abs(disc))
-    hyp = disc > 0.0
-    small = np.abs(disc) < 1e-6
-    s_safe = np.where(s > 1e-30, s, 1.0)
-
-    e2 = np.exp(-2.0 * np.minimum(np.where(hyp, s, 0.0), 350.0))
-    c = np.where(hyp, 0.5 * (1.0 + e2), np.cos(s))
-    f = np.where(hyp, 0.5 * (1.0 - e2) / s_safe, np.sin(s) / s_safe)
-    c = np.where(small, 1.0 + disc * (0.5 + disc / 24.0), c)
-    f = np.where(small, 1.0 + disc * (1.0 / 6.0 + disc / 120.0), f)
-    rot = np.where(hyp | small, 0.0, s)
-
-    m_ww, m_wu, m_uw, m_uu = c + f * delta, f * alpha, f * beta, c - f * delta
-    w0 = np.repeat(np.cos(phi)[:, None], 3, axis=1)
-    u0 = np.repeat(np.sin(phi)[:, None], 3, axis=1)
-    w1 = m_ww * w0 + m_wu * u0
-    u1 = m_uw * w0 + m_uu * u0
-    w0[:, 2], u0[:, 2] = w1[:, 1], u1[:, 1]
-    w1[:, 2] = m_ww[:, 2] * w0[:, 2] + m_wu[:, 2] * u0[:, 2]
-    u1[:, 2] = m_uw[:, 2] * w0[:, 2] + m_uu[:, 2] * u0[:, 2]
-
+    a_disc = np.abs(disc)
+    s = np.maximum(np.sqrt(a_disc), _TINY)
+    grow = s * (disc > 0.0)
+    ang = s - grow
+    gap = -0.5 * np.expm1(-2.0 * grow)
+    c, f = np.cos(ang) - gap, (np.sin(ang) + gap) / s
+    # below |disc| = 1e-6 at most one zero: the endpoint sign rule counts it
+    rot = np.where(a_disc < 1e-6, 0.0, ang)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    v_h = beta[1] * cos_phi - delta[1] * sin_phi
+    w_h = c[1] * cos_phi + f[1] * (delta[1] * cos_phi + alpha[1] * sin_phi)
+    w0, u0 = np.array((cos_phi, cos_phi, w_h)), np.array(
+        (sin_phi, sin_phi, c[1] * sin_phi + f[1] * v_h))
+    v0 = beta * w0 - delta * u0
+    w1, u1 = c * w0 + f * (delta * w0 + alpha * u0), c * u0 + f * v0
     # multiples of pi crossed: zeros of u(t) along the frozen flow.
     # Elliptic: u(t) = R sin(rot*t + chi); hyperbolic/degenerate: at
     # most one zero, from the endpoint sign change.  Every zero moves
     # the band by sign(h).
-    ell = rot > 0.0
-    chi = np.arctan2(u0, (beta * w0 - delta * u0) / np.where(ell, rot, 1.0))
+    chi = np.arctan2(u0 * rot, v0)
     cnt_e = np.floor((chi + rot) / _PI) - np.floor(chi / _PI)
-    flip = ((u0 == 0.0) | (np.sign(u1) != np.sign(u0))) & (u1 != 0.0)
-    inc = math.copysign(1.0, h) * np.where(ell, cnt_e, flip)
-    inc[:, 2] += inc[:, 1]              # half 2 starts in half 1's band
-
-    raw = np.arctan2(u1, w1)
-    lift = (_PI * (np.floor(phi / _PI)[:, None] + inc)
+    flip = (np.sign(u1) != np.sign(u0)) & (u1 != 0.0)
+    inc = np.where(rot > 0.0, cnt_e, flip)
+    inc[2] += inc[1]                    # half 2 starts in half 1's band
+    raw = np.arctan2(u1[::2], w1[::2])
+    lift = (_PI * (np.floor(phi / _PI) + math.copysign(1.0, h) * inc[::2])
             + (raw - _PI * np.floor(raw / _PI)))
-    rot_max = np.max(rot, axis=0, initial=0.0)
-    logmag = None
-    if want_mag:
-        # hyperbolic (c, f) are scaled by exp(-s); the small-disc series
-        # is not.  Half 2 acts on the scaled half-1 state.
-        scale = np.where(hyp & ~small, s, 0.0)
-        logmag = scale[:, 1] + scale[:, 2] + 0.5 * np.log(
-            w1[:, 2] * w1[:, 2] + u1[:, 2] * u1[:, 2])
-    g_ext = _EXT_LO * g1[:, 0] + _EXT_MID * g2[:, 0] + _EXT_HI * g3[:, 0]
-    drift = float(np.max(np.abs(g[:, 9] - g_ext), initial=0.0))
+    r_full, r_h1, r_h2 = rot.max(axis=1, initial=0.0)
+    # half 2 acts on the scaled half-1 state
+    logmag = (grow[1] + grow[2] + 0.5 * np.log(w1[2] * w1[2] + u1[2] * u1[2])
+              if want_mag else None)
+    g_end, g_out, g_back = rows[30:]
+    drift = float(abs(g_out).max(initial=0.0))
     if g0 is not None:
-        g_back = _EXT_HI * g1[:, 0] + _EXT_MID * g2[:, 0] + _EXT_LO * g3[:, 0]
-        drift = max(drift, float(np.max(np.abs(g0 - g_back), initial=0.0)))
-    return (lift[:, 0], lift[:, 2], max(rot_max[0], rot_max[1] + rot_max[2]),
-            logmag, drift, g[:, 9])
+        drift = max(drift, float(abs(g0 - g_back).max(initial=0.0)))
+    return lift[0], lift[1], max(r_full, r_h1 + r_h2), logmag, drift, g_end
 
 
 def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
@@ -233,9 +237,8 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
 
     p, q = problem.coef_pair(y0)
     g_start = Omega * p - K * q
-    w_max = math.sqrt(max(float(np.max(g_start
-                                       * (1.0 / problem.stiffness(y0)))), 0.0)
-                      + _TINY)
+    w_max = math.sqrt(max(float((g_start * (1.0 / problem.stiffness(y0))).max()),
+                          0.0) + _TINY)
     h = min(0.1 * abs(end - y0), 1.0, _ROT_CAP / w_max)
     h = max(h, 1e-12 * abs(end - y0))
     y = float(y0)
@@ -254,11 +257,8 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
             full, half, rot_max, mag, drift, g_end = _frozen_step(
                 problem.coef_pair, problem.stiffness, y, hd, phi, K, Omega,
                 want_log_r, g0)
-            err_norm = float(np.max(np.abs(full - half))) / (63.0 * (atol + rtol))
-            if not math.isfinite(err_norm):
-                h *= 0.5
-                continue
-            if rot_max > _ROT_REJECT:
+            err_norm = float(abs(full - half).max()) / (63.0 * (atol + rtol))
+            if not math.isfinite(err_norm) or rot_max > _ROT_REJECT:
                 h *= 0.5
                 continue
             # endpoint guard: the first and last ~11% of the step are

@@ -82,20 +82,22 @@ def test_sweep_rejects_reads_behind_start(constant_profile):
 
 def test_sweep_one_coef_call_per_attempt(exp_profile, monkeypatch):
     # each step attempt evaluates the coefficients of the whole batch
-    # once, on its 10 depths; one more call picks the initial step
+    # once, on its 10 depths, and the stiffness once, on its 9 Gauss
+    # nodes; one more call of each picks the initial step
     import shwave.propagate as propagate
 
     class Counting:
         breakpoints = ()
 
         def __init__(self):
-            self.sizes = []
+            self.sizes, self.stiffness_sizes = [], []
 
         def coef_pair(self, y):
             self.sizes.append(np.size(y))
             return exp_profile.coef_pair(y)
 
         def stiffness(self, y):
+            self.stiffness_sizes.append(np.size(y))
             return exp_profile.stiffness(y)
 
     attempts = []
@@ -112,6 +114,7 @@ def test_sweep_one_coef_call_per_attempt(exp_profile, monkeypatch):
     assert len(attempts) > 10
     assert len(prof.sizes) == len(attempts) + 1
     assert prof.sizes[1:] == [10] * len(attempts)
+    assert prof.stiffness_sizes == [1] + [9] * len(attempts)
 
 
 def test_sweep_identical_members_swept_once(exp_profile, monkeypatch):
