@@ -30,6 +30,8 @@ Table profiles: ``{"name": "table", "params": {"rows": [[y, rho, mu], ...]}}``
 or ``{"name": "table", "path": "samples.txt"}`` with whitespace-separated
 ``y rho mu`` rows.  A ``tolerances`` key other than the six above is a
 configuration error, as are values that ``SearchOptions`` rejects.
+Counts must be integers, and tolerances and wavenumbers finite
+numbers; a JSON boolean is neither.
 ``workers`` and the ``--workers`` flag are still accepted and must be a
 positive integer, but they have no effect: the branches task refines
 the brackets of its whole k-grid in one batch, in one process.
@@ -65,9 +67,17 @@ def _integer(value):
     return int(value)
 
 
-_TOLERANCES = (("abs_tol", float, 1e-12), ("max_modes", _integer, 64),
-               ("omega_grid_n", _integer, 256), ("rel_tol", float, 1e-10),
-               ("residual_tol", float, 1e-8), ("root_tol", float, 1e-10))
+def _number(value):
+    """float(value) for a tolerance or wavenumber, refusing a bool or a
+    non-finite number."""
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError("expected a finite number, got %r" % (value,))
+    return float(value)
+
+
+_TOLERANCES = (("abs_tol", _number, 1e-12), ("max_modes", _integer, 64),
+               ("omega_grid_n", _integer, 256), ("rel_tol", _number, 1e-10),
+               ("residual_tol", _number, 1e-8), ("root_tol", _number, 1e-10))
 _TOLERANCE_KEYS = tuple(key for key, _, _ in _TOLERANCES)
 
 
@@ -115,10 +125,10 @@ def _k_grid(cfg):
         raise ConfigError("task requires 'k_grid'")
     try:
         if isinstance(grid, dict):
-            ks = np.linspace(float(grid["start"]), float(grid["stop"]),
+            ks = np.linspace(_number(grid["start"]), _number(grid["stop"]),
                              _integer(grid["num"]))
         else:
-            ks = np.asarray([float(k) for k in grid])
+            ks = np.asarray([_number(k) for k in grid])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("k_grid must be a list of numbers or an object "
                           "with numeric start, stop and num: %r" % (exc,))
@@ -131,9 +141,9 @@ def _k_single(cfg):
     if "k" not in cfg:
         raise ConfigError("task requires 'k'")
     try:
-        k = float(cfg["k"])
+        k = _number(cfg["k"])
     except (TypeError, ValueError):
-        raise ConfigError("k must be a number, got %r" % (cfg["k"],))
+        raise ConfigError("k must be a finite number, got %r" % (cfg["k"],))
     if not k > 0:
         raise ConfigError("k must be positive")
     return k
