@@ -108,8 +108,8 @@ def test_frozen_step_matches_explicit_magnus(case, sign):
         if kind == "small":
             assert max(abs(d) for d in disc) < 1e-6
         else:
-            assert all((d > 1e-6) == (kind == "hyperbolic") for d in disc)
-            assert all(abs(d) > 1e-6 for d in disc)
+            assert all(abs(d) > 1e-6 and (d > 0) == (kind == "hyperbolic")
+                       for d in disc)
         assert abs(full[j] - ref_full) <= 1e-11
         assert abs(half[j] - ref_half) <= 1e-11
         assert abs(logmag[j] - ref_mag) <= 1e-11 * max(1.0, abs(ref_mag))
