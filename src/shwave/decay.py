@@ -3,16 +3,17 @@
 When the coefficient limit gamma_inf = Omega*rho_inf - K*mu_inf is
 negative, the equation has a one-dimensional family of solutions
 vanishing at infinity.  Its phase angle is recovered by (i) picking a
-matching depth y_bar behind the last sign change of gamma_A, (ii)
-picking a tail-start depth Y where the coefficient is close to its
-limit - both in :func:`matching_config`, from one outward sampling of
-gamma_A and one grid behind y_bar on which gamma_A must stay negative
-up to Y - and (iii) seeding the angle with the frozen-coefficient
-decaying direction at Y and sweeping it backward to y_bar with the
-propagator of :mod:`shwave.propagate`.  The decay direction is an
-attractor of the backward flow, so the seeding error shrinks
-exponentially; a tail-window doubling re-solve verifies that the
-delivered angle is insensitive to the truncation.
+matching depth y_bar an Airy length behind the last sign change of
+gamma_A, in :func:`matching_depths`, the one rule behind every matching
+depth (the scan's window and the refinement's per-bracket depths),
+(ii) picking a tail-start depth Y where the coefficient is close to its
+limit, in :func:`matching_config`, on one grid behind y_bar on which
+gamma_A must stay negative up to Y, and (iii) seeding the angle with
+the frozen-coefficient decaying direction at Y and sweeping it backward
+to y_bar with the propagator of :mod:`shwave.propagate`.  The decay
+direction is an attractor of the backward flow, so the seeding error
+shrinks exponentially; a tail-window doubling re-solve verifies that
+the delivered angle is insensitive to the truncation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .prufer import DEFAULT_SETTINGS, IntegratorSettings, PhaseState
 from .profile import ParamPoint, _as_param, _gamma, _sign_scan, _trapezoid
 
 NEAR_THRESHOLD_DELTA = 1e-9     # reject Omega above (1 - delta) * cutoff
-DEFAULT_MARGIN = 0.5            # depth margin behind the last sign change
+DEFAULT_MARGIN = 0.5            # largest margin behind the last sign change
 DEFAULT_Y_BAR = 1.0             # matching depth when gamma_A < 0 everywhere
 TAIL_ANGLE_TOL = 1e-8           # doubling-robustness tolerance on phi+(y_bar)
 TAIL_REL_TOL = 1e-8             # |beta(Y)| / |gamma_inf| at the tail start
@@ -38,6 +39,7 @@ TAIL_RESIDUAL_TOL = 1e-8        # remaining integral of |beta| beyond Y
 _CONTRACTION_BUDGET = 14.0      # integral of the decay rate over [y_bar, Y]
 _Y_CAP = 1e8                    # deepest matching depth searched
 _TAIL_ATTEMPTS = 4              # tail windows tried, doubling each time
+_SECTIONS = np.linspace(0.0, 1.0, 129)  # a crossing's cuts per pass
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,63 @@ def _guard_threshold(problem, A):
             % (A.Omega, cutoff))
 
 
+def matching_depths(problem, K: float, omegas):
+    """Matching depth of each member (K, Omega): the one rule for y_bar.
+
+    y_bar = y* + min(DEFAULT_MARGIN, max(0.05, (2.25/sqrt|gamma'(y*)|)^(2/3)))
+    behind the last sign change y* of gamma_A, an Airy length over which
+    the decay integral of sqrt(|gamma'| s) reaches 1.5; DEFAULT_Y_BAR if
+    gamma_A < 0 from the surface.  Windows doubling outward (steps of
+    0.01 up to a width of 64, then 4,096 geometric samples) sample gamma_A
+    until one shows no nonnegative value and |beta| < |gamma_inf|/2 for
+    every member, certifying gamma_A < 0 beyond (beta decays to zero).
+    All y* are then refined together to 1e-6, seven bisections per pass.
+    """
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    ginf = _gamma(problem, K, omegas)[:, None]
+    lo = np.full(omegas.shape, np.nan)      # last nonnegative sample
+    hi = lo.copy()                          # the sample after it
+    a, b = 0.0, 16.0
+    while True:
+        if b > _Y_CAP:
+            raise NoNegativeTailError(
+                "gamma_A keeps returning to >= 0 up to y=%.3g; parameters too "
+                "close to or above the limit ray" % _Y_CAP)
+        ys = np.linspace(a, b, max(int((b - a) / 0.01), 64) + 1) \
+            if b - a <= 64.0 else np.geomspace(max(a, 1e-3), b, 4096)
+        g = _gamma(problem, K, omegas, ys)
+        last, _ = _sign_scan(ys, g)
+        on = last >= 0      # windows move outward: the latest is the deepest
+        lo[on] = ys[last[on]]
+        hi[on] = ys[np.minimum(last[on] + 1, ys.size - 1)]
+        if not np.any(on) and np.all(np.abs(g - ginf) < 0.5 * np.abs(ginf)):
+            break
+        a, b = b, 2.0 * b
+
+    out = np.full(omegas.shape, DEFAULT_Y_BAR)
+    crossed = ~np.isnan(lo)
+    lo, hi, oms = lo[crossed], hi[crossed], omegas[crossed, None]
+    slope = np.zeros(lo.shape)
+    while np.any(hi - lo > 1e-6):
+        w = np.nonzero(hi - lo > 1e-6)[0]
+        ys = lo[w, None] + np.outer(hi[w] - lo[w], _SECTIONS)
+        ys[:, -1] = hi[w]
+        p, q = problem.coef_pair(ys.ravel())
+        g = oms[w] * p.reshape(ys.shape) - K * q.reshape(ys.shape)
+        g[:, 0] = np.abs(g[:, 0])       # lo was found nonnegative
+        last = _SECTIONS.size - 2 - np.argmax(g[:, -2::-1] >= 0, axis=1)
+        r = np.arange(w.size)
+        lo[w], hi[w] = ys[r, last], ys[r, last + 1]
+        slope[w] = np.abs(g[r, last] - g[r, last + 1]) / (hi[w] - lo[w])
+    out[crossed] = hi + np.minimum(DEFAULT_MARGIN, np.maximum(
+        0.05, (2.25 / np.maximum(np.sqrt(slope), 1e-9)) ** (2.0 / 3.0)))
+    return out
+
+
 def matching_config(problem, A) -> MatchingConfig:
     """Matching depth y_bar and tail start Y of a parameter point.
 
-    y_bar: windows doubling outward sample gamma_A until a whole window
-    shows |beta| < |gamma_inf|/2 with no nonnegative values, which
-    certifies gamma_A < 0 from there on (beta decays to zero).  The last
-    sign change is bisected between its two samples and y_bar is put
-    DEFAULT_MARGIN behind it.  If gamma_A is negative from the surface,
-    y_bar is DEFAULT_Y_BAR, so the mismatch is never evaluated on the
-    boundary.
+    y_bar is :func:`matching_depths` of the point.
 
     Y is picked on one grid from y_bar: a step of 0.01 over the first 5
     units, then 0.05 up to y_bar + 64, then geometric up to
@@ -99,39 +148,7 @@ def matching_config(problem, A) -> MatchingConfig:
     if ginf >= 0:
         raise ThresholdError("gamma_inf >= 0: no decaying tail exists")
 
-    def gamma(y):
-        return _gamma(problem, A.K, A.Omega, y)
-
-    crossing = None     # (last nonnegative sample, the sample after it)
-    a, b = 0.0, 16.0
-    while True:
-        if b - a <= 64.0:
-            ys = np.linspace(a, b, max(int((b - a) / 0.01), 64) + 1)
-        else:
-            ys = np.geomspace(max(a, 1e-3), b, 4096)
-        g = gamma(ys)
-        last, _ = _sign_scan(ys, g)
-        if last >= 0:       # windows move outward: the latest is the deepest
-            crossing = ys[last:last + 2]
-        elif np.max(np.abs(g - ginf)) < 0.5 * abs(ginf):
-            break
-        a, b = b, 2.0 * b
-        if b > _Y_CAP:
-            raise NoNegativeTailError(
-                "gamma_A keeps returning to >= 0 up to y=%.3g; parameters too "
-                "close to or above the limit ray" % _Y_CAP)
-
-    if crossing is None:
-        y_bar = DEFAULT_Y_BAR
-    else:
-        lo, hi = float(crossing[0]), float(crossing[1])
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            if gamma(mid) >= 0:
-                lo = mid
-            else:
-                hi = mid
-        y_bar = hi + DEFAULT_MARGIN
+    y_bar = float(matching_depths(problem, A.K, A.Omega)[0])
 
     tail_from = getattr(problem, "tail_constant_from", None)
     y_tail, strict = None, True
@@ -144,11 +161,11 @@ def matching_config(problem, A) -> MatchingConfig:
         np.arange(y_bar + 5.0, min(y_bar + 64.0, y_scan_max), 0.05),
         np.geomspace(max(y_bar + 64.0, 1.0), y_scan_max, 512)
         if y_scan_max > y_bar + 64.0 else []])
-    g = gamma(ys)
+    g = _gamma(problem, A.K, A.Omega, ys)
     bvals = np.abs(g - ginf)
 
     def beta_abs(y):
-        return np.abs(gamma(y) - ginf)
+        return np.abs(_gamma(problem, A.K, A.Omega, y) - ginf)
 
     candidates = np.nonzero(bvals <= TAIL_REL_TOL * abs(ginf))[0] \
         if y_tail is None else []
@@ -238,14 +255,14 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     ``K`` is a scalar or one value per member.  All members share one
     tail window, which must be valid for each of them: a worst-case
     (largest-Omega) window covers the smaller Omega of its K, because
-    gamma decreases pointwise as Omega does.  With
-    ``y_bars`` given, each member's angle is read off at its own depth
-    (the backward sweep covers the hull).  Unless the profile is exactly
-    constant beyond y_tail, a re-solve from a doubled tail window must
-    reproduce the angles read at or above ``cfg.y_bar`` to within 1e-8,
-    else the window is doubled and retried; deeper reads ride along
-    unchecked.  ``check=False`` skips the check for repeat sweeps over a
-    window that already validated.
+    gamma decreases pointwise as Omega does.  Each member's angle is
+    read off at its own depth of ``y_bars`` (default: every member at
+    ``cfg.y_bar``); the backward sweep covers the hull.  Unless the
+    profile is exactly constant beyond y_tail, a re-solve from a doubled
+    tail window must reproduce the angles read at or above ``cfg.y_bar``
+    to within 1e-8, else the window is doubled and retried; deeper reads
+    ride along unchecked.  ``check=False`` skips the check for repeat
+    sweeps over a window that already validated.
 
     Returns (phi, log_r, window): log_r (None unless ``want_log_r``)
     counts from r = 1 at the window's tail start, and repeat sweeps must
@@ -260,19 +277,17 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     # at loose integration tolerances the two sweeps differ by
     # integration error, not truncation, so the bar scales with rel_tol
     tol = max(TAIL_ANGLE_TOL, 100.0 * settings.rel_tol)
-    if y_bars is None:
-        y_target, checked = cfg.y_bar, slice(None)
-    else:
-        y_bars = np.asarray(y_bars, dtype=float)
-        y_target = min(float(np.min(y_bars)), cfg.y_bar)
-        checked = y_bars <= cfg.y_bar
+    y_bars = np.full(omegas.shape, cfg.y_bar) if y_bars is None \
+        else np.asarray(y_bars, dtype=float)
+    y_target = min(float(np.min(y_bars)), cfg.y_bar)
+    checked = y_bars <= cfg.y_bar
 
     def sweep(y_tail, sel, log_r):
         ks, oms = K[sel], omegas[sel]
         return propagate.sweep_phase(
             problem, ks, oms, decaying_phase_at_tail(problem, (ks, oms), y_tail),
             y_tail, y_target, rtol=settings.rel_tol, atol=settings.abs_tol,
-            read_at=None if y_bars is None else y_bars[sel], want_log_r=log_r)
+            read_at=y_bars[sel], want_log_r=log_r)
 
     cfg_cur = cfg
     for _ in range(_TAIL_ATTEMPTS):

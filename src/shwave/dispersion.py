@@ -23,11 +23,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import liouville
-from .decay import (DEFAULT_MARGIN, DEFAULT_Y_BAR, NEAR_THRESHOLD_DELTA,
-                    MatchingConfig, decaying_phase_batch, matching_config)
+from .decay import (NEAR_THRESHOLD_DELTA, MatchingConfig,
+                    decaying_phase_batch, matching_config, matching_depths)
 from .errors import NoNegativeTailError, TailSelectionError
 from .prufer import DEFAULT_SETTINGS, HALF_PI, IntegratorSettings, phase_batch
-from .profile import (MaterialProfile, ProfileClass, _as_param, _gamma,
+from .profile import (MaterialProfile, ProfileClass, _as_param,
                       _halves_every_three, _sign_scan, admissible_interval,
                       classify, interval_is_empty)
 
@@ -134,15 +134,17 @@ def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
     ``K`` is a scalar or one value per member.  All members share the
     tail window of cfg, which must be valid for each of them (a window
     valid for the largest Omega of a K covers its smaller ones).
-    ``y_bars`` optionally assigns each member its own matching depth;
-    both sweeps then read each member off at its own depth, and the
-    forward sweep ends at the deepest of them.  The returned cfg
-    carries the tail window the decaying sweep accepted.
+    ``y_bars`` gives each member its own matching depth (default
+    ``cfg.y_bar``); both sweeps read each member off there, and the
+    forward sweep ends at the deepest.  The returned cfg carries the
+    tail window the decaying sweep accepted.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    y_end = cfg.y_bar if y_bars is None else float(np.max(y_bars))
+    y_bars = np.full(omegas.shape, cfg.y_bar) if y_bars is None \
+        else np.asarray(y_bars, dtype=float)
     phi0 = phase_batch(problem, K, omegas, np.full(omegas.shape, HALF_PI),
-                       0.0, y_end, settings=settings, read_at=y_bars)
+                       0.0, float(np.max(y_bars)), settings=settings,
+                       read_at=y_bars)
     phi_plus, _, cfg = decaying_phase_batch(problem, K, omegas, cfg,
                                             settings=settings, y_bars=y_bars,
                                             check=tail_check)
@@ -210,7 +212,7 @@ def find_modes(profile: MaterialProfile, K: float,
 class _Scan(NamedTuple):
     """What the scan of one K hands to the refinement."""
 
-    brackets: list                  # (a, b, n, Phi(a), Phi(b)) per root
+    brackets: list                  # (a, b, n) per root: Phi crosses n*pi
     noisy: list                     # per bracket: Phi fell across it
     cfg: Optional[MatchingConfig]   # window of the last chunk with brackets
     truncated: bool
@@ -299,8 +301,7 @@ def _scan(problem, K, lo, hi, opts: SearchOptions) -> _Scan:
             n_lo = math.floor(fa / math.pi) + 1
             n_hi = math.floor(fb / math.pi)
             for nn in range(max(n_lo, 0), n_hi + 1):
-                new.append((float(omegas[i]), float(omegas[i + 1]), nn,
-                            float(fa), float(fb)))
+                new.append((float(omegas[i]), float(omegas[i + 1]), nn))
                 noisy.append(pair_noisy)
         prev_omega = float(omegas[-1])
         prev_phi = float(phis[-1])
@@ -362,17 +363,17 @@ def _search(profile: MaterialProfile, Ks, opts: SearchOptions,
         by_K.setdefault(md.K, []).append(md)
     for res, sc in zip(results, scans):
         if sc is not None:
-            res.modes, res.truncated = _dedupe(by_K.get(res.K, []),
-                                               opts.max_modes, sc.truncated)
+            res.modes = _dedupe(by_K.get(res.K, []))
+            res.truncated = sc.truncated
             res.scan_ceiling = sc.scan_ceiling
     return results
 
 
-def _dedupe(modes, max_modes: int, truncated: bool):
-    """(modes sorted by Omega with one per index, truncated).
+def _dedupe(modes):
+    """The modes sorted by Omega, one per index.
 
     Two roots with one index mean a band slip: the smaller residual is
-    kept and flagged.
+    kept and flagged.  The scan caps the brackets of one K at max_modes.
     """
     by_m: dict[int, Mode] = {}
     duplicated = set()
@@ -382,50 +383,19 @@ def _dedupe(modes, max_modes: int, truncated: bool):
             duplicated.add(md.m)
         if cur is None or md.residual < cur.residual:
             by_m[md.m] = md
-    out = sorted((replace(md, flag=_add_flag(md.flag, "duplicate mode index"))
-                  if md.m in duplicated else md for md in by_m.values()),
-                 key=lambda md: md.Omega)
-    if len(out) > max_modes:
-        out = out[:max_modes]
-        truncated = True
-    return out, truncated
+    return sorted((replace(md, flag=_add_flag(md.flag, "duplicate mode index"))
+                   if md.m in duplicated else md for md in by_m.values()),
+                  key=lambda md: md.Omega)
 
 
 def _polish_depths(problem, K, omega_tops, cfg: MatchingConfig):
-    """Per-bracket matching depths, kept close to each turning point.
+    """:func:`matching_depths` of each bracket top, capped at ``cfg.y_bar``.
 
-    The mismatch step between modes sharpens like exp(-2 * integral of
-    the decay rate over [turning point, y_bar]); the deep worst-case
-    depth of the scan makes low modes at large K exponentially
-    ill-conditioned in the residual.  Each bracket therefore matches
-    just behind its own last sign change of gamma, with the margin
-    shrunk so the contraction integral over it stays O(1).  All
-    brackets are resolved on one shared grid; any bracket whose shallow
-    depth cannot be verified negative falls back to the scan depth.
+    The scan's window depth serves the chunk's top frequency; below it
+    the mismatch can be a steep step in Omega, so each bracket matches
+    behind its own top's turning point instead.
     """
-    omega_tops = np.asarray(omega_tops, dtype=float)
-    hi = cfg.y_bar + 1.0
-    ys = np.concatenate([np.linspace(0.0, min(8.0, hi), 2048, endpoint=False),
-                         np.linspace(min(8.0, hi), hi, 2048)]) \
-        if hi > 8.0 else np.linspace(0.0, hi, 4096)
-    G = _gamma(problem, K, omega_tops, ys)
-    last, _ = _sign_scan(ys, G)
-
-    out = np.full(omega_tops.shape, min(DEFAULT_Y_BAR, cfg.y_bar))
-    for j in np.nonzero(last >= 0)[0]:
-        i = last[j]
-        y_star = ys[i]
-        i2 = min(i + 16, ys.size - 1)
-        slope = abs(G[j, i2] - G[j, i]) / max(ys[i2] - ys[i], 1e-9)
-        margin = min(DEFAULT_MARGIN,
-                     max(0.05, (2.25 / max(math.sqrt(slope), 1e-9)) ** (2.0 / 3.0)))
-        y_bar = y_star + margin
-        # gamma < 0 on the grid past y_star, so only a y_bar beyond the
-        # grid is unverified
-        if y_bar > ys[-1]:
-            y_bar = min(y_star + DEFAULT_MARGIN, cfg.y_bar)
-        out[j] = min(y_bar, cfg.y_bar)
-    return out
+    return np.minimum(matching_depths(problem, K, omega_tops), cfg.y_bar)
 
 
 def _add_flag(flag: Optional[str], note: str) -> str:
@@ -513,7 +483,7 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
     best = (np.abs(ends[1, 1]) < np.abs(ends[0, 1])).astype(int)
     omega, g, phi0, phip = ends[best, :, all_idx].T
     out = []
-    for j, (_, _, nn, _, _) in enumerate(brackets):
+    for j, (_, _, nn) in enumerate(brackets):
         resid = abs(float(g[j]))
         flag = None
         if resid > opts.residual_tol:

@@ -325,6 +325,26 @@ def test_breakpoint_profiles_unflagged(profile, K, n_modes):
     assert rel < 1e-8
 
 
+@pytest.mark.parametrize("profile, K, space", [
+    ("exp_profile", 16.0, "y"), ("layer_profile", 25.0, "y"),
+    ("exp_profile", 1.0, "tau")], ids=["exp", "layer", "tau_exp"])
+def test_one_matching_depth_rule(request, profile, K, space):
+    # a bracket is refined at the depth matching_config gives its top,
+    # capped at the scan window's, and gamma_A < 0 from there on
+    profile = request.getfixturevalue(profile)
+    problem = dispersion._problem_for(profile, space)
+    lo, hi = sw.admissible_interval(profile, K)
+    sc = dispersion._scan(problem, K, lo, hi, SearchOptions(space=space))
+    tops = [b[1] for b in sc.brackets]
+    assert tops
+    depths = dispersion._polish_depths(problem, K, tops, sc.cfg)
+    for top, y_bar in zip(tops, depths):
+        own = matching_config(problem, (K, top)).y_bar
+        assert abs(y_bar - min(own, sc.cfg.y_bar)) <= 1e-6
+        p, q = problem.coef_pair(np.linspace(y_bar, sc.cfg.y_tail, 20001))
+        assert np.all(top * p - K * q < 0)
+
+
 def test_scan_tail_limit_prefix(monkeypatch):
     # rho = 1 + 3 (1+y)^{-3}: no tail start is reachable for the top of
     # the geometric chunk, so the scan stops at its feasible prefix
