@@ -29,7 +29,8 @@ Config schema ("schema": "shwave-run/1")::
 Table profiles: ``{"name": "table", "params": {"rows": [[y, rho, mu], ...]}}``
 or ``{"name": "table", "path": "samples.txt"}`` with whitespace-separated
 ``y rho mu`` rows.  A ``tolerances`` key other than the six above is a
-configuration error, as are values that ``SearchOptions`` rejects.
+configuration error, as are values that ``SearchOptions`` rejects; a
+key left out keeps the ``SearchOptions`` default.
 Counts must be integers, and tolerances and wavenumbers finite
 numbers; a JSON boolean is neither.
 ``workers`` and the ``--workers`` flag are still accepted and must be a
@@ -75,10 +76,9 @@ def _number(value):
     return float(value)
 
 
-_TOLERANCES = (("abs_tol", _number, 1e-12), ("max_modes", _integer, 64),
-               ("omega_grid_n", _integer, 256), ("rel_tol", _number, 1e-10),
-               ("residual_tol", _number, 1e-8), ("root_tol", _number, 1e-10))
-_TOLERANCE_KEYS = tuple(key for key, _, _ in _TOLERANCES)
+_TOLERANCES = {"abs_tol": _number, "max_modes": _integer,
+               "omega_grid_n": _integer, "rel_tol": _number,
+               "residual_tol": _number, "root_tol": _number}
 
 
 class ConfigError(ValueError):
@@ -151,15 +151,15 @@ def _k_single(cfg):
 
 def _options(cfg) -> SearchOptions:
     tol = dict(cfg.get("tolerances") or {})
-    unknown = sorted(set(tol) - set(_TOLERANCE_KEYS))
+    unknown = sorted(set(tol) - set(_TOLERANCES))
     if unknown:
         raise ConfigError("unknown tolerances key(s) %s; accepted: %s"
-                          % (", ".join(unknown), ", ".join(_TOLERANCE_KEYS)))
+                          % (", ".join(unknown), ", ".join(_TOLERANCES)))
     try:
-        values = {key: kind(tol.get(key, default))
-                  for key, kind, default in _TOLERANCES}
-        settings = IntegratorSettings(rel_tol=values.pop("rel_tol"),
-                                      abs_tol=values.pop("abs_tol"))
+        values = {key: _TOLERANCES[key](value) for key, value in tol.items()}
+        settings = IntegratorSettings(**{key: values.pop(key)
+                                         for key in ("abs_tol", "rel_tol")
+                                         if key in values})
         return SearchOptions(settings=settings,
                              space=str(cfg.get("space", "y")), **values)
     except (TypeError, ValueError) as exc:

@@ -17,6 +17,7 @@ integer n at the root indexes the mode: the matched tail angle lies in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -26,7 +27,8 @@ from . import liouville
 from .decay import (NEAR_THRESHOLD_DELTA, MatchingConfig,
                     decaying_phase_batch, matching_config, matching_depths)
 from .errors import NoNegativeTailError, TailSelectionError
-from .prufer import DEFAULT_SETTINGS, HALF_PI, IntegratorSettings, phase_batch
+from .prufer import (DEFAULT_SETTINGS, HALF_PI, IntegratorSettings,
+                     _check_positive, phase_batch)
 from .profile import (MaterialProfile, ProfileClass, _as_param,
                       _halves_every_three, _sign_scan, admissible_interval,
                       classify, interval_is_empty)
@@ -105,12 +107,13 @@ class SearchOptions:
     space: str = "y"                 # "y" or "tau"
 
     def __post_init__(self):
-        if not (self.max_modes >= 1 and self.omega_grid_n >= 8):
-            raise ValueError("max_modes must be at least 1 and omega_grid_n "
-                             "at least 8")
-        if not (self.root_tol > 0 and self.residual_tol > 0
-                and self.tail_stretch > 0):
-            raise ValueError("root_tol, residual_tol, tail_stretch must be > 0")
+        for name, least in (("max_modes", 1), ("omega_grid_n", 8)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError("%s must be an integer of at least %d, got %r"
+                                 % (name, least, value))
+        _check_positive(self, "root_tol", "residual_tol", "tail_stretch")
         if self.space not in ("y", "tau"):
             raise ValueError("space must be 'y' or 'tau'")
 

@@ -32,6 +32,8 @@ from .profile import MaterialProfile
 
 _SERIES_CUTOFF = 20.0
 _ASYMPTOTIC_TOL = 1e-8      # largest accepted truncation error of the Hankel sum
+_CUTOFF_GUARD = 1e-9        # relative band below the cutoff left unscanned
+_SCAN_N = 4000              # uniform samples of the Bessel root scan
 # First positive zero of J'_1 (Newton-polished against the series here;
 # agrees with standard tables).
 _JP1_ZERO = 1.8411837813406593
@@ -178,9 +180,7 @@ class OracleResult:
     note: str = ""
 
 
-def bessel_mode_frequencies(q: float, d: float, K: float,
-                            guard: float = 1e-9,
-                            scan_n: int = 4000) -> OracleResult:
+def bessel_mode_frequencies(q: float, d: float, K: float) -> OracleResult:
     """Roots of J'_nu(2 d sqrt(Omega q)) = 0 with nu = 2 d sqrt(K - Omega).
 
     This is the exact trapped-mode condition for mu = 1,
@@ -205,11 +205,11 @@ def bessel_mode_frequencies(q: float, d: float, K: float,
         return bessel_j_prime(nu, x0)
 
     left = lo * (1.0 + 1e-9)
-    right = hi * (1.0 - guard)
-    base = np.linspace(left, right, scan_n)
+    right = hi * (1.0 - _CUTOFF_GUARD)
+    base = np.linspace(left, right, _SCAN_N)
     extra = hi - (hi - base[-2]) * 0.5 ** np.arange(1, 24)
     grid = np.unique(np.concatenate([base, extra[extra < right]]))
-    discretization = {"q": q, "d": d, "K": K, "scan_n": scan_n,
+    discretization = {"q": q, "d": d, "K": K, "scan_n": _SCAN_N,
                       "interval": (lo, hi)}
     try:
         vals = np.array([f(om) for om in grid])
@@ -311,8 +311,8 @@ def _fd_eigs(profile: MaterialProfile, K: float, L: float, n: int,
 
 
 def fd_mode_frequencies(profile: MaterialProfile, K: float,
-                        L: Optional[float] = None, n: Optional[int] = None,
-                        guard: float = 1e-9) -> OracleResult:
+                        L: Optional[float] = None,
+                        n: Optional[int] = None) -> OracleResult:
     """Trapped-mode frequencies from the finite-difference discretization.
 
     Runs the scheme at (L, n) and (L, 2n) and Richardson-extrapolates
@@ -325,7 +325,7 @@ def fd_mode_frequencies(profile: MaterialProfile, K: float,
     """
     if K <= 0:
         raise ProfileError("K must be positive")
-    cutoff = K * profile.mu_inf / profile.rho_inf * (1.0 - guard)
+    cutoff = K * profile.mu_inf / profile.rho_inf * (1.0 - _CUTOFF_GUARD)
     if L is None:
         L = 60.0
     if n is None:

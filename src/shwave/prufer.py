@@ -18,6 +18,7 @@ inside floating-point range.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,8 +39,17 @@ class IntegratorSettings:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("integrator tolerances must be positive")
+        _check_positive(self, "rel_tol", "abs_tol")
+
+
+def _check_positive(options, *names):
+    """ValueError unless each named field is a finite number > 0 (no bool)."""
+    for name in names:
+        value = getattr(options, name)
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                           and 0 < value < math.inf):
+            raise ValueError("%s must be a finite number > 0, got %r"
+                             % (name, value))
 
 
 DEFAULT_SETTINGS = IntegratorSettings()

@@ -10,9 +10,15 @@ still hold the parameters they were written for.
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import shwave
+from shwave import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 # (module, attribute or Class.method, position read by a hook, parameter)
 _HOOK_ARGS = (
@@ -49,3 +55,27 @@ def test_hook_argument_positions():
             "%s.%s: position %d is %r, the hook reads %r" % (
                 mod_name, attr, pos, params[pos] if len(params) > pos else None,
                 name)
+
+
+def test_branches_cli_config_accepted(tmp_path, monkeypatch):
+    # the branches-cli workload runs the CLI on a config it writes itself;
+    # the CLI must accept it and give the loosened options it relies on
+    monkeypatch.syspath_prepend(str(PERFBENCH))     # for its own imports
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is made
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    (op,) = workloads.branches_cli(shwave, 1, tmp_path).ops
+    state = {}
+    op.setup(state)
+    config = json.loads((state["cli_dir"] / "run.json").read_text())
+    op.teardown(state)
+    cli._check_workers(config["workers"])
+    opts = cli._options(config)
+    assert config["workers"] == 1 and opts.space == "y"
+    got = {"omega_grid_n": opts.omega_grid_n, "root_tol": opts.root_tol,
+           "residual_tol": opts.residual_tol,
+           "rel_tol": opts.settings.rel_tol, "abs_tol": opts.settings.abs_tol}
+    assert got == workloads.LOOSE

@@ -433,10 +433,21 @@ def test_refine_round_count(profile, K, monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"max_modes": 0}, {"omega_grid_n": 0}, {"omega_grid_n": 7},
     {"root_tol": -1.0}, {"residual_tol": 0.0}, {"tail_stretch": float("nan")},
-    {"root_tol": float("nan")}, {"space": "z"}])
+    {"root_tol": float("nan")}, {"space": "z"},
+    {"max_modes": 2.5}, {"max_modes": True}, {"omega_grid_n": 8.5},
+    {"root_tol": math.inf}, {"residual_tol": True},
+    {"tail_stretch": math.inf}])
 def test_search_options_validation(bad):
     with pytest.raises(ValueError):
         SearchOptions(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"rel_tol": 0.0}, {"abs_tol": -1e-12}, {"rel_tol": True},
+    {"abs_tol": True}, {"rel_tol": math.inf}, {"abs_tol": float("nan")}])
+def test_integrator_settings_validation(bad):
+    with pytest.raises(ValueError):
+        IntegratorSettings(**bad)
 
 
 def test_invalid_inputs(exp_profile):
