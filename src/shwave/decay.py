@@ -28,7 +28,7 @@ from . import propagate
 from .errors import (NoNegativeTailError, TailConvergenceError,
                      TailSelectionError, ThresholdError)
 from .prufer import DEFAULT_SETTINGS, IntegratorSettings, PhaseState
-from .profile import ParamPoint, _as_param, _gamma, _sign_scan, _trapezoid
+from .profile import ParamPoint, _as_param, _gamma, _trapezoid
 
 NEAR_THRESHOLD_DELTA = 1e-9     # reject Omega above (1 - delta) * cutoff
 DEFAULT_MARGIN = 0.5            # largest margin behind the last sign change
@@ -95,8 +95,9 @@ def matching_depths(problem, K: float, omegas):
         ys = np.linspace(a, b, max(int((b - a) / 0.01), 64) + 1) \
             if b - a <= 64.0 else np.geomspace(max(a, 1e-3), b, 4096)
         g = _gamma(problem, K, omegas, ys)
-        last, _ = _sign_scan(ys, g)
-        on = last >= 0      # windows move outward: the latest is the deepest
+        nonneg = g >= 0     # windows move outward: the latest is the deepest
+        on = nonneg.any(axis=1)
+        last = ys.size - 1 - np.argmax(nonneg[:, ::-1], axis=1)
         lo[on] = ys[last[on]]
         hi[on] = ys[np.minimum(last[on] + 1, ys.size - 1)]
         if not np.any(on) and np.all(np.abs(g - ginf) < 0.5 * np.abs(ginf)):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import NoNegativeTailError, TailSelectionError
 from .prufer import (DEFAULT_SETTINGS, HALF_PI, IntegratorSettings,
                      _check_positive, phase_batch)
 from .profile import (MaterialProfile, ProfileClass, _as_param,
-                      _halves_every_three, _sign_scan, admissible_interval,
+                      _halves_every_three, admissible_interval,
                       classify, interval_is_empty)
 
 _REASON_GLOBAL_NEGATIVE = ("nonexistence: globally negative monotonicity "
@@ -114,6 +114,9 @@ class SearchOptions:
                 raise ValueError("%s must be an integer of at least %d, got %r"
                                  % (name, least, value))
         _check_positive(self, "root_tol", "residual_tol", "tail_stretch")
+        if not isinstance(self.settings, IntegratorSettings):
+            raise ValueError("settings must be an IntegratorSettings, got %r"
+                             % (self.settings,))
         if self.space not in ("y", "tau"):
             raise ValueError("space must be 'y' or 'tau'")
 
@@ -212,159 +215,168 @@ def find_modes(profile: MaterialProfile, K: float,
     return _search(profile, [K], opts, classification or classify(profile))[0]
 
 
-class _Scan(NamedTuple):
-    """What the scan of one K hands to the refinement."""
+@dataclass
+class _Scan:
+    """The scan of one K: its progress and what it hands to the refinement."""
 
-    brackets: list                  # (a, b, n) per root: Phi crosses n*pi
-    noisy: list                     # per bracket: Phi fell across it
-    cfg: Optional[MatchingConfig]   # window of the last chunk with brackets
-    truncated: bool
-    scan_ceiling: Optional[float]
+    K: float
+    chunks: list                # Omega grids: uniform, then geometric
+    brackets: list = field(default_factory=list)  # (a, b, n): Phi crosses n*pi
+    noisy: list = field(default_factory=list)      # per bracket: Phi fell
+    cfg: Optional[MatchingConfig] = None    # window of the last bracket chunk
+    truncated: bool = False
+    scan_ceiling: Optional[float] = None
+    grown: Optional[MatchingConfig] = None  # window grown to the chunk's top
+    last: tuple = ()            # (Omega, Phi) of the last point swept, if any
+    at_limit: bool = False      # the tail became unreachable in a chunk
 
 
-def _scan(problem, K, lo, hi, opts: SearchOptions) -> _Scan:
-    """Bracket every crossing of Phi through a multiple of pi at one K.
+def _chunks(lo, hi, n):
+    """The scan's chunks on (lo, hi): a uniform grid of n points, then
+    points that halve the gap to the cutoff hi."""
+    cap = hi * (1.0 - NEAR_THRESHOLD_DELTA)
+    uniform = lo + (hi - lo) * np.arange(1, n) / n
+    uniform = np.concatenate([[lo + (hi - lo) * 1e-6], uniform[uniform < cap]])
+    geo = []
+    g = (hi - uniform[-1]) * 0.5
+    while hi - g > uniform[-1] and g / hi > NEAR_THRESHOLD_DELTA:
+        geo.append(hi - g)
+        g *= 0.5
+    return [uniform, np.asarray(geo)] if geo else [uniform]
 
-    Chunks (the uniform grid, then the geometric one) are swept in one
-    batch each at loosened settings, in a matching window grown to the
-    top of the chunk, until ``max_modes`` brackets are found.
+
+def _grow_window(problem, sc: _Scan, chunk, tail_stretch):
+    """Grow the window of ``sc`` to the top of ``chunk``; the chunk part
+    it covers, or None if it covers none.
+
+    Approaching the cutoff the decay length diverges; when no reachable
+    tail-start depth exists for the top of the chunk, the feasible prefix
+    is scanned and the scan of this K stops there (modes can hide past
+    that point only in the oscillatory-accumulation regime, whose deeper
+    matching windows keep the tail reachable).
+    """
+    for j in range(len(chunk) - 1, -1, -1):
+        try:
+            sc.grown = _grow_cfg(problem, sc.K, float(chunk[j]), sc.grown,
+                                 tail_stretch)
+        except (TailSelectionError, NoNegativeTailError):
+            if j == 0 and sc.grown is None:
+                raise
+            continue
+        sc.at_limit = j < len(chunk) - 1
+        return chunk[: j + 1]
+    return None
+
+
+def _scan(problem, jobs, opts: SearchOptions) -> list:
+    """One _Scan per (K, lo, hi) of ``jobs``: every crossing of Phi
+    through a multiple of pi on (lo, hi), bracketed.
+
+    The chunks of every K (see _chunks) are walked by index, and chunk i
+    of every K still scanning is swept in one batch at loosened
+    settings.  Each K's window is grown to the top of its own chunk and
+    its members are read off at that window's depth; the tail window is
+    the hull of those windows.  A K stops once it holds ``max_modes``
+    brackets or its tail became unreachable.
     """
     settings = opts.settings
     scan_settings = IntegratorSettings(
         rel_tol=max(settings.rel_tol, 1e-8), abs_tol=max(settings.abs_tol, 1e-10))
-
-    cap = hi * (1.0 - NEAR_THRESHOLD_DELTA)
-    width = hi - lo
-    n = opts.omega_grid_n
-    uniform = lo + width * np.arange(1, n) / n
-    head = np.array([lo + width * 1e-6])
-    uniform = np.concatenate([head, uniform[uniform < cap]])
-
-    gap0 = hi - uniform[-1]
-    geo = []
-    g = gap0 * 0.5
-    while hi - g > uniform[-1] and g / hi > NEAR_THRESHOLD_DELTA:
-        geo.append(hi - g)
-        g *= 0.5
-    chunks = [uniform]
-    if geo:
-        chunks.append(np.asarray(geo))
-
-    brackets: list = []
-    noisy_flags: list = []
-    cfg_cache: Optional[MatchingConfig] = None
-    cfg = None
-    prev_omega = None
-    prev_phi = None
-    truncated = False
-    scan_ceiling = None
-    hit_tail_limit = False
-
-    for chunk in chunks:
-        if len(brackets) >= opts.max_modes or hit_tail_limit:
-            truncated = truncated or len(brackets) >= opts.max_modes
+    scans = [_Scan(K, _chunks(lo, hi, opts.omega_grid_n)) for K, lo, hi in jobs]
+    for i in range(2):          # the uniform chunk, then the geometric one
+        batch = []
+        for sc in scans:
+            if i >= len(sc.chunks):
+                continue
+            full = len(sc.brackets) >= opts.max_modes
+            if full or sc.at_limit:
+                sc.truncated = sc.truncated or full
+                continue
+            chunk = _grow_window(problem, sc, sc.chunks[i], opts.tail_stretch)
+            if chunk is not None:
+                batch.append((sc, chunk))
+        if not batch:
             break
-        # approaching the cutoff the decay length diverges; when no
-        # reachable tail-start depth exists for the top of the chunk,
-        # scan the feasible prefix and stop there (modes can hide past
-        # that point only in the oscillatory-accumulation regime, whose
-        # deeper matching windows keep the tail reachable)
-        try:
-            cfg_cache = _grow_cfg(problem, K, float(chunk[-1]), cfg_cache,
-                                  opts.tail_stretch)
-        except (TailSelectionError, NoNegativeTailError):
-            feasible = None
-            for j in range(len(chunk) - 2, -1, -1):
-                try:
-                    cfg_cache = _grow_cfg(problem, K, float(chunk[j]),
-                                          cfg_cache, opts.tail_stretch)
-                    feasible = j
-                    break
-                except (TailSelectionError, NoNegativeTailError):
-                    continue
-            if feasible is None:
-                if cfg_cache is None:
-                    raise
-                break
-            chunk = chunk[: feasible + 1]
-            hit_tail_limit = True
-        scan_ceiling = float(chunk[-1])
-        phi_chunk = _mismatch_batch(problem, K, chunk, cfg_cache,
-                                    scan_settings)[0]
-        omegas = chunk
-        phis = phi_chunk
-        if prev_omega is not None:
-            omegas = np.concatenate([[prev_omega], omegas])
-            phis = np.concatenate([[prev_phi], phis])
-        new = []
-        noisy = []
-        for i in range(len(omegas) - 1):
-            fa, fb = phis[i], phis[i + 1]
-            pair_noisy = bool(fb < fa - 1e-6)
-            n_lo = math.floor(fa / math.pi) + 1
-            n_hi = math.floor(fb / math.pi)
-            for nn in range(max(n_lo, 0), n_hi + 1):
-                new.append((float(omegas[i]), float(omegas[i + 1]), nn))
-                noisy.append(pair_noisy)
-        prev_omega = float(omegas[-1])
-        prev_phi = float(phis[-1])
-        room = opts.max_modes - len(brackets)
-        if len(new) > room:
-            truncated = True
-            new = new[:room]
-            noisy = noisy[:room]
-        if new:
-            brackets.extend(new)
-            noisy_flags.extend(noisy)
-            cfg = cfg_cache
-    return _Scan(brackets, noisy_flags, cfg, truncated, scan_ceiling)
+        sizes = [len(c) for _, c in batch]
+        phi = _mismatch_batch(
+            problem, np.repeat([sc.K for sc, _ in batch], sizes),
+            np.concatenate([c for _, c in batch]),
+            _hull([sc.grown for sc, _ in batch]), scan_settings,
+            y_bars=np.repeat([sc.grown.y_bar for sc, _ in batch], sizes))[0]
+        for (sc, omegas), phis in zip(batch,
+                                      np.split(phi, np.cumsum(sizes)[:-1])):
+            sc.scan_ceiling = float(omegas[-1])
+            omegas = np.concatenate([sc.last[:1], omegas])
+            phis = np.concatenate([sc.last[1:], phis])
+            new = []
+            noisy = []
+            for j in range(len(omegas) - 1):
+                fa, fb = phis[j], phis[j + 1]
+                pair_noisy = bool(fb < fa - 1e-6)
+                n_lo = math.floor(fa / math.pi) + 1
+                n_hi = math.floor(fb / math.pi)
+                for nn in range(max(n_lo, 0), n_hi + 1):
+                    new.append((float(omegas[j]), float(omegas[j + 1]), nn))
+                    noisy.append(pair_noisy)
+            sc.last = (float(omegas[-1]), float(phis[-1]))
+            room = opts.max_modes - len(sc.brackets)
+            if len(new) > room:
+                sc.truncated = True
+                new = new[:room]
+                noisy = noisy[:room]
+            if new:
+                sc.brackets.extend(new)
+                sc.noisy.extend(noisy)
+                sc.cfg = sc.grown
+    return scans
 
 
 def _search(profile: MaterialProfile, Ks, opts: SearchOptions,
             cls: ProfileClass) -> list:
     """One ModeSearchResult per K of ``Ks``.
 
-    Each K is scanned on its own (see _scan); then the brackets of all K
+    Every K with a nonempty admissible interval is scanned in one
+    _scan, one batch per chunk over all K; then the brackets of all K
     are refined in one _refine_brackets batch, each bracket with its own
     K and its matching depth polished in its own K's window, all in the
     hull of those windows.
     """
-    problem = None
     results = []
-    scans = []
+    jobs = []
     for K in Ks:
         lo, hi = admissible_interval(profile, K, cls)
         reason = (_REASON_GLOBAL_NEGATIVE if cls.global_negative else
                   _REASON_EMPTY_INTERVAL if interval_is_empty(lo, hi) else None)
         results.append(ModeSearchResult(K=K, modes=[], interval=(lo, hi),
                                         nonexistence_reason=reason))
-        sc = None
         if reason is None:
-            if problem is None:
-                problem = _problem_for(profile, opts.space)
-            sc = _scan(problem, K, lo, hi, opts)
-        scans.append(sc)
+            jobs.append((K, lo, hi))
+    if not jobs:
+        return results
+    problem = _problem_for(profile, opts.space)
+    scans = _scan(problem, jobs, opts)
 
-    live = [(res.K, sc) for res, sc in zip(results, scans)
-            if sc is not None and sc.brackets]
+    live = [sc for sc in scans if sc.brackets]
     modes = []
     if live:
-        Kb = np.concatenate([np.full(len(sc.brackets), float(K))
-                             for K, sc in live])
+        Kb = np.concatenate([np.full(len(sc.brackets), float(sc.K))
+                             for sc in live])
         y_bars = np.concatenate([
-            _polish_depths(problem, K, [b[1] for b in sc.brackets], sc.cfg)
-            for K, sc in live])
+            _polish_depths(problem, sc.K, [b[1] for b in sc.brackets], sc.cfg)
+            for sc in live])
         modes = _refine_brackets(problem, Kb,
-                                 [b for _, sc in live for b in sc.brackets],
-                                 _hull([sc.cfg for _, sc in live]),
+                                 [b for sc in live for b in sc.brackets],
+                                 _hull([sc.cfg for sc in live]),
                                  opts.settings, opts,
-                                 [f for _, sc in live for f in sc.noisy],
+                                 [f for sc in live for f in sc.noisy],
                                  y_bars)
 
     by_K: dict = {}
     for md in modes:
         by_K.setdefault(md.K, []).append(md)
-    for res, sc in zip(results, scans):
+    scanned = {sc.K: sc for sc in scans}
+    for res in results:
+        sc = scanned.get(res.K)
         if sc is not None:
             res.modes = _dedupe(by_K.get(res.K, []))
             res.truncated = sc.truncated
@@ -412,8 +424,11 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
     ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) steps from the
     regula-falsi point toward the midpoint and projects it into a
     radius that halves every round, so it converges superlinearly on
-    the smooth mismatch yet never needs more rounds than bisection.  A
-    point is kept at least 0.4 root_tol inside the bracket (Brent's
+    the smooth mismatch yet needs at most n0 = 3 rounds more than
+    bisection.  The slack keeps the radius open: with n0 = 1, a bracket
+    whose first points move one end only (its residual already small,
+    its width still above root_tol) reaches radius 0 within a few
+    rounds and bisects from then on.  A point is kept at least 0.4 root_tol inside the bracket (Brent's
     guard), which stops a bracket from shrinking one-sidedly just above
     the tolerance.  Brackets move only by the sign of g = Phi - n*pi, so
     every root stays certified.
@@ -451,10 +466,10 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
     all_idx = np.arange(nb)
     update(all_idx, first[:, 1])
 
-    # ITP from the halved brackets: kappa1 = 0.2/w0, kappa2 = 2, n0 = 1
+    # ITP from the halved brackets: kappa1 = 0.2/w0, kappa2 = 2, n0 = 3
     w0 = ends[1, 0] - ends[0, 0]
     eps = 0.5 * opts.root_tol * np.max(np.abs(ends[:, 0]), axis=0)
-    n_max = np.ceil(np.log2(w0 / (2.0 * eps))) + 1.0
+    n_max = np.ceil(np.log2(w0 / (2.0 * eps))) + 3.0
     kappa1 = 0.2 / w0
     for j in range(_MAX_ROUNDS - 1):
         (a, ga), (b, gb) = ends[0, :2], ends[1, :2]
@@ -506,14 +521,16 @@ def trace_branches(profile: MaterialProfile, k_grid,
                    classification: Optional[ProfileClass] = None):
     """Dispersion branches over a strictly increasing wavenumber grid.
 
-    Every k is scanned as find_modes scans it; then the brackets of all
-    k are refined in one ITP batch (see _refine_brackets), each with its
-    own K and its matching depth polished in its own k's window.  The
-    tail window swept is the hull of the k windows: the deepest y_bar,
+    Every k is scanned on find_modes' grid, all k in one batch per scan
+    chunk, each k in its own window; then the brackets of all k are
+    refined in one ITP batch (see _refine_brackets), each with its own K
+    and its matching depth polished in its own k's window.  Both batches
+    sweep the tail from the hull of the k windows: the deepest y_bar,
     the deepest y_tail, strict only if every k's is.  So every mode's
     ``matching.y_tail`` is that shared window, and a root can differ
-    from find_modes at its k alone by up to ``root_tol`` relative.
-    Modes are associated across k by their index m.
+    from find_modes at its k alone by up to ``root_tol`` relative (the
+    brackets are the same).  Modes are associated across k by their
+    index m.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
@@ -566,7 +583,8 @@ def estimate_mode_count(profile: MaterialProfile, K: float):
     above = np.nonzero(f(ys) >= 1e-14)[0]
     y_tr = float(ys[above[-1]] * 1.05) if len(above) else 2.0
     ys = np.linspace(0.0, y_tr, 4096)
-    _, turning = _sign_scan(ys, ghat(ys))
+    nonneg = np.asarray(ghat(ys)) >= 0.0    # turning points: sign flips
+    turning = 0.5 * (ys[1:] + ys[:-1])[nonneg[1:] != nonneg[:-1]]
     pieces = [0.0] + turning.tolist() + [y_tr]
     total = 0.0
     for aa, bb in zip(pieces[:-1], pieces[1:]):

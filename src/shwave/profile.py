@@ -65,25 +65,6 @@ def _gamma(problem, K, Omega, y=None):
     return Omega * p - K * q
 
 
-def _sign_scan(ys, g):
-    """Where gamma, sampled on the ascending depth grid ``ys``, is >= 0.
-
-    ``g`` holds one row of samples per member; a 1-D ``g`` is a single
-    member and gets scalar-shaped answers.  Returns ``(last, changes)``:
-    the index into ``ys`` of each member's last nonnegative sample (-1
-    when there is none), and each member's sign changes, located at the
-    midpoints of the grid intervals across which the sign flips.
-    """
-    nonneg = np.asarray(g) >= 0.0
-    last = np.where(np.any(nonneg, axis=-1),
-                    nonneg.shape[-1] - 1 - np.argmax(nonneg[..., ::-1], axis=-1),
-                    -1)
-    flips = nonneg[..., 1:] != nonneg[..., :-1]
-    mids = 0.5 * (ys[1:] + ys[:-1])
-    changes = mids[flips] if flips.ndim == 1 else [mids[f] for f in flips]
-    return last, changes
-
-
 def _halves_every_three(windows, floor):
     """True when every window above ``floor`` holds at most half of the
     window three doublings earlier (``windows`` on doubling intervals)."""

@@ -199,7 +199,7 @@ BURIED = sw.from_table([(0.0, 0.4, 1.0), (3.0, 0.4, 1.0), (3.5, 2.0, 1.0),
                         (4.5, 2.0, 1.0), (5.0, 1.0, 1.0), (6.0, 1.0, 1.0)])
 
 
-@pytest.mark.parametrize("profile, ks, opts", [
+TRACES = pytest.mark.parametrize("profile, ks, opts", [
     (sw.from_registry("exp_density", {"rho_inf": 1.0, "drho": 5.0, "d": 1.0}),
      np.arange(1.0, 9.0), LOOSE),
     (sw.from_registry("smoothed_layer", {
@@ -207,6 +207,9 @@ BURIED = sw.from_table([(0.0, 0.4, 1.0), (3.0, 0.4, 1.0), (3.5, 2.0, 1.0),
         "width": 1.0}), np.arange(1.0, 6.0), SearchOptions()),
     (BURIED, [0.3, 1.0, 4.0], SearchOptions(max_modes=2)),
 ], ids=["exp", "layer", "empty_and_truncated"])
+
+
+@TRACES
 def test_trace_branches_matches_find_modes(profile, ks, opts):
     # the trace refines every k in one batch in the hull of the k
     # windows; per k it must agree with find_modes at that k alone
@@ -238,6 +241,62 @@ def test_trace_branches_one_refinement_batch(exp_profile, monkeypatch):
     _, results = sw.trace_branches(exp_profile, np.arange(1.0, 9.0), LOOSE)
     assert batches == [54]
     assert sum(len(r.modes) for r in results) == 54
+
+
+def _spy_callers(monkeypatch, caller):
+    """Count the _mismatch_batch calls made directly from ``caller``."""
+    sweep = dispersion._mismatch_batch
+    calls = []
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == caller:
+            calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "_mismatch_batch", counted)
+    return calls
+
+
+def test_trace_branches_one_scan_batch_per_chunk(exp_profile, monkeypatch):
+    # the scans of all eight k share one sweep per chunk: the uniform
+    # grid, then the geometric one (one sweep per chunk per k before)
+    calls = _spy_callers(monkeypatch, "_scan")
+    _, results = sw.trace_branches(exp_profile, np.arange(1.0, 9.0), LOOSE)
+    assert len(calls) == 2
+    assert sum(len(r.modes) for r in results) == 54
+
+
+def test_trace_branches_refine_rounds(exp_profile, monkeypatch):
+    # ITP slack n0 = 3 keeps brackets whose residual is small but whose
+    # width is not off plain bisection; with n0 = 1 this trace took 16
+    rounds = _spy_callers(monkeypatch, "_refine_brackets")
+    _, results = sw.trace_branches(exp_profile, np.arange(1.0, 9.0), LOOSE)
+    assert sum(len(r.modes) for r in results) == 54
+    assert 1 <= len(rounds) <= 10
+
+
+@TRACES
+def test_fused_scan_matches_one_k_scans(profile, ks, opts, monkeypatch):
+    # a K scanned among others gets what a scan of that K alone gives it
+    scan = dispersion._scan
+    fused = []
+
+    def spy(problem, jobs, opts):
+        out = scan(problem, jobs, opts)
+        fused.append((problem, jobs, out))
+        return out
+
+    monkeypatch.setattr(dispersion, "_scan", spy)
+    sw.trace_branches(profile, ks, opts)
+    (problem, jobs, scans), = fused
+    assert [sc.K for sc in scans] == [job[0] for job in jobs]
+    for job, sc in zip(jobs, scans):
+        alone, = scan(problem, [job], opts)
+        assert sc.brackets == alone.brackets
+        assert sc.noisy == alone.noisy
+        assert sc.truncated == alone.truncated
+        assert sc.scan_ceiling == alone.scan_ceiling
+        assert sc.cfg == alone.cfg
 
 
 def test_estimate_mode_count(exp_profile, constant_profile, power_profile):
@@ -334,7 +393,7 @@ def test_one_matching_depth_rule(request, profile, K, space):
     profile = request.getfixturevalue(profile)
     problem = dispersion._problem_for(profile, space)
     lo, hi = sw.admissible_interval(profile, K)
-    sc = dispersion._scan(problem, K, lo, hi, SearchOptions(space=space))
+    sc, = dispersion._scan(problem, [(K, lo, hi)], SearchOptions(space=space))
     tops = [b[1] for b in sc.brackets]
     assert tops
     depths = dispersion._polish_depths(problem, K, tops, sc.cfg)
@@ -436,7 +495,8 @@ def test_refine_round_count(profile, K, monkeypatch):
     {"root_tol": float("nan")}, {"space": "z"},
     {"max_modes": 2.5}, {"max_modes": True}, {"omega_grid_n": 8.5},
     {"root_tol": math.inf}, {"residual_tol": True},
-    {"tail_stretch": math.inf}])
+    {"tail_stretch": math.inf}, {"settings": None},
+    {"settings": {"rel_tol": 1e-6}}])
 def test_search_options_validation(bad):
     with pytest.raises(ValueError):
         SearchOptions(**bad)
