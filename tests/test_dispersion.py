@@ -475,15 +475,7 @@ def test_refine_round_count(profile, K, monkeypatch):
     # each refinement round is one batched sweep called from
     # _refine_brackets; ITP needs 9 here, and a bracket that stalls just
     # above the tolerance (no guard) or plain bisection needs 26-28
-    sweep = dispersion._mismatch_batch
-    rounds = []
-
-    def counted(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_refine_brackets":
-            rounds.append(1)
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(dispersion, "_mismatch_batch", counted)
+    rounds = _spy_callers(monkeypatch, "_refine_brackets")
     res = sw.find_modes(profile, K)
     assert res.modes and all(m.flag is None for m in res.modes)
     assert 1 <= len(rounds) <= 12
