@@ -428,10 +428,10 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
     bisection.  The slack keeps the radius open: with n0 = 1, a bracket
     whose first points move one end only (its residual already small,
     its width still above root_tol) reaches radius 0 within a few
-    rounds and bisects from then on.  A point is kept at least 0.4 root_tol inside the bracket (Brent's
-    guard), which stops a bracket from shrinking one-sidedly just above
-    the tolerance.  Brackets move only by the sign of g = Phi - n*pi, so
-    every root stays certified.
+    rounds and bisects from then on.  A point is kept at least 0.4
+    root_tol inside the bracket (Brent's guard), which stops a bracket
+    from shrinking one-sidedly just above the tolerance.  Brackets move
+    only by the sign of g = Phi - n*pi, so every root stays certified.
 
     ``K`` and ``y_bars`` hold each bracket's squared wavenumber and its
     matching depth near its turning point (see _polish_depths), so the

@@ -259,7 +259,7 @@ def _spy_callers(monkeypatch, caller):
 
 def test_trace_branches_one_scan_batch_per_chunk(exp_profile, monkeypatch):
     # the scans of all eight k share one sweep per chunk: the uniform
-    # grid, then the geometric one (one sweep per chunk per k before)
+    # grid, then the geometric one
     calls = _spy_callers(monkeypatch, "_scan")
     _, results = sw.trace_branches(exp_profile, np.arange(1.0, 9.0), LOOSE)
     assert len(calls) == 2
@@ -268,7 +268,7 @@ def test_trace_branches_one_scan_batch_per_chunk(exp_profile, monkeypatch):
 
 def test_trace_branches_refine_rounds(exp_profile, monkeypatch):
     # ITP slack n0 = 3 keeps brackets whose residual is small but whose
-    # width is not off plain bisection; with n0 = 1 this trace took 16
+    # width is not off plain bisection; with n0 = 1 they bisect (16)
     rounds = _spy_callers(monkeypatch, "_refine_brackets")
     _, results = sw.trace_branches(exp_profile, np.arange(1.0, 9.0), LOOSE)
     assert sum(len(r.modes) for r in results) == 54
