@@ -14,7 +14,7 @@ from .decay import (MatchingConfig, decaying_phase, decaying_phase_at_tail,
                     matching_config)
 from .dispersion import (Branch, Mode, ModeSearchResult, OscillationVerdict,
                          SearchOptions, estimate_mode_count, find_modes,
-                         mismatch, oscillation_test, trace_branches)
+                         oscillation_test, trace_branches)
 from .liouville import TauMap, TransformedMedium, build_tau, transform
 from .oracle import (OracleResult, bessel_j, bessel_j_prime,
                      bessel_mode_frequencies, bessel_mode_shape,
@@ -24,7 +24,7 @@ from .profile import (AssumptionReport, MaterialProfile, ParamPoint,
                       classify, from_callables, from_registry, from_table,
                       interval_is_empty)
 from .prufer import (IntegratorSettings, PhaseState, integrate_phase,
-                     reconstruct_mode_shape, surface_phase)
+                     reconstruct_mode_shape)
 
 __all__ = [
     "errors",
@@ -33,11 +33,11 @@ __all__ = [
     "classify", "admissible_interval", "check_assumptions", "interval_is_empty",
     "TauMap", "TransformedMedium", "build_tau", "transform",
     "IntegratorSettings", "PhaseState", "integrate_phase",
-    "surface_phase", "reconstruct_mode_shape",
+    "reconstruct_mode_shape",
     "MatchingConfig", "matching_config", "decaying_phase",
     "decaying_phase_at_tail",
     "Mode", "Branch", "ModeSearchResult", "SearchOptions",
-    "OscillationVerdict", "mismatch", "find_modes", "trace_branches",
+    "OscillationVerdict", "find_modes", "trace_branches",
     "estimate_mode_count", "oscillation_test",
     "OracleResult", "bessel_j", "bessel_j_prime", "bessel_mode_frequencies",
     "bessel_mode_shape", "bessel_residual_check", "fd_mode_frequencies",

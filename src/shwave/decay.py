@@ -258,12 +258,12 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     (largest-Omega) window covers the smaller Omega of its K, because
     gamma decreases pointwise as Omega does.  Each member's angle is
     read off at its own depth of ``y_bars`` (default: every member at
-    ``cfg.y_bar``); the backward sweep covers the hull.  Unless the
-    profile is exactly constant beyond y_tail, a re-solve from a doubled
-    tail window must reproduce the angles read at or above ``cfg.y_bar``
-    to within 1e-8, else the window is doubled and retried; deeper reads
-    ride along unchecked.  ``check=False`` skips the check for repeat
-    sweeps over a window that already validated.
+    ``cfg.y_bar``), and the backward sweep ends at the shallowest.
+    Unless the profile is exactly constant beyond y_tail, a re-solve
+    from a doubled tail window must reproduce the angles read at or
+    above ``cfg.y_bar`` to within 1e-8, else the window is doubled and
+    retried; deeper reads ride along unchecked.  ``check=False`` skips
+    the check for repeat sweeps over a window that already validated.
 
     Returns (phi, log_r, window): log_r (None unless ``want_log_r``)
     counts from r = 1 at the window's tail start, and repeat sweeps must
@@ -280,15 +280,14 @@ def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
     tol = max(TAIL_ANGLE_TOL, 100.0 * settings.rel_tol)
     y_bars = np.full(omegas.shape, cfg.y_bar) if y_bars is None \
         else np.asarray(y_bars, dtype=float)
-    y_target = min(float(np.min(y_bars)), cfg.y_bar)
     checked = y_bars <= cfg.y_bar
 
     def sweep(y_tail, sel, log_r):
         ks, oms = K[sel], omegas[sel]
         return propagate.sweep_phase(
             problem, ks, oms, decaying_phase_at_tail(problem, (ks, oms), y_tail),
-            y_tail, y_target, rtol=settings.rel_tol, atol=settings.abs_tol,
-            read_at=y_bars[sel], want_log_r=log_r)
+            y_tail, y_bars[sel], rtol=settings.rel_tol, atol=settings.abs_tol,
+            want_log_r=log_r)
 
     cfg_cur = cfg
     for _ in range(_TAIL_ATTEMPTS):

@@ -27,11 +27,9 @@ from . import liouville
 from .decay import (NEAR_THRESHOLD_DELTA, MatchingConfig,
                     decaying_phase_batch, matching_config, matching_depths)
 from .errors import NoNegativeTailError, TailSelectionError
-from .prufer import (DEFAULT_SETTINGS, HALF_PI, IntegratorSettings,
-                     _check_positive, phase_batch)
-from .profile import (MaterialProfile, ProfileClass, _as_param,
-                      _halves_every_three, admissible_interval,
-                      classify, interval_is_empty)
+from .prufer import HALF_PI, IntegratorSettings, _check_positive, phase_batch
+from .profile import (MaterialProfile, ProfileClass, _halves_every_three,
+                      admissible_interval, classify, interval_is_empty)
 
 _REASON_GLOBAL_NEGATIVE = ("nonexistence: globally negative monotonicity "
                            "(Arg a(y) >= Arg a_inf at every depth)")
@@ -125,11 +123,7 @@ DEFAULT_OPTIONS = SearchOptions()
 
 
 def _problem_for(profile: MaterialProfile, space: str):
-    if space == "y":
-        return profile
-    if space == "tau":
-        return liouville.transform(profile)
-    raise ValueError("space must be 'y' or 'tau'")
+    return profile if space == "y" else liouville.transform(profile)
 
 
 def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
@@ -141,34 +135,18 @@ def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
     tail window of cfg, which must be valid for each of them (a window
     valid for the largest Omega of a K covers its smaller ones).
     ``y_bars`` gives each member its own matching depth (default
-    ``cfg.y_bar``); both sweeps read each member off there, and the
-    forward sweep ends at the deepest.  The returned cfg carries the
-    tail window the decaying sweep accepted.
+    ``cfg.y_bar``); both sweeps read each member off there.  The
+    returned cfg carries the tail window the decaying sweep accepted.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     y_bars = np.full(omegas.shape, cfg.y_bar) if y_bars is None \
         else np.asarray(y_bars, dtype=float)
     phi0 = phase_batch(problem, K, omegas, np.full(omegas.shape, HALF_PI),
-                       0.0, float(np.max(y_bars)), settings=settings,
-                       read_at=y_bars)
+                       0.0, y_bars, settings=settings)
     phi_plus, _, cfg = decaying_phase_batch(problem, K, omegas, cfg,
                                             settings=settings, y_bars=y_bars,
                                             check=tail_check)
     return phi0 - phi_plus, phi0, phi_plus, cfg
-
-
-def mismatch(profile, K, Omega, cfg: Optional[MatchingConfig] = None,
-             settings: Optional[IntegratorSettings] = None,
-             space: str = "y") -> float:
-    """Lifted angle difference Phi(Omega); roots on pi*Z are matched modes."""
-    problem = _problem_for(profile, space) if isinstance(profile, MaterialProfile) \
-        else profile
-    A = _as_param((K, Omega))
-    settings = settings or DEFAULT_SETTINGS
-    if cfg is None:
-        cfg = matching_config(problem, A)
-    phi = _mismatch_batch(problem, K, np.array([Omega]), cfg, settings)[0]
-    return float(phi[0])
 
 
 def _hull(cfgs) -> MatchingConfig:
@@ -181,19 +159,6 @@ def _hull(cfgs) -> MatchingConfig:
     return MatchingConfig(y_bar=max(c.y_bar for c in cfgs),
                           y_tail=max(c.y_tail for c in cfgs),
                           strict_tail=all(c.strict_tail for c in cfgs))
-
-
-def _grow_cfg(problem, K, omega_top, cfg_prev: Optional[MatchingConfig],
-              tail_stretch: float) -> MatchingConfig:
-    """Worst-case matching window for everything scanned so far at this K.
-
-    Depths only ever grow while the scan climbs toward the cutoff, so
-    every bracket refinement reuses a window that is valid for it.
-    """
-    cfg = matching_config(problem, (K, omega_top))
-    if tail_stretch != 1.0:
-        cfg = cfg.stretched(tail_stretch)
-    return cfg if cfg_prev is None else _hull([cfg, cfg_prev])
 
 
 def find_modes(profile: MaterialProfile, K: float,
@@ -210,8 +175,8 @@ def find_modes(profile: MaterialProfile, K: float,
     K*min(mu/rho) are never scanned - no modes can live there.  This is
     the one-K case of :func:`trace_branches`.
     """
-    if K <= 0:
-        raise ValueError("K must be positive")
+    if not 0 < K < math.inf:
+        raise ValueError("K must be a finite number > 0, got %r" % (K,))
     return _search(profile, [K], opts, classification or classify(profile))[0]
 
 
@@ -257,12 +222,16 @@ def _grow_window(problem, sc: _Scan, chunk, tail_stretch):
     """
     for j in range(len(chunk) - 1, -1, -1):
         try:
-            sc.grown = _grow_cfg(problem, sc.K, float(chunk[j]), sc.grown,
-                                 tail_stretch)
+            cfg = matching_config(problem, (sc.K, float(chunk[j])))
         except (TailSelectionError, NoNegativeTailError):
             if j == 0 and sc.grown is None:
                 raise
             continue
+        if tail_stretch != 1.0:
+            cfg = cfg.stretched(tail_stretch)
+        # depths only ever grow while the scan climbs toward the cutoff,
+        # so every bracket refinement reuses a window that is valid for it
+        sc.grown = cfg if sc.grown is None else _hull([cfg, sc.grown])
         sc.at_limit = j < len(chunk) - 1
         return chunk[: j + 1]
     return None
@@ -533,8 +502,10 @@ def trace_branches(profile: MaterialProfile, k_grid,
     index m.
     """
     k_grid = np.asarray(k_grid, dtype=float)
-    if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
-        raise ValueError("k_grid must be positive and strictly increasing")
+    if not (np.all((k_grid > 0) & (k_grid < math.inf))
+            and np.all(np.diff(k_grid) > 0)):
+        raise ValueError("k_grid must be finite, positive and strictly "
+                         "increasing")
     results = _search(profile, [float(k) ** 2 for k in k_grid], opts,
                       classification or classify(profile))
 
@@ -569,8 +540,8 @@ def estimate_mode_count(profile: MaterialProfile, K: float):
     K-independent integral: exactly linear in k.  Returns +inf unless
     oscillation_test finds that integral convergent ("non_oscillatory").
     """
-    if K <= 0:
-        raise ValueError("K must be positive")
+    if not 0 < K < math.inf:
+        raise ValueError("K must be a finite number > 0, got %r" % (K,))
     if oscillation_test(profile).verdict != "non_oscillatory":
         return math.inf
     ghat = profile.limit_gamma_hat

@@ -32,11 +32,12 @@ and forms gamma = Omega*p - K*q from ``problem.coef_pair``; that and
 depths and on 9.  An attempt is a fixed run of numpy calls on
 (3, members) arrays, one row per step: two matmuls give every Magnus
 term, and one formula serves elliptic and hyperbolic members alike.
+Each member has a read depth, and the sweep ends at the farthest read.
 This is the solver's one phase engine: the frequency scans, the
-refinement, the decaying tail, the public surface and tail angles and
-the mode shapes all run on :func:`sweep_phase`.  The Runge-Kutta
-integration of ``prufer.integrate_phase`` is kept only as the
-independent reference the test suite checks it against.
+refinement, the decaying tail, the public tail angle and the mode
+shapes all run on :func:`sweep_phase`.  The Runge-Kutta integration of
+``prufer.integrate_phase`` is kept only as the independent reference
+the test suite checks it against.
 """
 
 from __future__ import annotations
@@ -165,19 +166,19 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, K, Omega, want_mag, g0):
     return lift[0], lift[1], max(r_full, r_h1 + r_h2), logmag, drift, g_end
 
 
-def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
-                read_at=None, want_log_r=False):
+def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
+                want_log_r=False):
     """Sweep the lifted phase of the batch (K, Omega) of ``problem``.
 
     ``K`` is a scalar or one value per member.  Each step attempt calls
     ``problem.coef_pair`` and ``problem.stiffness`` once, on an array of
-    depths (see the module docstring).  ``read_at`` gives one read
-    depth per member; those depths are forced to be step boundaries and
-    each member's angle is recorded when its depth is hit, so one sweep
-    serves many matching depths or a whole sampling grid (reads beyond
-    y1 in the sweep direction extend the sweep; a read behind y0 is a
-    ValueError).  Steps never straddle ``problem.breakpoints``, which
-    keeps the Gauss-node sampling of piecewise coefficients honest.
+    depths (see the module docstring).  ``reads`` is a scalar or one
+    read depth per member; those depths are forced to be step
+    boundaries, each member's angle is recorded when its depth is hit,
+    and the sweep ends at the farthest read, so one sweep serves many
+    matching depths or a whole sampling grid.  Reads on both sides of
+    y0 are a ValueError.  Steps never straddle ``problem.breakpoints``,
+    which keeps the Gauss-node sampling of piecewise coefficients honest.
 
     Error control is step doubling on the lifted angle: an accepted
     step keeps the local Richardson value half + (half - full)/63 (log r
@@ -188,12 +189,12 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
     the step (the start is checked against the previous step's end
     sample, except at a breakpoint, where gamma may jump).  Returns (phi,
     log_r or None): each member's angle and log amplitude (counted from
-    r = 1 at y0) at its read depth when ``read_at`` is given, else at
-    the sweep end.
+    r = 1 at y0) at its read depth.
     """
     Omega = np.atleast_1d(np.asarray(Omega, dtype=float))
     K = np.broadcast_to(np.asarray(K, dtype=float), Omega.shape)
     phi = np.broadcast_to(np.asarray(phi0, dtype=float), Omega.shape)
+    reads = np.broadcast_to(np.asarray(reads, dtype=float), Omega.shape)
     # identical members share one trajectory (every batch-wide step
     # decision is a max over members), so each distinct (K, Omega, phi0)
     # is swept once, in first-occurrence order; member j is row row[j]
@@ -205,35 +206,23 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
     row = rank[inverse.reshape(-1)]
     K, Omega, phi = K[first[order]], Omega[first[order]], phi[first[order]]
     log_r = np.zeros_like(phi) if want_log_r else None
-    if y1 != y0:
-        direction = 1.0 if y1 > y0 else -1.0
-    elif read_at is not None and len(np.atleast_1d(read_at)):
-        # zero-span target: the reads define the sweep direction
-        direction = -1.0 if float(np.min(read_at)) < y0 else 1.0
-    else:
-        direction = 1.0
-
-    boundary_set = {float(y1)}
-    reads, done = None, np.zeros(row.shape, dtype=bool)
-    if read_at is not None:
-        reads = np.asarray(read_at, dtype=float)
-        done = np.isclose(reads, y0, rtol=1e-12, atol=1e-14)
-        behind = ((reads - y0) * direction < 0) & ~done
-        if np.any(behind):
-            raise ValueError("read depths %s lie behind the sweep start %g"
-                             % (np.unique(reads[behind]).tolist(), y0))
-        boundary_set |= set(reads[~done].tolist())
     out, out_lr = phi[row], None if log_r is None else log_r[row]
 
-    far = max(boundary_set, key=lambda v: direction * v)
+    done = np.isclose(reads, y0, rtol=1e-12, atol=1e-14)
+    pending = reads[~done]
+    if not pending.size:
+        return out, out_lr
+    direction = 1.0 if pending[0] > y0 else -1.0
+    if np.any((pending - y0) * direction < 0):
+        raise ValueError("read depths lie on both sides of the sweep start %g"
+                         % y0)
+    boundary_set = set(pending.tolist())
+    # the farthest read ends the sweep
+    end = max(boundary_set, key=lambda v: direction * v)
     brks = {float(v) for v in problem.breakpoints}
     boundary_set |= {v for v in brks
-                     if (v - y0) * direction > 0 and (far - v) * direction > 0}
+                     if (v - y0) * direction > 0 and (end - v) * direction > 0}
     boundaries = sorted(boundary_set, key=lambda v: direction * v)
-
-    end = boundaries[-1]
-    if end == y0:
-        return out, out_lr
 
     p, q = problem.coef_pair(y0)
     g_start = Omega * p - K * q
@@ -285,15 +274,11 @@ def sweep_phase(problem, K, Omega, phi0, y0, y1, rtol=1e-10, atol=1e-12,
         y = float(b)
         if y in brks:
             g0 = None
-        if reads is not None:
-            # np.isclose(reads, y, rtol=1e-12, atol=1e-12), at a tenth
-            # of its cost on grids with a read at every boundary
-            sel = (np.abs(reads - y) <= 1e-12 + 1e-12 * abs(y)) & ~done
-            out[sel] = phi[row[sel]]
-            if want_log_r:
-                out_lr[sel] = log_r[row[sel]]
-            done |= sel
-    out[~done] = phi[row[~done]]
-    if want_log_r:
-        out_lr[~done] = log_r[row[~done]]
+        # np.isclose(reads, y, rtol=1e-12, atol=1e-12), at a tenth of
+        # its cost on grids with a read at every boundary
+        sel = (np.abs(reads - y) <= 1e-12 + 1e-12 * abs(y)) & ~done
+        out[sel] = phi[row[sel]]
+        if want_log_r:
+            out_lr[sel] = log_r[row[sel]]
+        done |= sel
     return out, out_lr

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import propagate, rk
 from .errors import IntegrationError, MatchConsistencyError
-from .profile import _as_param, _gamma
+from .profile import _gamma
 
 HALF_PI = 0.5 * math.pi
 
@@ -122,8 +122,8 @@ def integrate_phase(gamma: Callable, mu: Callable, phi0: float, y_from: float,
     return PhaseState(y=res.t, phi=float(res.y[0]), log_r=float(res.y[1]))
 
 
-def phase_batch(problem, K, omegas, phi0, y_from: float, y_to: float,
-                settings: Optional[IntegratorSettings] = None, read_at=None):
+def phase_batch(problem, K, omegas, phi0, y_from: float, reads,
+                settings: Optional[IntegratorSettings] = None):
     """Propagate the phase angles of a frequency batch in one sweep.
 
     The members are the parameter points (K, omegas) of ``problem``,
@@ -131,34 +131,14 @@ def phase_batch(problem, K, omegas, phi0, y_from: float, y_to: float,
     at ``y_from``.  Used by the dispersion scan and refinement, whose
     members are one profile at many frequencies of one K or of many.
 
-    ``read_at``, when given, is a per-member depth array: the sweep
-    covers the hull of those depths and each member's angle is read off
-    at its own depth (anything integrated past it is simply unused).
+    ``reads`` is a scalar or one depth per member: each member's angle
+    is read off at its own depth, and the sweep ends at the farthest.
     The sweep is :func:`shwave.propagate.sweep_phase`.
     """
     settings = settings or DEFAULT_SETTINGS
-    phi, _ = propagate.sweep_phase(problem, K, omegas, phi0, y_from, y_to,
-                                   rtol=settings.rel_tol, atol=settings.abs_tol,
-                                   read_at=read_at)
+    phi, _ = propagate.sweep_phase(problem, K, omegas, phi0, y_from, reads,
+                                   rtol=settings.rel_tol, atol=settings.abs_tol)
     return phi
-
-
-def surface_phase(problem, A, y_end: float,
-                  settings: Optional[IntegratorSettings] = None) -> PhaseState:
-    """Forward solution launched from the traction-free surface.
-
-    The Neumann condition u'(0) = 0 pins the angle at exactly pi/2
-    (u = 1, w = 0); the amplitude is normalized to r(0) = 1.  One
-    member of :func:`shwave.propagate.sweep_phase`.
-    """
-    if not y_end > 0:
-        raise ValueError("y_end must be positive")
-    A = _as_param(A)
-    settings = settings or DEFAULT_SETTINGS
-    phi, log_r = propagate.sweep_phase(problem, A.K, A.Omega, HALF_PI, 0.0,
-                                       y_end, rtol=settings.rel_tol,
-                                       atol=settings.abs_tol, want_log_r=True)
-    return PhaseState(y=float(y_end), phi=float(phi[0]), log_r=float(log_r[0]))
 
 
 def reconstruct_mode_shape(problem, mode, y_grid,
@@ -185,9 +165,8 @@ def reconstruct_mode_shape(problem, mode, y_grid,
 
     reads = np.concatenate([[cfg.y_bar], y_grid[fwd]])
     phi_f, lr_f = propagate.sweep_phase(
-        problem, K, np.full(reads.shape, Omega), HALF_PI, 0.0, cfg.y_bar,
-        rtol=settings.rel_tol, atol=settings.abs_tol, read_at=reads,
-        want_log_r=True)
+        problem, K, np.full(reads.shape, Omega), HALF_PI, 0.0, reads,
+        rtol=settings.rel_tol, atol=settings.abs_tol, want_log_r=True)
     reads = np.concatenate([[cfg.y_bar], y_grid[mid], [cfg.y_tail]])
     phi_b, lr_b, _ = decay.decaying_phase_batch(
         problem, K, np.full(reads.shape, Omega), cfg, settings=settings,

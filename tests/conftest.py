@@ -34,8 +34,8 @@ def sampled_sweep(problem, K, Omega, phi0, y0, y1, n=128):
     from shwave.propagate import sweep_phase
 
     ys = np.linspace(y0, y1, n)
-    phi, log_r = sweep_phase(problem, K, np.full(n, Omega), phi0, y0, y1,
-                             read_at=ys, want_log_r=True)
+    phi, log_r = sweep_phase(problem, K, np.full(n, Omega), phi0, y0, ys,
+                             want_log_r=True)
     return ys, phi, log_r
 
 

@@ -10,12 +10,20 @@ import numpy as np
 import pytest
 
 import shwave as sw
-from shwave import dispersion
+from shwave import dispersion, liouville
 from shwave.decay import matching_config
-from shwave.dispersion import SearchOptions, mismatch
+from shwave.dispersion import SearchOptions
 from shwave.prufer import IntegratorSettings
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _mismatch(problem, K, Omega, cfg=None, settings=IntegratorSettings()):
+    """Phi(Omega) of one point, in its own matching window unless ``cfg``
+    is given."""
+    cfg = cfg or matching_config(problem, (K, Omega))
+    return float(dispersion._mismatch_batch(problem, K, [Omega], cfg,
+                                            settings)[0][0])
 
 
 @pytest.fixture(scope="module")
@@ -27,24 +35,22 @@ def test_mismatch_constant_medium(constant_profile):
     # no modes in a constant half-space: the surface angle stays in the
     # first quadrant while the decay angle sits in the second
     cfg = matching_config(constant_profile, (4.0, 1.0))
-    phi = mismatch(constant_profile, 4.0, 1.0, cfg=cfg)
+    phi = _mismatch(constant_profile, 4.0, 1.0, cfg=cfg)
     assert -3 * math.pi / 4 < phi < -math.pi / 4
     assert abs(phi / math.pi - round(phi / math.pi)) > 0.2
 
 
 def test_mismatch_vanishes_at_oracle_root(exp_profile, bessel_fixture):
-    from shwave.prufer import IntegratorSettings
-
     om = bessel_fixture["omegas"][0]
-    phi = mismatch(exp_profile, 1.0, om,
-                   settings=IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14))
+    phi = _mismatch(exp_profile, 1.0, om,
+                    settings=IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14))
     assert abs(phi - round(phi / math.pi) * math.pi) < 1e-9
 
 
 def test_mismatch_tau_coordinates_agree(exp_profile):
     K, om = 1.0, 0.62
-    phi_y = mismatch(exp_profile, K, om, space="y")
-    phi_t = mismatch(exp_profile, K, om, space="tau")
+    phi_y = _mismatch(exp_profile, K, om)
+    phi_t = _mismatch(liouville.transform(exp_profile), K, om)
     assert abs(phi_y - phi_t) < 1e-8
 
 
@@ -75,6 +81,22 @@ def test_find_modes_empty_globally_negative(shallow_profile, stiff_profile):
     for K in (1.0, 9.0):
         assert len(sw.find_modes(shallow_profile, K).modes) == 0
         assert len(sw.find_modes(stiff_profile, K).modes) == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: sw.find_modes(p, math.inf),
+    lambda p: sw.find_modes(p, math.nan),
+    lambda p: sw.trace_branches(p, [1.0, math.inf]),
+    lambda p: sw.trace_branches(p, [1.0, math.nan]),
+    lambda p: sw.estimate_mode_count(p, math.inf),
+    lambda p: sw.estimate_mode_count(p, math.nan),
+], ids=["find_modes_inf", "find_modes_nan", "trace_inf", "trace_nan",
+        "estimate_inf", "estimate_nan"])
+def test_non_finite_wavenumber_rejected(exp_profile, call):
+    # inf once gave 0 modes (and N(k) = [2, 0] in a trace), nan a
+    # ProfileError from deep inside or a nan estimate
+    with pytest.raises(ValueError, match="finite"):
+        call(exp_profile)
 
 
 def test_find_modes_against_bessel_fixture(exp_profile, bessel_fixture):
@@ -137,7 +159,7 @@ def test_monotone_mismatch_sampled(exp_profile):
     lo, hi = sw.admissible_interval(exp_profile, K)
     oms = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 12)
     cfg = matching_config(exp_profile, (K, float(oms[-1])))
-    vals = [mismatch(exp_profile, K, float(om), cfg=cfg) for om in oms]
+    vals = [_mismatch(exp_profile, K, float(om), cfg=cfg) for om in oms]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -409,17 +431,17 @@ def test_scan_tail_limit_prefix(monkeypatch):
     # the geometric chunk, so the scan stops at its feasible prefix
     profile = sw.from_registry("power_density", {"rho_inf": 1.0, "c": 3.0, "p": 3.0})
     tops, failed = [], []
-    grow = dispersion._grow_cfg
+    config = dispersion.matching_config
 
-    def spy(problem, K, omega_top, *args):
-        tops.append(omega_top)
+    def spy(problem, A):
+        tops.append(A[1])
         try:
-            return grow(problem, K, omega_top, *args)
+            return config(problem, A)
         except (sw.errors.TailSelectionError, sw.errors.NoNegativeTailError):
-            failed.append(omega_top)
+            failed.append(A[1])
             raise
 
-    monkeypatch.setattr(dispersion, "_grow_cfg", spy)
+    monkeypatch.setattr(dispersion, "matching_config", spy)
     res = sw.find_modes(profile, 4.0)
     assert len(res.modes) == 2 and not res.truncated
     assert max(tops) in failed

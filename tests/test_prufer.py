@@ -7,9 +7,18 @@ import pytest
 
 import shwave as sw
 from shwave.errors import IntegrationError
+from shwave.propagate import sweep_phase
 from shwave.prufer import (HALF_PI, IntegratorSettings, integrate_phase,
-                           phase_batch, surface_phase)
+                           phase_batch)
 from tests.conftest import lift_from_samples, ones, rk4_uw, sampled_sweep
+
+
+def _surface(problem, A, y_end):
+    """(phi, log r) at y_end of the solution launched from the
+    traction-free surface: phi = pi/2 and r = 1 at y = 0."""
+    phi, log_r = sweep_phase(problem, A[0], A[1], HALF_PI, 0.0, y_end,
+                             want_log_r=True)
+    return phi[0], log_r[0]
 
 
 def test_linear_phase():
@@ -35,26 +44,27 @@ def test_constant_coefficient_cosine_oracle():
 
 
 def test_surface_phase_quadrant_invariance(constant_profile):
-    st = surface_phase(constant_profile, (4.0, 1.0), 6.0)
-    assert 0.0 < st.phi < HALF_PI
+    phi, _ = _surface(constant_profile, (4.0, 1.0), 6.0)
+    assert 0.0 < phi < HALF_PI
 
 
 def test_surface_phase_linear(constant_profile):
-    # gamma = 1, mu = 1 at A=(1,2): phase speed is exactly one
-    p = constant_profile
-    st = surface_phase(p, (1.0, 2.0), math.pi)
-    assert abs(st.phi - 3 * math.pi / 2) < 1e-9
+    # gamma = 1, mu = 1 at A=(1,2): phase speed is exactly one and the
+    # amplitude stays 1, since (log r)' = (1/mu - gamma) sin(phi) cos(phi)
+    phi, log_r = _surface(constant_profile, (1.0, 2.0), math.pi)
+    assert abs(phi - 3 * math.pi / 2) < 1e-9
+    assert abs(log_r) < 1e-9
 
 
 def test_surface_phase_dual_formulation_oracle(exp_profile):
     A = (1.0, 0.9)
     y_end = 10.0
-    st = surface_phase(exp_profile, A, y_end)
+    phi, _ = _surface(exp_profile, A, y_end)
     # independent fixed-step RK4 on (u, w), sampled for the lift
     us, ws = rk4_uw(lambda y: exp_profile.gamma(A, y), ones, 1.0, 0.0,
                     0.0, y_end, n=400000)
     expected = lift_from_samples(us, ws, HALF_PI)[-1]
-    assert abs(st.phi - expected) < 1e-7
+    assert abs(phi - expected) < 1e-7
 
 
 def test_phase_batch_matches_scalar(exp_profile):
@@ -73,7 +83,7 @@ def test_phase_batch_read_at(exp_profile):
     omegas = np.array([0.4, 0.7])
     reads = np.array([2.0, 5.0])
     vals = phase_batch(exp_profile, 1.0, omegas, np.full(2, HALF_PI),
-                       0.0, 5.0, read_at=reads)
+                       0.0, reads)
     for j, (om, r) in enumerate(zip(omegas, reads)):
         st = integrate_phase(lambda y: exp_profile.gamma((1.0, om), y),
                              exp_profile.stiffness, HALF_PI, 0.0, float(r))
@@ -146,8 +156,8 @@ def test_prufer_agrees_with_uw_system(exp_profile):
     us, ws = rk4_uw(lambda y: exp_profile.gamma(A, y), ones, 1.0, 0.0,
                     0.0, 6.0, n=200000)
     expected = lift_from_samples(us, ws, HALF_PI)[-1]
-    st = surface_phase(exp_profile, A, 6.0)
-    assert abs(st.phi - expected) < 1e-8
+    phi, _ = _surface(exp_profile, A, 6.0)
+    assert abs(phi - expected) < 1e-8
 
 
 def test_integration_failure_carries_state():

@@ -45,11 +45,11 @@ def test_param_point_validation():
 
 
 def test_sweep_reads_beyond_target_extend(constant_profile):
-    # a read past the nominal end extends the sweep to reach it;
-    # gamma = 2 - 1 = 1, mu = 1
+    # the farthest read ends the sweep, and a nearer one is read on the
+    # way; gamma = 2 - 1 = 1, mu = 1
     phi, _ = sweep_phase(constant_profile, 1.0, np.array([2.0, 2.0]),
-                         np.array([HALF_PI, HALF_PI]), 0.0, 2.0,
-                         read_at=np.array([2.0, 5.0]))
+                         np.array([HALF_PI, HALF_PI]), 0.0,
+                         np.array([2.0, 5.0]))
     assert abs(phi[0] - (HALF_PI + 2.0)) < 1e-9
     assert abs(phi[1] - (HALF_PI + 5.0)) < 1e-9
 
@@ -57,27 +57,24 @@ def test_sweep_reads_beyond_target_extend(constant_profile):
 def test_sweep_backward_reads(constant_profile):
     # gamma = 1 - 2 = -1, mu = 1
     phi, _ = sweep_phase(constant_profile, 2.0, np.array([1.0]),
-                         np.array([3 * math.pi / 4]), 6.0, 1.0,
-                         read_at=np.array([1.0]))
+                         np.array([3 * math.pi / 4]), 6.0, np.array([1.0]))
     assert abs(phi[0] - 3 * math.pi / 4) < 1e-10   # stationary angle
 
 
 def test_sweep_zero_span_read_at_start(constant_profile):
     # gamma = 3 - 1 = 2, mu = 1
     phi, _ = sweep_phase(constant_profile, 1.0, np.array([3.0]),
-                         np.array([0.3]), 1.0, 1.0, read_at=np.array([1.0]))
+                         np.array([0.3]), 1.0, np.array([1.0]))
     assert phi[0] == 0.3
 
 
 def test_sweep_rejects_reads_behind_start(constant_profile):
-    # gamma = mu = 1; a read behind the start used to get the angle at
-    # the far end (phi(5) = 4.0 for the read at 1, phi(1) = 0.0 for the
-    # read at 4 of the zero-span sweep)
-    for y1 in (5.0, 2.0):
-        with pytest.raises(ValueError, match="behind the sweep start"):
-            sweep_phase(constant_profile, 1.0, np.array([2.0, 2.0]),
-                        np.array([1.0, 1.0]), 2.0, y1,
-                        read_at=np.array([1.0, 4.0]))
+    # gamma = mu = 1; the reads set the direction of the sweep, so a
+    # read behind the start is one on the other side of the rest
+    for reads in ([1.0, 4.0], [4.0, 1.0], [2.0, 4.0, 1.0]):
+        with pytest.raises(ValueError, match="both sides of the sweep start"):
+            sweep_phase(constant_profile, 1.0, np.full(len(reads), 2.0),
+                        np.ones(len(reads)), 2.0, np.array(reads))
 
 
 def test_sweep_one_coef_call_per_attempt(exp_profile, monkeypatch):
@@ -133,14 +130,13 @@ def test_sweep_identical_members_swept_once(exp_profile, monkeypatch):
     monkeypatch.setattr(propagate, "_frozen_step", counted)
     reads = np.linspace(0.0, 6.0, 40)
     omegas = np.where(np.arange(40) % 2, 0.7, 0.4)
-    phi, log_r = sweep_phase(exp_profile, 1.0, omegas, HALF_PI, 0.0, 6.0,
-                             read_at=reads, want_log_r=True)
+    phi, log_r = sweep_phase(exp_profile, 1.0, omegas, HALF_PI, 0.0, reads,
+                             want_log_r=True)
     assert set(rows) == {2}
     for om in (0.4, 0.7):
         sel = omegas == om
         phi1, log_r1 = sweep_phase(exp_profile, 1.0, omegas[sel], HALF_PI,
-                                   0.0, 6.0, read_at=reads[sel],
-                                   want_log_r=True)
+                                   0.0, reads[sel], want_log_r=True)
         assert np.max(np.abs(phi[sel] - phi1)) < 1e-10
         assert np.max(np.abs(log_r[sel] - log_r1)) < 1e-8
 
@@ -167,8 +163,7 @@ def test_sweep_log_r_at_reads(constant_profile):
     # member's log r at its own read depth is log cosh(2y) / 2
     reads = np.array([1.0, 2.0, 3.0])
     _, log_r = sweep_phase(constant_profile, 2.0, np.ones(3),
-                           np.full(3, HALF_PI), 0.0, 3.0, read_at=reads,
-                           want_log_r=True)
+                           np.full(3, HALF_PI), 0.0, reads, want_log_r=True)
     assert np.max(np.abs(log_r - 0.5 * np.log(np.cosh(2.0 * reads)))) < 1e-9
 
 
