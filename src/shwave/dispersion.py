@@ -386,6 +386,38 @@ def _add_flag(flag: Optional[str], note: str) -> str:
     return flag + "; " + note if flag else note
 
 
+def _settle(pts, third):
+    """The bracket ends and third point after a round, per bracket.
+
+    ``pts`` (4, P, n) holds rows (Omega, g, phi0, phi+) of P points in
+    each of n brackets, ``third`` (2, n) the (Omega, g) kept so far
+    (nan for none).  Sorted by Omega, the first point with g >= 0 is the
+    upper end and the one before it the lower end; where no point or the
+    first one has g >= 0 the last or first pair is kept, so an
+    unbracketed end moves as bisection would move it.  Of the other
+    points the one with the smallest |g| is kept as the next third
+    point.  The old third point competes too: when the new points
+    coincide with an end, it is the only one left (without it,
+    criterion 3's k = 1..40 trace took 36 rounds instead of 18).
+    Returns ends (4, 2, n) and third (2, n).
+    """
+    n_pts, cols = pts.shape[1], np.arange(pts.shape[2])
+    pts = np.take_along_axis(pts, np.argsort(pts[0], axis=0)[None], axis=1)
+    nonneg = pts[1] >= 0
+    hi = np.where(nonneg.any(axis=0), nonneg.argmax(axis=0), n_pts - 1)
+    hi = np.clip(hi, 1, n_pts - 1)
+    ends = np.stack([pts[:, hi - 1, cols], pts[:, hi, cols]], axis=1)
+    cand = np.concatenate([pts[:2], third[:, None]], axis=1)
+    score = np.abs(cand[1])
+    # a repeated member is no third point: it sits on an end
+    score[(cand[0] == ends[0, 0]) | (cand[0] == ends[0, 1])
+          | np.isnan(score)] = np.inf
+    pick = score.argmin(axis=0)
+    third = np.where(np.isfinite(score[pick, cols]), cand[:, pick, cols],
+                     np.nan)
+    return ends, third
+
+
 def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
                      y_bars):
     """Refine all pending brackets simultaneously by ITP, one batch per sweep.
@@ -399,8 +431,25 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
     its width still above root_tol) reaches radius 0 within a few
     rounds and bisects from then on.  A point is kept at least 0.4
     root_tol inside the bracket (Brent's guard), which stops a bracket
-    from shrinking one-sidedly just above the tolerance.  Brackets move
-    only by the sign of g = Phi - n*pi, so every root stays certified.
+    from shrinking one-sidedly just above the tolerance.
+
+    ITP alone nears the root from one side and needs more rounds to
+    move the far end, so every round also sweeps two straddle points
+    x_s - e and x_s + e.  x_s is the inverse quadratic interpolate
+    through both ends and a third point kept from earlier rounds (round
+    0 gives a, the midpoint and b), or the regula-falsi point where that
+    interpolate leaves the bracket.  The disagreement of the two
+    estimates sizes the step, e = max(0.4 tol, 0.3 |x_IQI - x_rf|) with
+    tol = root_tol max(|a|, |b|), so the pair tends to fall on both
+    sides of the root and the bracket collapses to about 2e.  A straddle
+    point outside the guarded bracket is replaced by the ITP point,
+    which costs nothing: sweep_phase sweeps identical members once.  The
+    new ends are the sign change among the old ends and the three points
+    (see _settle).  Extra points only shrink a bracket, and ITP's point
+    lies within its radius of the midpoint whatever the bracket, so the
+    width after round j stays within ITP's bound and the worst case
+    stays n_max rounds.  Brackets move only by the sign of
+    g = Phi - n*pi, so every root stays certified.
 
     ``K`` and ``y_bars`` hold each bracket's squared wavenumber and its
     matching depth near its turning point (see _polish_depths), so the
@@ -418,30 +467,29 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
     b0 = np.array([b[1] for b in brackets])
     targets = np.array([b[2] * math.pi for b in brackets])
 
-    def rows(omegas, n_pi, phi, phi0, phip):
-        return np.stack([omegas, phi - n_pi, phi0, phip])
+    def rows(x, idx, phi, phi0, phip):
+        # (Omega, g, phi0, phi+) of the points x (3, len(idx)), swept as
+        # one batch of 3 len(idx) members, row after row
+        return np.stack([x.ravel(), phi - np.tile(targets[idx], 3), phi0,
+                         phip]).reshape(4, 3, -1)
 
-    def update(idx, new):
-        ends[(new[1] >= 0).astype(int), :, idx] = new.T
-
-    x0 = np.concatenate([a0, 0.5 * (a0 + b0), b0])
-    phi, phi0, phip, cfg = _mismatch_batch(problem, np.tile(K, 3), x0, cfg,
-                                           settings, y_bars=np.tile(y_bars, 3),
+    x0 = np.stack([a0, 0.5 * (a0 + b0), b0])
+    phi, phi0, phip, cfg = _mismatch_batch(problem, np.tile(K, 3), x0.ravel(),
+                                           cfg, settings,
+                                           y_bars=np.tile(y_bars, 3),
                                            tail_check=True)
-    first = rows(x0, np.tile(targets, 3), phi, phi0, phip).reshape(4, 3, nb)
-    # ends[s, :, j] = (Omega, g, phi0, phi+) at the lower (s=0) or upper
-    # (s=1) end of bracket j; the midpoint then replaces one of them
-    ends = first[:, 0::2].swapaxes(0, 1).copy()
-    all_idx = np.arange(nb)
-    update(all_idx, first[:, 1])
+    # ends[:, s, j] = (Omega, g, phi0, phi+) at the lower (s=0) or upper
+    # (s=1) end of bracket j; third[:, j] = (Omega, g) of its third point
+    ends, third = _settle(rows(x0, np.arange(nb), phi, phi0, phip),
+                          np.full((2, nb), np.nan))
 
     # ITP from the halved brackets: kappa1 = 0.2/w0, kappa2 = 2, n0 = 3
-    w0 = ends[1, 0] - ends[0, 0]
-    eps = 0.5 * opts.root_tol * np.max(np.abs(ends[:, 0]), axis=0)
+    w0 = ends[0, 1] - ends[0, 0]
+    eps = 0.5 * opts.root_tol * np.max(np.abs(ends[0]), axis=0)
     n_max = np.ceil(np.log2(w0 / (2.0 * eps))) + 3.0
     kappa1 = 0.2 / w0
     for j in range(_MAX_ROUNDS - 1):
-        (a, ga), (b, gb) = ends[0, :2], ends[1, :2]
+        (a, b), (ga, gb), (c, gc) = ends[0], ends[1], third
         width = b - a
         tol = opts.root_tol * np.maximum(np.abs(a), np.abs(b))
         resid = np.minimum(np.abs(ga), np.abs(gb))
@@ -459,16 +507,34 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
         radius = np.maximum(eps * 2.0 ** (n_max - j) - 0.5 * width, 0.0)
         x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
         guard = np.minimum(0.4 * tol, 0.5 * width)
-        x = np.where(bracketed, np.clip(x, a + guard, b - guard), mid)
+        lo, hi = a + guard, b - guard
+        x = np.where(bracketed, np.clip(x, lo, hi), mid)
+
+        # straddle x_s -+ e, e = max(0.4 tol, 0.3 |x_IQI - x_rf|); a
+        # missing third point or equal g values give e = 0.4 tol
+        with np.errstate(all="ignore"):
+            x_q = (a * gb * gc / ((ga - gb) * (ga - gc))
+                   + b * ga * gc / ((gb - ga) * (gb - gc))
+                   + c * ga * gb / ((gc - ga) * (gc - gb)))
+            spread = np.abs(x_q - x_f)
+        e = np.maximum(0.4 * tol, 0.3 * np.where(np.isfinite(spread),
+                                                 spread, 0.0))
+        x_s = np.where((x_q > a) & (x_q < b), x_q, x_f)
+        pair = x_s + np.array([[-1.0], [1.0]]) * e
+        pair = np.where(bracketed & (pair >= lo) & (pair <= hi), pair, x)
 
         idx = np.nonzero(active)[0]
-        phi, phi0, phip, _ = _mismatch_batch(problem, K[idx], x[idx], cfg,
-                                             settings, y_bars=y_bars[idx],
+        x3 = np.concatenate([x[None], pair])[:, idx]
+        phi, phi0, phip, _ = _mismatch_batch(problem, np.tile(K[idx], 3),
+                                             x3.ravel(), cfg, settings,
+                                             y_bars=np.tile(y_bars[idx], 3),
                                              tail_check=False)
-        update(idx, rows(x[idx], targets[idx], phi, phi0, phip))
+        ends[:, :, idx], third[:, idx] = _settle(
+            np.concatenate([ends[:, :, idx], rows(x3, idx, phi, phi0, phip)],
+                           axis=1), third[:, idx])
 
-    best = (np.abs(ends[1, 1]) < np.abs(ends[0, 1])).astype(int)
-    omega, g, phi0, phip = ends[best, :, all_idx].T
+    best = (np.abs(ends[1, 1]) < np.abs(ends[1, 0])).astype(int)
+    omega, g, phi0, phip = ends[:, best, np.arange(nb)]
     out = []
     for j, (_, _, nn) in enumerate(brackets):
         resid = abs(float(g[j]))
@@ -502,10 +568,11 @@ def trace_branches(profile: MaterialProfile, k_grid,
     index m.
     """
     k_grid = np.asarray(k_grid, dtype=float)
-    if not (np.all((k_grid > 0) & (k_grid < math.inf))
-            and np.all(np.diff(k_grid) > 0)):
-        raise ValueError("k_grid must be finite, positive and strictly "
-                         "increasing")
+    with np.errstate(over="ignore"):
+        finite = np.square(k_grid) < math.inf
+    if not (np.all((k_grid > 0) & finite) and np.all(np.diff(k_grid) > 0)):
+        raise ValueError("k_grid must be positive, strictly increasing and "
+                         "finite when squared")
     results = _search(profile, [float(k) ** 2 for k in k_grid], opts,
                       classification or classify(profile))
 

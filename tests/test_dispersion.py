@@ -12,7 +12,7 @@ import pytest
 import shwave as sw
 from shwave import dispersion, liouville
 from shwave.decay import matching_config
-from shwave.dispersion import SearchOptions
+from shwave.dispersion import DEFAULT_OPTIONS, SearchOptions
 from shwave.prufer import IntegratorSettings
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -88,13 +88,15 @@ def test_find_modes_empty_globally_negative(shallow_profile, stiff_profile):
     lambda p: sw.find_modes(p, math.nan),
     lambda p: sw.trace_branches(p, [1.0, math.inf]),
     lambda p: sw.trace_branches(p, [1.0, math.nan]),
+    lambda p: sw.trace_branches(p, [1.0, 1e200]),
     lambda p: sw.estimate_mode_count(p, math.inf),
     lambda p: sw.estimate_mode_count(p, math.nan),
 ], ids=["find_modes_inf", "find_modes_nan", "trace_inf", "trace_nan",
-        "estimate_inf", "estimate_nan"])
+        "trace_square_overflows", "estimate_inf", "estimate_nan"])
 def test_non_finite_wavenumber_rejected(exp_profile, call):
     # inf once gave 0 modes (and N(k) = [2, 0] in a trace), nan a
-    # ProfileError from deep inside or a nan estimate
+    # ProfileError from deep inside or a nan estimate; a finite k whose
+    # square overflows raised OverflowError
     with pytest.raises(ValueError, match="finite"):
         call(exp_profile)
 
@@ -290,11 +292,12 @@ def test_trace_branches_one_scan_batch_per_chunk(exp_profile, monkeypatch):
 
 def test_trace_branches_refine_rounds(exp_profile, monkeypatch):
     # ITP slack n0 = 3 keeps brackets whose residual is small but whose
-    # width is not off plain bisection; with n0 = 1 they bisect (16)
+    # width is not off plain bisection (with n0 = 1 they bisect: 16);
+    # the straddle pair then closes the far end (ITP alone: 9)
     rounds = _spy_callers(monkeypatch, "_refine_brackets")
     _, results = sw.trace_branches(exp_profile, np.arange(1.0, 9.0), LOOSE)
     assert sum(len(r.modes) for r in results) == 54
-    assert 1 <= len(rounds) <= 10
+    assert 1 <= len(rounds) <= 6
 
 
 @TRACES
@@ -488,19 +491,45 @@ def test_duplicate_mode_index_flagged(exp_profile, monkeypatch):
     assert res.modes[1] == found[1]
 
 
-@pytest.mark.parametrize("profile, K", [
-    (sw.from_registry("exp_density", {"rho_inf": 1.0, "drho": 5.0, "d": 1.0}),
-     16.0),
-    (sw.from_registry("smoothed_layer", SHARP_LAYER), 25.0),
-], ids=["exp", "sharp_layer"])
-def test_refine_round_count(profile, K, monkeypatch):
+EXP = sw.from_registry("exp_density", {"rho_inf": 1.0, "drho": 5.0, "d": 1.0})
+SHARP = sw.from_registry("smoothed_layer", SHARP_LAYER)
+
+
+@pytest.mark.parametrize("profile, K, opts, most", [
+    (EXP, 16.0, SearchOptions(), 5),
+    (SHARP, 25.0, SearchOptions(), 7),
+    (EXP, 1.0, SearchOptions(space="tau"), 4),
+    (sw.from_registry("power_density", {"rho_inf": 1.0, "c": 3.0, "p": 1.5}),
+     4.0, SearchOptions(max_modes=8), 15),
+], ids=["exp", "sharp_layer", "tau_exp", "power"])
+def test_refine_round_count(profile, K, opts, most, monkeypatch):
     # each refinement round is one batched sweep called from
-    # _refine_brackets; ITP needs 9 here, and a bracket that stalls just
-    # above the tolerance (no guard) or plain bisection needs 26-28
+    # _refine_brackets.  With the straddle pair: 4, 6, 3 and 14 rounds;
+    # ITP alone needs 9, 9, 8 and 35 (24 of them on the power law's
+    # m = 8 bracket, where g jumps by about 3 near its top), and a
+    # bracket that stalls just above the tolerance (no guard) or plain
+    # bisection needs 26-28 on the first two
     rounds = _spy_callers(monkeypatch, "_refine_brackets")
-    res = sw.find_modes(profile, K)
+    res = sw.find_modes(profile, K, opts)
     assert res.modes and all(m.flag is None for m in res.modes)
-    assert 1 <= len(rounds) <= 12
+    assert 1 <= len(rounds) <= most
+
+
+@pytest.mark.parametrize("profile, K", [(EXP, 16.0), (SHARP, 25.0)],
+                         ids=["exp", "sharp_layer"])
+def test_roots_certified_by_sign(profile, K):
+    # no oracle: each root sits inside a sign change of its own mismatch
+    # g = Phi - (m-1) pi that is 2 root_tol wide, in the window of the mode
+    res = sw.find_modes(profile, K)
+    assert res.modes
+    tol = DEFAULT_OPTIONS.root_tol
+    for md in res.modes:
+        phi = dispersion._mismatch_batch(
+            profile, K, md.Omega * np.array([1.0 - tol, 1.0 + tol]),
+            md.matching, DEFAULT_OPTIONS.settings,
+            y_bars=np.full(2, md.matching.y_bar))[0]
+        g = phi - (md.m - 1) * math.pi
+        assert g[0] < 0.0 < g[1], (md.m, g)
 
 
 @pytest.mark.parametrize("bad", [
