@@ -526,8 +526,7 @@ def test_roots_certified_by_sign(profile, K):
     for md in res.modes:
         phi = dispersion._mismatch_batch(
             profile, K, md.Omega * np.array([1.0 - tol, 1.0 + tol]),
-            md.matching, DEFAULT_OPTIONS.settings,
-            y_bars=np.full(2, md.matching.y_bar))[0]
+            md.matching, DEFAULT_OPTIONS.settings)[0]
         g = phi - (md.m - 1) * math.pi
         assert g[0] < 0.0 < g[1], (md.m, g)
 
