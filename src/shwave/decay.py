@@ -27,7 +27,7 @@ import numpy as np
 from . import propagate
 from .errors import (NoNegativeTailError, TailConvergenceError,
                      TailSelectionError, ThresholdError)
-from .prufer import DEFAULT_SETTINGS, IntegratorSettings, PhaseState
+from .prufer import DEFAULT_SETTINGS, HALF_PI, IntegratorSettings, PhaseState
 from .profile import ParamPoint, _as_param, _gamma, _trapezoid
 
 NEAR_THRESHOLD_DELTA = 1e-9     # reject Omega above (1 - delta) * cutoff
@@ -237,8 +237,8 @@ def decaying_phase(problem, A, cfg: MatchingConfig,
     """
     A = _as_param(A)
     _guard_threshold(problem, A)
-    phi, log_r, _ = decaying_phase_batch(problem, A.K, A.Omega, cfg,
-                                         settings=settings, want_log_r=True)
+    phi, log_r, _, _ = decaying_phase_batch(problem, A.K, A.Omega, cfg,
+                                            settings=settings, want_log_r=True)
     band_slack = 1e-9
     if not (math.pi / 2 - band_slack < phi[0] < math.pi + band_slack):
         raise TailConvergenceError(
@@ -247,59 +247,119 @@ def decaying_phase(problem, A, cfg: MatchingConfig,
     return PhaseState(y=cfg.y_bar, phi=float(phi[0]), log_r=float(log_r[0]))
 
 
-def decaying_phase_batch(problem, K, omegas, cfg: MatchingConfig,
+def window_depths(cfg, n):
+    """(windows, y_bar, y_tail): ``cfg``, one MatchingConfig shared by n
+    members or one per member, as a list and its two depths per member."""
+    windows = [cfg] * n if isinstance(cfg, MatchingConfig) else list(cfg)
+    return (windows, np.array([w.y_bar for w in windows]),
+            np.array([w.y_tail for w in windows]))
+
+
+def decaying_phase_batch(problem, K, omegas, cfg,
                          settings: Optional[IntegratorSettings] = None,
                          y_bars=None, check: bool = True,
-                         want_log_r: bool = False):
+                         want_log_r: bool = False, surface=None):
     """Vectorized decaying angle at y_bar for a batch of points (K, Omega).
 
-    ``K`` is a scalar or one value per member.  All members share one
-    tail window, which must be valid for each of them: a worst-case
-    (largest-Omega) window covers the smaller Omega of its K, because
-    gamma decreases pointwise as Omega does.  Each member's angle is
-    read off at its own depth of ``y_bars`` (default: every member at
-    ``cfg.y_bar``), and the backward sweep ends at the shallowest.
-    Unless the profile is exactly constant beyond y_tail, a re-solve
-    from a doubled tail window must reproduce the angles read at or
-    above ``cfg.y_bar`` to within 1e-8, else the window is doubled and
-    retried; deeper reads ride along unchecked.  ``check=False`` skips
-    the check for repeat sweeps over a window that already validated.
+    ``K`` is a scalar or one value per member, and ``cfg`` one tail
+    window shared by every member or one per member.  A window must be
+    valid for its members: one valid for the largest Omega of a K
+    covers the smaller Omega of that K, because gamma decreases
+    pointwise as Omega does.  The members of one K and one window form
+    a group, which starts at the window's y_tail seeded by
+    :func:`decaying_phase_at_tail`; each member's angle is read off at
+    its own depth of ``y_bars`` (default: its window's y_bar).
 
-    Returns (phi, log_r, window): log_r (None unless ``want_log_r``)
-    counts from r = 1 at the window's tail start, and repeat sweeps must
-    reuse the window the check accepted.
+    Every group is swept in one :func:`shwave.propagate.sweep_phase`
+    call, each K on its own lanes.  Unless the profile is exactly
+    constant beyond the group's y_tail, that call also sweeps the
+    group's reads at or above its window's y_bar from the doubled
+    window; those angles must agree to within 1e-8, else only that
+    group is swept again from the doubled window (and checked against
+    the quadrupled one), up to four windows.  Deeper reads ride along
+    unchecked.  ``check=False`` skips the check for repeat sweeps over
+    windows that already validated.  ``surface`` = (K, omegas, reads)
+    adds members swept down from the surface, where their angle is
+    pi/2, to the first call.
+
+    Returns (phi, log_r, windows, surface): log_r (None unless
+    ``want_log_r``) counts from r = 1 at each member's accepted tail
+    start, ``windows`` lists the window each member's check accepted
+    (repeat sweeps must reuse it), and ``surface`` is the (phi, log_r)
+    of the surface members, or None.
     """
     settings = settings or DEFAULT_SETTINGS
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     K = np.broadcast_to(np.asarray(K, dtype=float), omegas.shape)
+    windows, w_bar, w_tail = window_depths(cfg, omegas.size)
+    y_bars = w_bar if y_bars is None else np.broadcast_to(
+        np.asarray(y_bars, dtype=float), omegas.shape)
+    group, first = propagate._lane_ids(K, w_bar, w_tail)
+    wins = [windows[j] for j in first.tolist()]
     tail_from = getattr(problem, "tail_constant_from", None)
-    exact_tail = tail_from is not None and cfg.y_tail >= tail_from
-
+    checks = [check and not (tail_from is not None and w.y_tail >= tail_from)
+              for w in wins]
     # at loose integration tolerances the two sweeps differ by
     # integration error, not truncation, so the bar scales with rel_tol
     tol = max(TAIL_ANGLE_TOL, 100.0 * settings.rel_tol)
-    y_bars = np.full(omegas.shape, cfg.y_bar) if y_bars is None \
-        else np.asarray(y_bars, dtype=float)
-    checked = y_bars <= cfg.y_bar
+    checked = y_bars <= w_bar
+    phi = np.empty(omegas.shape)
+    log_r = np.zeros(omegas.shape) if want_log_r else None
+    surface_out = None
+    todo = list(range(len(wins)))
 
-    def sweep(y_tail, sel, log_r):
-        ks, oms = K[sel], omegas[sel]
-        return propagate.sweep_phase(
-            problem, ks, oms, decaying_phase_at_tail(problem, (ks, oms), y_tail),
-            y_tail, y_bars[sel], rtol=settings.rel_tol, atol=settings.abs_tol,
-            want_log_r=log_r)
+    def seeds(sel, depth):
+        # members ``sel``, in order, with each group's start depth and angle
+        starts, angles = np.empty(sel.size), np.empty(sel.size)
+        for g in np.unique(group[sel]).tolist():
+            at = group[sel] == g
+            starts[at] = y = depth(wins[g])
+            angles[at] = decaying_phase_at_tail(problem, (K[sel][at],
+                                                          omegas[sel][at]), y)
+        return starts, angles
 
-    cfg_cur = cfg
     for _ in range(_TAIL_ATTEMPTS):
-        phi, log_r = sweep(cfg_cur.y_tail, slice(None), want_log_r)
-        if exact_tail or not check:
-            return phi, log_r, cfg_cur
-        # the check sweeps the checked members only
-        phi2, _ = sweep(cfg_cur.stretched(2.0).y_tail, checked, False)
-        delta = float(np.max(np.abs(phi2 - phi[checked]), initial=0.0))
-        if delta <= tol:
-            return phi, log_r, cfg_cur
-        cfg_cur = cfg_cur.stretched(2.0)
+        sweep = np.isin(group, todo)
+        probe = sweep & checked & np.array(checks)[group]
+        tail = np.nonzero(sweep)[0]
+        test = np.nonzero(probe)[0]
+        parts = [(tail, *seeds(tail, lambda w: w.y_tail)),
+                 (test, *seeds(test, lambda w: w.stretched(2.0).y_tail))]
+        ks = [K[tail], K[test]]
+        oms = [omegas[tail], omegas[test]]
+        reads = [y_bars[tail], y_bars[test]]
+        if surface is not None:
+            s_K, s_om, s_reads = (np.atleast_1d(np.asarray(v, dtype=float))
+                                  for v in surface)
+            s_om = np.broadcast_to(s_om, s_reads.shape)
+            parts.append((None, np.zeros(s_reads.shape),
+                          np.full(s_reads.shape, HALF_PI)))
+            ks.append(np.broadcast_to(s_K, s_reads.shape))
+            oms.append(s_om)
+            reads.append(s_reads)
+        got, got_lr = propagate.sweep_phase(
+            problem, np.concatenate(ks), np.concatenate(oms),
+            np.concatenate([pt[2] for pt in parts]),
+            np.concatenate([pt[1] for pt in parts]), np.concatenate(reads),
+            rtol=settings.rel_tol, atol=settings.abs_tol,
+            want_log_r=want_log_r)
+        cut = np.cumsum([pt[1].size for pt in parts])
+        phi[tail] = got[:cut[0]]
+        if want_log_r:
+            log_r[tail] = got_lr[:cut[0]]
+        if surface is not None:
+            surface_out = (got[cut[1]:], None if got_lr is None
+                           else got_lr[cut[1]:])
+            surface = None
+        gap = np.abs(got[cut[0]:cut[1]] - phi[test])
+        worst = np.zeros(len(wins))
+        np.maximum.at(worst, group[test], gap)
+        todo = [g for g in todo if checks[g] and not worst[g] <= tol]
+        if not todo:
+            return (phi, log_r, [wins[g] for g in group.tolist()],
+                    surface_out)
+        for g in todo:
+            wins[g] = wins[g].stretched(2.0)
     raise TailConvergenceError(
         "tail-window doubling failed to stabilize phi+ after %d windows "
-        "(last delta %.3e)" % (_TAIL_ATTEMPTS, delta))
+        "(last delta %.3e)" % (_TAIL_ATTEMPTS, worst[todo].max()))

@@ -25,9 +25,10 @@ import numpy as np
 
 from . import liouville
 from .decay import (NEAR_THRESHOLD_DELTA, MatchingConfig,
-                    decaying_phase_batch, matching_config, matching_depths)
+                    decaying_phase_batch, matching_config, matching_depths,
+                    window_depths)
 from .errors import NoNegativeTailError, TailSelectionError
-from .prufer import HALF_PI, IntegratorSettings, _check_positive, phase_batch
+from .prufer import IntegratorSettings, _check_positive
 from .profile import (MaterialProfile, ProfileClass, _halves_every_three,
                       admissible_interval, classify, interval_is_empty)
 
@@ -126,39 +127,28 @@ def _problem_for(profile: MaterialProfile, space: str):
     return profile if space == "y" else liouville.transform(profile)
 
 
-def _mismatch_batch(problem, K, omegas, cfg: MatchingConfig,
-                    settings: IntegratorSettings, y_bars=None,
-                    tail_check: bool = True):
-    """(Phi, phi0, phi_plus, cfg) for a batch of points (K, Omega).
+def _mismatch_batch(problem, K, omegas, cfg, settings: IntegratorSettings,
+                    y_bars=None, tail_check: bool = True):
+    """(Phi, phi0, phi_plus, windows) for a batch of points (K, Omega).
 
-    ``K`` is a scalar or one value per member.  All members share the
-    tail window of cfg, which must be valid for each of them (a window
-    valid for the largest Omega of a K covers its smaller ones).
-    ``y_bars`` gives each member its own matching depth (default
-    ``cfg.y_bar``); both sweeps read each member off there.  The
-    returned cfg carries the tail window the decaying sweep accepted.
+    ``K`` is a scalar or one value per member, and ``cfg`` one tail
+    window shared by every member or one per member, valid for its
+    members (a window valid for the largest Omega of a K covers its
+    smaller ones).  ``y_bars`` gives each member its own matching depth
+    (default: its window's y_bar); both sweeps read each member off
+    there.  The surface sweep, the decaying sweep and, with
+    ``tail_check``, its tail check are one sweep_phase call, each K on
+    its own lanes; only a failed check sweeps again, for its own K (see
+    decaying_phase_batch).  ``windows`` lists the window each member's
+    check accepted.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    y_bars = np.full(omegas.shape, cfg.y_bar) if y_bars is None \
-        else np.asarray(y_bars, dtype=float)
-    phi0 = phase_batch(problem, K, omegas, np.full(omegas.shape, HALF_PI),
-                       0.0, y_bars, settings=settings)
-    phi_plus, _, cfg = decaying_phase_batch(problem, K, omegas, cfg,
-                                            settings=settings, y_bars=y_bars,
-                                            check=tail_check)
-    return phi0 - phi_plus, phi0, phi_plus, cfg
-
-
-def _hull(cfgs) -> MatchingConfig:
-    """The deepest matching depth and tail start of the windows ``cfgs``.
-
-    matching_config certifies gamma < 0 from each window's y_bar
-    to infinity, so a deeper tail start is valid for the members of
-    every window.  The hull is strict only if every window is.
-    """
-    return MatchingConfig(y_bar=max(c.y_bar for c in cfgs),
-                          y_tail=max(c.y_tail for c in cfgs),
-                          strict_tail=all(c.strict_tail for c in cfgs))
+    if y_bars is None:
+        y_bars = window_depths(cfg, omegas.size)[1]
+    phi_plus, _, windows, (phi0, _) = decaying_phase_batch(
+        problem, K, omegas, cfg, settings=settings, y_bars=y_bars,
+        check=tail_check, surface=(K, omegas, y_bars))
+    return phi0 - phi_plus, phi0, phi_plus, windows
 
 
 def find_modes(profile: MaterialProfile, K: float,
@@ -229,9 +219,9 @@ def _grow_window(problem, sc: _Scan, chunk, tail_stretch):
             continue
         if tail_stretch != 1.0:
             cfg = cfg.stretched(tail_stretch)
-        # depths only ever grow while the scan climbs toward the cutoff,
-        # so every bracket refinement reuses a window that is valid for it
-        sc.grown = cfg if sc.grown is None else _hull([cfg, sc.grown])
+        # a window valid for the chunk's top covers every lower frequency
+        # of this K, so the refinement reuses the window of its last chunk
+        sc.grown = cfg
         sc.at_limit = j < len(chunk) - 1
         return chunk[: j + 1]
     return None
@@ -243,10 +233,10 @@ def _scan(problem, jobs, opts: SearchOptions) -> list:
 
     The chunks of every K (see _chunks) are walked by index, and chunk i
     of every K still scanning is swept in one batch at loosened
-    settings.  Each K's window is grown to the top of its own chunk and
-    its members are read off at that window's depth; the tail window is
-    the hull of those windows.  A K stops once it holds ``max_modes``
-    brackets or its tail became unreachable.
+    settings.  Each K's window is grown to the top of its own chunk, and
+    its members are swept in that window and read off at its depth.  A
+    K stops once it holds ``max_modes`` brackets or its tail became
+    unreachable.
     """
     settings = opts.settings
     scan_settings = IntegratorSettings(
@@ -270,7 +260,7 @@ def _scan(problem, jobs, opts: SearchOptions) -> list:
         phi = _mismatch_batch(
             problem, np.repeat([sc.K for sc, _ in batch], sizes),
             np.concatenate([c for _, c in batch]),
-            _hull([sc.grown for sc, _ in batch]), scan_settings,
+            [sc.grown for sc, c in batch for _ in c], scan_settings,
             y_bars=np.repeat([sc.grown.y_bar for sc, _ in batch], sizes))[0]
         for (sc, omegas), phis in zip(batch,
                                       np.split(phi, np.cumsum(sizes)[:-1])):
@@ -307,8 +297,7 @@ def _search(profile: MaterialProfile, Ks, opts: SearchOptions,
     Every K with a nonempty admissible interval is scanned in one
     _scan, one batch per chunk over all K; then the brackets of all K
     are refined in one _refine_brackets batch, each bracket with its own
-    K and its matching depth polished in its own K's window, all in the
-    hull of those windows.
+    K, in its own K's window, at its matching depth polished there.
     """
     results = []
     jobs = []
@@ -335,7 +324,7 @@ def _search(profile: MaterialProfile, Ks, opts: SearchOptions,
             for sc in live])
         modes = _refine_brackets(problem, Kb,
                                  [b for sc in live for b in sc.brackets],
-                                 _hull([sc.cfg for sc in live]),
+                                 [sc.cfg for sc in live for _ in sc.brackets],
                                  opts.settings, opts,
                                  [f for sc in live for f in sc.noisy],
                                  y_bars)
@@ -418,8 +407,8 @@ def _settle(pts, third):
     return ends, third
 
 
-def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
-                     y_bars):
+def _refine_brackets(problem, K, brackets, windows, settings, opts,
+                     noisy_flags, y_bars):
     """Refine all pending brackets simultaneously by ITP, one batch per sweep.
 
     ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) steps from the
@@ -451,15 +440,16 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
     stays n_max rounds.  Brackets move only by the sign of
     g = Phi - n*pi, so every root stays certified.
 
-    ``K`` and ``y_bars`` hold each bracket's squared wavenumber and its
-    matching depth near its turning point (see _polish_depths), so the
-    brackets of many K share every sweep.  ``cfg`` is the hull of their
-    windows: the shared backward sweep starts at its tail depth and
-    every member is read off at its own y_bar.  Round 0 evaluates both
-    ends and the midpoint of every bracket with the tail check on (the
-    scan's values come from looser settings and other depths); later
-    rounds reuse the tail window it accepted.  A mode reports the
-    bracket end with the smaller |g|, with its angles.
+    ``K``, ``windows`` and ``y_bars`` hold each bracket's squared
+    wavenumber, its K's tail window and its matching depth near its
+    turning point (see _polish_depths), so the brackets of many K share
+    every sweep, each K on its own lanes: its backward sweep starts at
+    its own window's tail depth and every member is read off at its own
+    y_bar.  Round 0 evaluates both ends and the midpoint of every
+    bracket with the tail check on (the scan's values come from looser
+    settings and other depths); later rounds reuse the tail windows it
+    accepted.  A mode reports the bracket end with the smaller |g|, with
+    its angles.
     """
     nb = len(brackets)
     K = np.asarray(K, dtype=float)
@@ -474,10 +464,12 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
                          phip]).reshape(4, 3, -1)
 
     x0 = np.stack([a0, 0.5 * (a0 + b0), b0])
-    phi, phi0, phip, cfg = _mismatch_batch(problem, np.tile(K, 3), x0.ravel(),
-                                           cfg, settings,
-                                           y_bars=np.tile(y_bars, 3),
-                                           tail_check=True)
+    phi, phi0, phip, windows = _mismatch_batch(problem, np.tile(K, 3),
+                                               x0.ravel(), list(windows) * 3,
+                                               settings,
+                                               y_bars=np.tile(y_bars, 3),
+                                               tail_check=True)
+    windows = windows[:nb]      # the three points of a bracket share one
     # ends[:, s, j] = (Omega, g, phi0, phi+) at the lower (s=0) or upper
     # (s=1) end of bracket j; third[:, j] = (Omega, g) of its third point
     ends, third = _settle(rows(x0, np.arange(nb), phi, phi0, phip),
@@ -526,7 +518,9 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
         idx = np.nonzero(active)[0]
         x3 = np.concatenate([x[None], pair])[:, idx]
         phi, phi0, phip, _ = _mismatch_batch(problem, np.tile(K[idx], 3),
-                                             x3.ravel(), cfg, settings,
+                                             x3.ravel(),
+                                             [windows[i] for i in idx] * 3,
+                                             settings,
                                              y_bars=np.tile(y_bars[idx], 3),
                                              tail_check=False)
         ends[:, :, idx], third[:, idx] = _settle(
@@ -546,7 +540,7 @@ def _refine_brackets(problem, K, brackets, cfg, settings, opts, noisy_flags,
         out.append(Mode(K=float(K[j]), Omega=float(omega[j]), m=nn + 1,
                         phi_surface=float(phi0[j]), phi_decay=float(phip[j]),
                         residual=resid,
-                        matching=replace(cfg, y_bar=float(y_bars[j])),
+                        matching=replace(windows[j], y_bar=float(y_bars[j])),
                         flag=flag))
     return out
 
@@ -559,13 +553,10 @@ def trace_branches(profile: MaterialProfile, k_grid,
     Every k is scanned on find_modes' grid, all k in one batch per scan
     chunk, each k in its own window; then the brackets of all k are
     refined in one ITP batch (see _refine_brackets), each with its own K
-    and its matching depth polished in its own k's window.  Both batches
-    sweep the tail from the hull of the k windows: the deepest y_bar,
-    the deepest y_tail, strict only if every k's is.  So every mode's
-    ``matching.y_tail`` is that shared window, and a root can differ
-    from find_modes at its k alone by up to ``root_tol`` relative (the
-    brackets are the same).  Modes are associated across k by their
-    index m.
+    and its matching depth polished in its own k's window.  Each k is
+    swept on lanes of its own, so it takes the steps it would take
+    alone: every mode, ``matching`` included, is the one find_modes
+    gives at that k.  Modes are associated across k by their index m.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     with np.errstate(over="ignore"):

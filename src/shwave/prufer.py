@@ -145,9 +145,10 @@ def reconstruct_mode_shape(problem, mode, y_grid,
                            settings: Optional[IntegratorSettings] = None):
     """Sample the displacement u(y) of a matched mode, with u(0) = 1.
 
-    One forward sweep covers [0, y_bar] and one decaying sweep (with its
-    tail-window check) [y_bar, y_tail]; in both, member 0 reads y_bar
-    and each other member reads one depth of the nonnegative
+    One :func:`shwave.propagate.sweep_phase` call holds three lanes: the
+    surface sweep over [0, y_bar], the decaying sweep over [y_bar,
+    y_tail] and its tail-window check.  In the first two, member 0 reads
+    y_bar and each other member reads one depth of the nonnegative
     ``y_grid``.  The tail piece is scaled and sign-matched with the
     (-1)^n factor implied by the integer angle offset at the matching
     point.  A relative (u, w) mismatch above 1e-6 at y_bar raises
@@ -163,14 +164,12 @@ def reconstruct_mode_shape(problem, mode, y_grid,
     far = y_grid > cfg.y_tail
     mid = ~fwd & ~far
 
-    reads = np.concatenate([[cfg.y_bar], y_grid[fwd]])
-    phi_f, lr_f = propagate.sweep_phase(
-        problem, K, np.full(reads.shape, Omega), HALF_PI, 0.0, reads,
-        rtol=settings.rel_tol, atol=settings.abs_tol, want_log_r=True)
+    reads_f = np.concatenate([[cfg.y_bar], y_grid[fwd]])
     reads = np.concatenate([[cfg.y_bar], y_grid[mid], [cfg.y_tail]])
-    phi_b, lr_b, _ = decay.decaying_phase_batch(
+    phi_b, lr_b, _, (phi_f, lr_f) = decay.decaying_phase_batch(
         problem, K, np.full(reads.shape, Omega), cfg, settings=settings,
-        y_bars=reads, want_log_r=True)
+        y_bars=reads, want_log_r=True,
+        surface=(K, np.full(reads_f.shape, Omega), reads_f))
 
     n = mode.m - 1
     d_angle = phi_f[0] - (phi_b[0] + n * math.pi)

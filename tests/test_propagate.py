@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from shwave.propagate import _frozen_step
+from shwave.propagate import _frozen_step, _pack
 
-Y0, H = 30.0, 0.4
 SUBSTEPS = 4000
 
 # (Omega, K, phi) by kind; gamma = mu (Omega (2 + 3 e^-y) - K), so at
-# Y0 Omega = K/2 leaves |gamma| < 1e-12, and Omega = K = 0 an exponent
+# depth Omega = K/2 leaves |gamma| < 1e-11, and Omega = K = 0 an exponent
 # with disc = 0 exactly
 MEMBERS = {
     "elliptic": [(10.0, 1.0, 0.3), (40.0, 1.0, 7.5), (300.0, 4.0, -1.2)],
@@ -27,6 +26,9 @@ MEMBERS = {
     "small": [(0.5, 1.0, 0.4), (0.5 + 1e-7, 1.0, 1.9), (0.5 - 1e-7, 1.0, -0.3),
               (0.0, 0.0, 0.9)],
 }
+# each kind is one lane, with its own start depth and step length
+LANES = {"elliptic": (30.0, 0.4), "hyperbolic": (26.0, 0.3),
+         "small": (33.0, 0.5)}
 
 
 class Medium:
@@ -89,21 +91,30 @@ def _reference(medium, y, h, K, Omega, phi):
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
 @pytest.mark.parametrize("case", ["elliptic", "hyperbolic", "small", "mixed"])
 def test_frozen_step_matches_explicit_magnus(case, sign):
-    members = (sum(MEMBERS.values(), []) if case == "mixed"
-               else MEMBERS[case])
-    kinds = [k for k, ms in MEMBERS.items() for _ in ms
-             if case in ("mixed", k)]
+    # "mixed" steps the three lanes of the other cases in one attempt
+    kinds = [k for k in MEMBERS if case in ("mixed", k)]
+    members = sum((MEMBERS[k] for k in kinds), [])
     Omega, K, phi = (np.array(col) for col in zip(*members))
-    medium, h = Medium(), sign * H
+    y = np.array([LANES[k][0] for k in kinds])
+    h = sign * np.array([LANES[k][1] for k in kinds])
+    lane = np.repeat(np.arange(len(kinds)), [len(MEMBERS[k]) for k in kinds])
+    weights = [np.array((Omega[lane == ln], K[lane == ln], np.ones((lane == ln).sum())))
+               for ln in range(len(kinds))]
+    medium = Medium()
     full, half, rot_max, logmag, _, g_end = _frozen_step(
-        medium.coef_pair, medium.stiffness, Y0, h, phi, K, Omega, True, None)
-    y_end = Y0 + h - math.copysign(min(1e-12 * max(1.0, abs(Y0 + h)), H / 2), h)
+        medium.coef_pair, medium.stiffness, y, h, phi,
+        _pack(weights, np.sign(h)), True, None)
+    assert rot_max.shape == y.shape
+    y_m, h_m = y[lane], h[lane]
+    y_end = y_m + h_m - np.copysign(
+        np.minimum(1e-12 * np.maximum(1.0, np.abs(y_m + h_m)), np.abs(h_m) / 2), h_m)
     p_end, q_end = medium.coef_pair(y_end)
     scale = np.abs(Omega * p_end) + np.abs(K * q_end)
     assert np.all(np.abs(g_end - (Omega * p_end - K * q_end)) <= 1e-11 * scale)
-    for j, kind in enumerate(kinds):
+    for j, ln in enumerate(lane):
+        kind = kinds[ln]
         ref_full, ref_half, ref_mag, disc = _reference(
-            medium, Y0, h, K[j], Omega[j], phi[j])
+            medium, y_m[j], h_m[j], K[j], Omega[j], phi[j])
         # each member is of the kind it is listed under, on all three steps
         if kind == "small":
             assert max(abs(d) for d in disc) < 1e-6
@@ -113,5 +124,6 @@ def test_frozen_step_matches_explicit_magnus(case, sign):
         assert abs(full[j] - ref_full) <= 1e-11
         assert abs(half[j] - ref_half) <= 1e-11
         assert abs(logmag[j] - ref_mag) <= 1e-11 * max(1.0, abs(ref_mag))
-    if case == "elliptic":
-        assert rot_max > math.pi          # the bands of several crossings
+    if "elliptic" in kinds:
+        # the bands of several crossings
+        assert rot_max[kinds.index("elliptic")] > math.pi
