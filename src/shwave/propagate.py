@@ -313,8 +313,9 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
             r_g0[a:b] = g_start
     readers = pending[np.argsort(read_at[pending], kind="stable")]
     reader_cuts = np.searchsorted(read_at[readers], np.arange(len(bnd) + 1)).tolist()
-    # a row leaves the batch with its lane, after the lane's last read
-    r_last = np.array(end_at)[lane] - 1
+    # a row leaves the batch after its last read (at once if it has none)
+    r_last = np.full(src.size, -1)
+    np.maximum.at(r_last, row[pending], read_at[pending])
     leavers = np.argsort(r_last, kind="stable")
     leaver_cuts = np.searchsorted(r_last[leavers], np.arange(len(bnd) + 1)).tolist()
 
@@ -323,7 +324,7 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
     r_lr = np.zeros(src.size)
     weights = [None] * n_lanes
     live = []
-    gone = np.isin(lane, [ln for ln in range(n_lanes) if ptr[ln] == end_at[ln]])
+    gone = r_last < 0
     tol_sum = atol + rtol
     while True:
         if gone.any() or not live:

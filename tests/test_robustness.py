@@ -116,8 +116,9 @@ def test_sweep_one_coef_call_per_attempt(exp_profile, monkeypatch):
 
 def test_sweep_identical_members_swept_once(exp_profile, monkeypatch):
     # members that differ only in their read depth share one trajectory:
-    # the steps carry two rows, and each member reads what a sweep of
-    # its own point alone reads at its depth
+    # the steps carry two rows until the 0.4 row's last read (5.85), then
+    # the 0.7 row alone, and each member reads what a sweep of its own
+    # point alone reads at its depth
     import shwave.propagate as propagate
 
     rows = []
@@ -132,7 +133,7 @@ def test_sweep_identical_members_swept_once(exp_profile, monkeypatch):
     omegas = np.where(np.arange(40) % 2, 0.7, 0.4)
     phi, log_r = sweep_phase(exp_profile, 1.0, omegas, HALF_PI, 0.0, reads,
                              want_log_r=True)
-    assert set(rows) == {2}
+    assert set(rows) == {1, 2} and rows == sorted(rows, reverse=True)
     for om in (0.4, 0.7):
         sel = omegas == om
         phi1, log_r1 = sweep_phase(exp_profile, 1.0, omegas[sel], HALF_PI,
