@@ -134,6 +134,9 @@ def _k_grid(cfg):
                           "with numeric start, stop and num: %r" % (exc,))
     if len(ks) == 0 or not np.all(ks > 0) or not np.all(np.diff(ks) > 0):
         raise ConfigError("k_grid must be positive and strictly increasing")
+    with np.errstate(over="ignore"):
+        if not np.all(np.square(ks) < math.inf):
+            raise ConfigError("k_grid entries must have a finite square")
     return ks
 
 
@@ -146,6 +149,8 @@ def _k_single(cfg):
         raise ConfigError("k must be a finite number, got %r" % (cfg["k"],))
     if not k > 0:
         raise ConfigError("k must be positive")
+    if not k * k < math.inf:
+        raise ConfigError("k must have a finite square, got %r" % (k,))
     return k
 
 

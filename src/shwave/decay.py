@@ -247,7 +247,7 @@ def decaying_phase(problem, A, cfg: MatchingConfig,
     return PhaseState(y=cfg.y_bar, phi=float(phi[0]), log_r=float(log_r[0]))
 
 
-def window_depths(cfg, n):
+def _window_depths(cfg, n):
     """(windows, y_bar, y_tail): ``cfg``, one MatchingConfig shared by n
     members or one per member, as a list and its two depths per member."""
     windows = [cfg] * n if isinstance(cfg, MatchingConfig) else list(cfg)
@@ -291,7 +291,7 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     settings = settings or DEFAULT_SETTINGS
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     K = np.broadcast_to(np.asarray(K, dtype=float), omegas.shape)
-    windows, w_bar, w_tail = window_depths(cfg, omegas.size)
+    windows, w_bar, w_tail = _window_depths(cfg, omegas.size)
     y_bars = w_bar if y_bars is None else np.broadcast_to(
         np.asarray(y_bars, dtype=float), omegas.shape)
     group, first = propagate._lane_ids(K, w_bar, w_tail)

@@ -26,7 +26,7 @@ import numpy as np
 from . import liouville
 from .decay import (NEAR_THRESHOLD_DELTA, MatchingConfig,
                     decaying_phase_batch, matching_config, matching_depths,
-                    window_depths)
+                    _window_depths)
 from .errors import NoNegativeTailError, TailSelectionError
 from .prufer import IntegratorSettings, _check_positive
 from .profile import (MaterialProfile, ProfileClass, _halves_every_three,
@@ -144,7 +144,7 @@ def _mismatch_batch(problem, K, omegas, cfg, settings: IntegratorSettings,
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if y_bars is None:
-        y_bars = window_depths(cfg, omegas.size)[1]
+        y_bars = _window_depths(cfg, omegas.size)[1]
     phi_plus, _, windows, (phi0, _) = decaying_phase_batch(
         problem, K, omegas, cfg, settings=settings, y_bars=y_bars,
         check=tail_check, surface=(K, omegas, y_bars))

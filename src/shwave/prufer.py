@@ -128,8 +128,9 @@ def phase_batch(problem, K, omegas, phi0, y_from: float, reads,
 
     The members are the parameter points (K, omegas) of ``problem``,
     ``K`` a scalar or one value per member; ``phi0`` holds their angles
-    at ``y_from``.  Used by the dispersion scan and refinement, whose
-    members are one profile at many frequencies of one K or of many.
+    at ``y_from``.  No solver path calls it: the scans and the
+    refinement sweep the surface angle in the same call as the decaying
+    tail (see ``decay.decaying_phase_batch``).
 
     ``reads`` is a scalar or one depth per member: each member's angle
     is read off at its own depth, and the sweep ends at the farthest.
@@ -145,15 +146,16 @@ def reconstruct_mode_shape(problem, mode, y_grid,
                            settings: Optional[IntegratorSettings] = None):
     """Sample the displacement u(y) of a matched mode, with u(0) = 1.
 
-    One :func:`shwave.propagate.sweep_phase` call holds three lanes: the
-    surface sweep over [0, y_bar], the decaying sweep over [y_bar,
-    y_tail] and its tail-window check.  In the first two, member 0 reads
-    y_bar and each other member reads one depth of the nonnegative
-    ``y_grid``.  The tail piece is scaled and sign-matched with the
-    (-1)^n factor implied by the integer angle offset at the matching
-    point.  A relative (u, w) mismatch above 1e-6 at y_bar raises
-    :class:`MatchConsistencyError`.  Beyond y_tail the evanescent tail
-    is extended with the local frozen decay rate.
+    One :func:`shwave.propagate.sweep_phase` call holds the surface
+    sweep over [0, y_bar], the decaying sweep over [y_bar, y_tail] and,
+    unless the profile is exactly constant beyond y_tail, its
+    tail-window check, each on a lane of its own.  In the first two,
+    member 0 reads y_bar and each other member reads one depth of the
+    nonnegative ``y_grid``.  The tail piece is scaled and sign-matched
+    with the (-1)^n factor implied by the integer angle offset at the
+    matching point.  A relative (u, w) mismatch above 1e-6 at y_bar
+    raises :class:`MatchConsistencyError`.  Beyond y_tail the
+    evanescent tail is extended with the local frozen decay rate.
     """
     from . import decay  # decay imports this module
 

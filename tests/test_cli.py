@@ -157,13 +157,17 @@ def test_unknown_tolerance_key_rejected(tmp_path, capsys):
     ("branches", {"k_grid": [True, 2]}),
     ("branches", {"k_grid": [1, math.inf]}),
     ("branches", {"k_grid": {"start": True, "stop": 2, "num": 3}}),
+    ("modes", {"k": 1e200}),
+    ("estimate", {"k": 1e200}),
+    ("branches", {"k_grid": [1, 1e200]}),
 ], ids=["k_text", "k_grid_no_num", "max_modes_text", "space_z",
         "missing_param", "negative_root_tol", "zero_max_modes",
         "fractional_max_modes", "bool_max_modes", "bool_omega_grid_n",
         "fractional_omega_grid_n", "omega_grid_n_7", "fractional_num",
         "bool_num", "bool_tolerances", "infinite_rel_tol",
         "infinite_residual_tol", "bool_k", "infinite_k", "bool_k_grid_entry",
-        "infinite_k_grid_entry", "bool_start"])
+        "infinite_k_grid_entry", "bool_start", "k_square_overflows",
+        "estimate_k_square_overflows", "k_grid_entry_square_overflows"])
 def test_malformed_config_is_config_error(tmp_path, capsys, task, change):
     code, _ = run_cli(tmp_path, base_config(task, **change))
     err = capsys.readouterr().err

@@ -47,6 +47,29 @@ def test_mismatch_vanishes_at_oracle_root(exp_profile, bessel_fixture):
     assert abs(phi - round(phi / math.pi) * math.pi) < 1e-9
 
 
+def test_mismatch_batch_one_sweep(exp_profile, monkeypatch):
+    # the surface sweep, the decaying sweep and the tail check of two K,
+    # each in its own window, share one sweep_phase call when the check
+    # passes
+    import shwave.propagate as propagate
+
+    cfgs = [matching_config(exp_profile, (K, 0.9 * K)) for K in (1.0, 4.0)]
+    calls = []
+    sweep = propagate.sweep_phase
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(propagate, "sweep_phase", counted)
+    phi, _, _, windows = dispersion._mismatch_batch(
+        exp_profile, [1.0, 1.0, 4.0, 4.0], [0.5, 0.9, 2.0, 3.6],
+        [cfgs[0]] * 2 + [cfgs[1]] * 2, IntegratorSettings())
+    assert len(calls) == 1
+    assert windows == [cfgs[0]] * 2 + [cfgs[1]] * 2
+    assert np.all(np.isfinite(phi))
+
+
 def test_mismatch_tau_coordinates_agree(exp_profile):
     K, om = 1.0, 0.62
     phi_y = _mismatch(exp_profile, K, om)
@@ -235,8 +258,9 @@ TRACES = pytest.mark.parametrize("profile, ks, opts", [
 
 @TRACES
 def test_trace_branches_matches_find_modes(profile, ks, opts):
-    # the trace refines every k in one batch in the hull of the k
-    # windows; per k it must agree with find_modes at that k alone
+    # the trace sweeps every k in shared batches, but each k on lanes
+    # of its own and in its own window, so per k it gives exactly what
+    # find_modes at that k alone gives
     _, results = sw.trace_branches(profile, ks, opts)
     assert len(results) == len(ks)
     for k, res in zip(ks, results):
@@ -244,10 +268,11 @@ def test_trace_branches_matches_find_modes(profile, ks, opts):
         assert res.K == alone.K
         assert res.truncated == alone.truncated
         assert res.nonexistence_reason == alone.nonexistence_reason
-        assert [(m.m, m.flag) for m in res.modes] == \
-            [(m.m, m.flag) for m in alone.modes]
-        for a, b in zip(res.modes, alone.modes):
-            assert abs(a.Omega - b.Omega) <= opts.root_tol * b.Omega
+        assert res.scan_ceiling == alone.scan_ceiling
+        assert [(m.m, m.flag, m.Omega, m.residual, m.matching.y_bar,
+                 m.matching.y_tail) for m in res.modes] == \
+            [(m.m, m.flag, m.Omega, m.residual, m.matching.y_bar,
+              m.matching.y_tail) for m in alone.modes]
     if profile is BURIED:
         assert [len(r.modes) for r in results] == [0, 1, 2]
         assert [r.truncated for r in results] == [False, False, True]

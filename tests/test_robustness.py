@@ -142,6 +142,49 @@ def test_sweep_identical_members_swept_once(exp_profile, monkeypatch):
         assert np.max(np.abs(log_r[sel] - log_r1)) < 1e-8
 
 
+def test_sweep_lanes_match_separate_sweeps(monkeypatch):
+    # one call holds three lanes: a forward lane from the surface, a
+    # backward lane from y = 6 and a lane from y = 0.5 that crosses both
+    # breakpoints of the layer (1 and 2); each member gets bit for bit
+    # what a sweep of its own lane alone gives, log r included, and every
+    # attempt advances all unfinished lanes
+    import shwave.propagate as propagate
+
+    layer = sw.from_registry("smoothed_layer", {
+        "rho_1": 2.5, "mu_1": 1.0, "rho_s": 1.0, "mu_s": 1.0, "y_s": 2.0,
+        "width": 1.0})
+    assert layer.breakpoints == (1.0, 2.0)
+    lanes = [  # K, Omega, phi0, y0, reads
+        (4.0, [5.0, 8.0, 5.0], HALF_PI, 0.0, [0.4, 0.9, 0.7]),
+        (9.0, [3.0, 4.0], [2.0, 2.5], 6.0, [3.0, 4.5]),
+        (1.0, [1.5, 2.0], 0.8, 0.5, [2.5, 1.5]),
+    ]
+    attempts = []
+    step = propagate._frozen_step
+
+    def counted(*args):
+        attempts.append(len(args[2]))
+        return step(*args)
+
+    monkeypatch.setattr(propagate, "_frozen_step", counted)
+    alone = []
+    for K, om, phi0, y0, reads in lanes:
+        del attempts[:]
+        alone.append(sweep_phase(layer, K, om, phi0, y0, reads,
+                                 want_log_r=True) + (len(attempts),))
+    cols = [np.concatenate([np.broadcast_to(np.asarray(lane[i], dtype=float),
+                                            np.shape(lane[1]))
+                            for lane in lanes]) for i in range(5)]
+    del attempts[:]
+    phi, log_r = sweep_phase(layer, *cols, want_log_r=True)
+    assert attempts[0] == 3 and len(attempts) == max(n for *_, n in alone)
+    cuts = np.cumsum([len(lane[1]) for lane in lanes])[:-1]
+    for (phi1, log_r1, _), phi_l, log_r_l in zip(alone, np.split(phi, cuts),
+                                                 np.split(log_r, cuts)):
+        assert np.array_equal(phi_l, phi1)
+        assert np.array_equal(log_r_l, log_r1)
+
+
 def test_phase_batch_log_r_consistency(exp_profile):
     # the batch engine and the scalar integrator agree on the angle and,
     # with want_log_r, on the log-amplitude; (16, 10) at y=4 ends on a
