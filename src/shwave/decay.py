@@ -297,63 +297,51 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     group, first = propagate._lane_ids(K, w_bar, w_tail)
     wins = [windows[j] for j in first.tolist()]
     tail_from = getattr(problem, "tail_constant_from", None)
-    checks = [check and not (tail_from is not None and w.y_tail >= tail_from)
-              for w in wins]
+    checks = np.array([check and not (tail_from is not None
+                                      and w.y_tail >= tail_from) for w in wins])
+    checked = y_bars <= w_bar
     # at loose integration tolerances the two sweeps differ by
     # integration error, not truncation, so the bar scales with rel_tol
     tol = max(TAIL_ANGLE_TOL, 100.0 * settings.rel_tol)
-    checked = y_bars <= w_bar
     phi = np.empty(omegas.shape)
     log_r = np.zeros(omegas.shape) if want_log_r else None
     surface_out = None
-    todo = list(range(len(wins)))
+    if surface is not None:
+        s_K, s_om, s_reads = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in surface))
+        surface = [(s_K, s_om, np.full(s_reads.shape, HALF_PI),
+                    np.zeros(s_reads.shape), s_reads)]
 
-    def seeds(sel, depth):
-        # members ``sel``, in order, with each group's start depth and angle
-        starts, angles = np.empty(sel.size), np.empty(sel.size)
+    def lanes(sel, depth):
+        # (K, Omega, phi0, y0, reads) of the members ``sel``, each group
+        # seeded at the ``depth`` of its window
+        y0, phi0 = np.empty(sel.size), np.empty(sel.size)
         for g in np.unique(group[sel]).tolist():
             at = group[sel] == g
-            starts[at] = y = depth(wins[g])
-            angles[at] = decaying_phase_at_tail(problem, (K[sel][at],
-                                                          omegas[sel][at]), y)
-        return starts, angles
+            y0[at] = y = depth(wins[g])
+            phi0[at] = decaying_phase_at_tail(
+                problem, (K[sel][at], omegas[sel][at]), y)
+        return K[sel], omegas[sel], phi0, y0, y_bars[sel]
 
+    todo = list(range(len(wins)))
     for _ in range(_TAIL_ATTEMPTS):
-        sweep = np.isin(group, todo)
-        probe = sweep & checked & np.array(checks)[group]
-        tail = np.nonzero(sweep)[0]
-        test = np.nonzero(probe)[0]
-        parts = [(tail, *seeds(tail, lambda w: w.y_tail)),
-                 (test, *seeds(test, lambda w: w.stretched(2.0).y_tail))]
-        ks = [K[tail], K[test]]
-        oms = [omegas[tail], omegas[test]]
-        reads = [y_bars[tail], y_bars[test]]
-        if surface is not None:
-            s_K, s_om, s_reads = (np.atleast_1d(np.asarray(v, dtype=float))
-                                  for v in surface)
-            s_om = np.broadcast_to(s_om, s_reads.shape)
-            parts.append((None, np.zeros(s_reads.shape),
-                          np.full(s_reads.shape, HALF_PI)))
-            ks.append(np.broadcast_to(s_K, s_reads.shape))
-            oms.append(s_om)
-            reads.append(s_reads)
+        tail = np.nonzero(np.isin(group, todo))[0]
+        test = tail[checked[tail] & checks[group[tail]]]
         got, got_lr = propagate.sweep_phase(
-            problem, np.concatenate(ks), np.concatenate(oms),
-            np.concatenate([pt[2] for pt in parts]),
-            np.concatenate([pt[1] for pt in parts]), np.concatenate(reads),
-            rtol=settings.rel_tol, atol=settings.abs_tol,
-            want_log_r=want_log_r)
-        cut = np.cumsum([pt[1].size for pt in parts])
-        phi[tail] = got[:cut[0]]
+            problem, *(np.concatenate(col) for col in zip(
+                lanes(tail, lambda w: w.y_tail),
+                lanes(test, lambda w: w.stretched(2.0).y_tail),
+                *(surface or ()))),
+            rtol=settings.rel_tol, atol=settings.abs_tol, want_log_r=want_log_r)
+        n, m = tail.size, tail.size + test.size
+        phi[tail] = got[:n]
         if want_log_r:
-            log_r[tail] = got_lr[:cut[0]]
-        if surface is not None:
-            surface_out = (got[cut[1]:], None if got_lr is None
-                           else got_lr[cut[1]:])
+            log_r[tail] = got_lr[:n]
+        if surface:
+            surface_out = (got[m:], None if got_lr is None else got_lr[m:])
             surface = None
-        gap = np.abs(got[cut[0]:cut[1]] - phi[test])
         worst = np.zeros(len(wins))
-        np.maximum.at(worst, group[test], gap)
+        np.maximum.at(worst, group[test], np.abs(got[n:m] - phi[test]))
         todo = [g for g in todo if checks[g] and not worst[g] <= tol]
         if not todo:
             return (phi, log_r, [wins[g] for g in group.tolist()],

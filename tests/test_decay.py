@@ -7,7 +7,7 @@ import pytest
 
 import shwave as sw
 from shwave.decay import (MatchingConfig, decaying_phase, decaying_phase_at_tail,
-                          matching_config)
+                          decaying_phase_batch, matching_config)
 from shwave.errors import ThresholdError
 from tests.conftest import lift_from_samples, ones, rk4_uw, sampled_sweep
 
@@ -148,6 +148,29 @@ def test_tail_insensitivity(exp_profile):
     st1 = decaying_phase(exp_profile, A, cfg)
     st2 = decaying_phase(exp_profile, A, cfg.stretched(2.0))
     assert abs(st1.phi - st2.phi) <= 1e-8
+
+
+def test_failed_tail_check_resweeps_its_own_k(exp_profile, monkeypatch):
+    # K = 4 gets a window 3 deep, too short for its check: only its
+    # member is swept again, from the doubled window, while K = 1 keeps
+    # its window and the angle it gets alone
+    import shwave.propagate as propagate
+
+    c1, c4 = (matching_config(exp_profile, A) for A in ((1.0, 0.5), (4.0, 3.0)))
+    short = MatchingConfig(y_bar=c4.y_bar, y_tail=c4.y_bar + 3.0)
+    calls = []
+    sweep = propagate.sweep_phase
+
+    def counted(problem, K, *args, **kwargs):
+        calls.append(sorted(set(np.atleast_1d(K).tolist())))
+        return sweep(problem, K, *args, **kwargs)
+
+    monkeypatch.setattr(propagate, "sweep_phase", counted)
+    phi, _, windows, _ = decaying_phase_batch(exp_profile, [1.0, 4.0],
+                                              [0.5, 3.0], [c1, short])
+    assert calls == [[1.0, 4.0], [4.0]]
+    assert windows == [c1, short.stretched(2.0)]
+    assert phi[0] == decaying_phase_batch(exp_profile, 1.0, 0.5, c1)[0][0]
 
 
 def test_matching_config_verifies_negativity(exp_profile):
