@@ -56,7 +56,6 @@ from .errors import IntegrationError
 
 _SQRT15 = math.sqrt(15.0)
 _NODES = (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
-_NODE_ARR = np.array(_NODES)
 
 
 def _coef_map():
@@ -268,8 +267,8 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
     l_y = y0[src[first_row]].tolist()
     l_h, l_dir, steps = [0.0] * n_lanes, [0.0] * n_lanes, [0] * n_lanes
     ptr, end_at = [0] * n_lanes, [0] * n_lanes
-    # each pending member reads at the first boundary of its lane within
-    # 1e-12 of its depth; read_at numbers the boundaries of all lanes
+    # each pending member reads at its own depth, a boundary of its lane;
+    # read_at numbers the boundaries of all lanes
     pending = np.nonzero(~done)[0]
     pending = pending[np.argsort(lane[row[pending]], kind="stable")]
     cuts = np.searchsorted(lane[row[pending]], np.arange(n_lanes + 1)).tolist()
@@ -291,14 +290,7 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
         bset |= {v for v in brks
                  if (v - start) * direction > 0 and (end - v) * direction > 0}
         bl = np.array(sorted(bset, key=lambda v: direction * v))
-        at = np.searchsorted(direction * bl, direction * rd)
-        while True:
-            prev = bl[np.maximum(at - 1, 0)]
-            near = (at > 0) & (np.abs(rd - prev) <= 1e-12 + 1e-12 * np.abs(prev))
-            if not near.any():
-                break
-            at -= near
-        read_at[js] = len(bnd) + at
+        read_at[js] = len(bnd) + np.searchsorted(direction * bl, direction * rd)
         bnd.extend(bl.tolist())
         end_at[ln], l_dir[ln] = len(bnd), direction
         a, b = first_row[ln], first_row[ln] + size[ln]
