@@ -46,6 +46,7 @@ import math
 import sys
 import time
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -327,25 +328,10 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
     csv_rows = []
     branches = None
     cls = classify(profile)
-    report["classification"] = {
-        "monotonicity_at_inf": cls.monotonicity_at_inf,
-        "global_negative": cls.global_negative,
-        "min_mu_over_rho": cls.min_mu_over_rho,
-        "y_check": cls.y_check,
-        "arg_a_inf": cls.arg_a_inf,
-        "grid_warning": cls.grid_warning,
-    }
+    report["classification"] = asdict(cls)
 
     if task == "classify":
-        rep = check_assumptions(profile)
-        report["assumptions"] = {
-            "lipschitz_bound": rep.lipschitz_bound,
-            "lipschitz_ok": rep.lipschitz_ok,
-            "integral_estimate": rep.integral_estimate,
-            "integrable": rep.integrable,
-            "windows": list(rep.windows),
-            "probe_depth": rep.probe_depth,
-        }
+        report["assumptions"] = asdict(check_assumptions(profile))
     elif task == "modes":
         k = _k_single(config)
         res = find_modes(profile, k * k, opts, classification=cls)
@@ -385,12 +371,7 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
             for k in ks
         ]
     elif task == "oscillation":
-        verdict = oscillation_test(profile)
-        report["oscillation"] = {
-            "verdict": verdict.verdict,
-            "reason": verdict.reason,
-            "windows": [list(r) for r in verdict.windows],
-        }
+        report["oscillation"] = asdict(oscillation_test(profile))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if csv_rows or task in ("modes", "branches"):

@@ -40,6 +40,7 @@ _CONTRACTION_BUDGET = 14.0      # integral of the decay rate over [y_bar, Y]
 _Y_CAP = 1e8                    # deepest matching depth searched
 _TAIL_ATTEMPTS = 4              # tail windows tried, doubling each time
 _SECTIONS = np.linspace(0.0, 1.0, 129)  # a crossing's cuts per pass
+_BAND_SLACK = 1e-9              # on the (pi/2, pi) band of decaying angles
 
 
 @dataclass(frozen=True)
@@ -210,19 +211,22 @@ def matching_config(problem, A) -> MatchingConfig:
     return MatchingConfig(y_bar=y_bar, y_tail=y_tail, strict_tail=strict)
 
 
-def decaying_phase_at_tail(problem, A, Y: float):
+def decaying_phase_at_tail(problem, A, Y):
     """Frozen-coefficient decaying angle at the tail start.
 
     With coefficients frozen at Y the decaying solution is
     u = exp(-kappa*y), kappa = sqrt(-gamma_A(Y)/mu(Y)), so
     w/u = -sqrt(-gamma_A(Y)*mu(Y)) and the angle lands in (pi/2, pi).
-    ``A`` = (K, Omega); an array of Omega gives one angle per member.
+    ``A`` = (K, Omega); arrays of K, Omega and Y, one value per member,
+    give one angle per member, each frozen at its own Y.
     """
     K, Omega = (A.K, A.Omega) if isinstance(A, ParamPoint) else A
-    g = _gamma(problem, K, np.asarray(Omega, dtype=float), float(Y))
+    Y = np.asarray(Y, dtype=float) if np.ndim(Y) else float(Y)
+    p, q = problem.coef_pair(Y)
+    g = np.asarray(Omega, dtype=float) * p - K * q
     if np.any(g >= 0):
         raise ThresholdError("gamma_A(Y) must be negative at the tail start")
-    phi = np.arctan2(1.0, -np.sqrt(-g * problem.stiffness(float(Y))))
+    phi = np.arctan2(1.0, -np.sqrt(-g * problem.stiffness(Y)))
     return phi if phi.ndim else float(phi)
 
 
@@ -231,19 +235,13 @@ def decaying_phase(problem, A, cfg: MatchingConfig,
     """Phase angle and log amplitude of the decaying solution at y_bar.
 
     One member of :func:`decaying_phase_batch` (log r counts from r = 1
-    at the accepted tail start), confirmed to lie inside (pi/2, pi) -
-    the invariant band of decaying solutions over a negative-coefficient
-    tail.
+    at the accepted tail start), which confirms it lies inside
+    (pi/2, pi).
     """
     A = _as_param(A)
     _guard_threshold(problem, A)
     phi, log_r, _, _ = decaying_phase_batch(problem, A.K, A.Omega, cfg,
                                             settings=settings, want_log_r=True)
-    band_slack = 1e-9
-    if not (math.pi / 2 - band_slack < phi[0] < math.pi + band_slack):
-        raise TailConvergenceError(
-            "decaying angle left the (pi/2, pi) band: phi=%.12g "
-            "at y_bar=%.6g" % (phi[0], cfg.y_bar))
     return PhaseState(y=cfg.y_bar, phi=float(phi[0]), log_r=float(log_r[0]))
 
 
@@ -265,10 +263,12 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     window shared by every member or one per member.  A window must be
     valid for its members: one valid for the largest Omega of a K
     covers the smaller Omega of that K, because gamma decreases
-    pointwise as Omega does.  The members of one K and one window form
-    a group, which starts at the window's y_tail seeded by
-    :func:`decaying_phase_at_tail`; each member's angle is read off at
-    its own depth of ``y_bars`` (default: its window's y_bar).
+    pointwise as Omega does.  The members of one K and one window
+    (equal K, y_bar and y_tail, found by one sort) form a group, which
+    starts at the window's y_tail; one :func:`decaying_phase_at_tail`
+    call seeds the members of every group, each at its own group's
+    depth.  Each member's angle is read off at its own depth of
+    ``y_bars`` (default: its window's y_bar).
 
     Every group is swept in one :func:`shwave.propagate.sweep_phase`
     call, each K on its own lanes.  Unless the profile is exactly
@@ -280,7 +280,10 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     unchecked.  ``check=False`` skips the check for repeat sweeps over
     windows that already validated.  ``surface`` = (K, omegas, reads)
     adds members swept down from the surface, where their angle is
-    pi/2, to the first call.
+    pi/2, to the first call.  Every read at or deeper than its window's
+    y_bar must lie in (pi/2, pi), the invariant band of decaying angles
+    behind the turning point, else TailConvergenceError; shallower reads
+    are not checked.
 
     Returns (phi, log_r, windows, surface): log_r (None unless
     ``want_log_r``) counts from r = 1 at each member's accepted tail
@@ -294,7 +297,9 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     windows, w_bar, w_tail = _window_depths(cfg, omegas.size)
     y_bars = w_bar if y_bars is None else np.broadcast_to(
         np.asarray(y_bars, dtype=float), omegas.shape)
-    group, first = propagate._lane_ids(K, w_bar, w_tail)
+    _, first, group = np.unique(np.stack((K, w_bar, w_tail)), axis=1,
+                                return_index=True, return_inverse=True)
+    group = group.reshape(-1)
     wins = [windows[j] for j in first.tolist()]
     tail_from = getattr(problem, "tail_constant_from", None)
     checks = np.array([check and not (tail_from is not None
@@ -312,25 +317,23 @@ def decaying_phase_batch(problem, K, omegas, cfg,
         surface = [(s_K, s_om, np.full(s_reads.shape, HALF_PI),
                     np.zeros(s_reads.shape), s_reads)]
 
-    def lanes(sel, depth):
-        # (K, Omega, phi0, y0, reads) of the members ``sel``, each group
-        # seeded at the ``depth`` of its window
-        y0, phi0 = np.empty(sel.size), np.empty(sel.size)
-        for g in np.unique(group[sel]).tolist():
-            at = group[sel] == g
-            y0[at] = y = depth(wins[g])
-            phi0[at] = decaying_phase_at_tail(
-                problem, (K[sel][at], omegas[sel][at]), y)
-        return K[sel], omegas[sel], phi0, y0, y_bars[sel]
+    def lanes(sel, depths):
+        # (K, Omega, phi0, y0, reads) of the members ``sel``, each seeded
+        # at ``depths`` of its group
+        y0 = depths[group[sel]]
+        return (K[sel], omegas[sel],
+                decaying_phase_at_tail(problem, (K[sel], omegas[sel]), y0),
+                y0, y_bars[sel])
 
     todo = list(range(len(wins)))
     for _ in range(_TAIL_ATTEMPTS):
         tail = np.nonzero(np.isin(group, todo))[0]
         test = tail[checked[tail] & checks[group[tail]]]
+        tails, doubled = np.array([(w.y_tail, w.stretched(2.0).y_tail)
+                                   for w in wins]).T
         got, got_lr = propagate.sweep_phase(
             problem, *(np.concatenate(col) for col in zip(
-                lanes(tail, lambda w: w.y_tail),
-                lanes(test, lambda w: w.stretched(2.0).y_tail),
+                lanes(tail, tails), lanes(test, doubled),
                 *(surface or ()))),
             rtol=settings.rel_tol, atol=settings.abs_tol, want_log_r=want_log_r)
         n, m = tail.size, tail.size + test.size
@@ -344,10 +347,20 @@ def decaying_phase_batch(problem, K, omegas, cfg,
         np.maximum.at(worst, group[test], np.abs(got[n:m] - phi[test]))
         todo = [g for g in todo if checks[g] and not worst[g] <= tol]
         if not todo:
-            return (phi, log_r, [wins[g] for g in group.tolist()],
-                    surface_out)
+            break
         for g in todo:
             wins[g] = wins[g].stretched(2.0)
-    raise TailConvergenceError(
-        "tail-window doubling failed to stabilize phi+ after %d windows "
-        "(last delta %.3e)" % (_TAIL_ATTEMPTS, worst[todo].max()))
+    else:
+        raise TailConvergenceError(
+            "tail-window doubling failed to stabilize phi+ after %d windows "
+            "(last delta %.3e)" % (_TAIL_ATTEMPTS, worst[todo].max()))
+    # behind the turning point, over a negative-coefficient tail, a
+    # decaying angle stays in its invariant band (pi/2, pi)
+    off = (y_bars >= w_bar) & ~((HALF_PI - _BAND_SLACK < phi)
+                                & (phi < math.pi + _BAND_SLACK))
+    if off.any():
+        j = int(np.argmax(off))
+        raise TailConvergenceError(
+            "decaying angle left the (pi/2, pi) band: phi=%.12g at y=%.6g "
+            "(y_bar=%.6g)" % (phi[j], y_bars[j], w_bar[j]))
+    return phi, log_r, [wins[g] for g in group.tolist()], surface_out

@@ -176,8 +176,8 @@ class _Scan:
 
     K: float
     chunks: list                # Omega grids: uniform, then geometric
-    brackets: list = field(default_factory=list)  # (a, b, n): Phi crosses n*pi
-    noisy: list = field(default_factory=list)      # per bracket: Phi fell
+    # (a, b, n, noisy): Phi crosses n*pi on (a, b); noisy: Phi fell there
+    brackets: list = field(default_factory=list)
     cfg: Optional[MatchingConfig] = None    # window of the last bracket chunk
     truncated: bool = False
     scan_ceiling: Optional[float] = None
@@ -260,32 +260,28 @@ def _scan(problem, jobs, opts: SearchOptions) -> list:
         phi = _mismatch_batch(
             problem, np.repeat([sc.K for sc, _ in batch], sizes),
             np.concatenate([c for _, c in batch]),
-            [sc.grown for sc, c in batch for _ in c], scan_settings,
-            y_bars=np.repeat([sc.grown.y_bar for sc, _ in batch], sizes))[0]
+            [sc.grown for sc, c in batch for _ in c], scan_settings)[0]
         for (sc, omegas), phis in zip(batch,
                                       np.split(phi, np.cumsum(sizes)[:-1])):
             sc.scan_ceiling = float(omegas[-1])
             omegas = np.concatenate([sc.last[:1], omegas])
             phis = np.concatenate([sc.last[1:], phis])
             new = []
-            noisy = []
             for j in range(len(omegas) - 1):
                 fa, fb = phis[j], phis[j + 1]
-                pair_noisy = bool(fb < fa - 1e-6)
+                noisy = bool(fb < fa - 1e-6)
                 n_lo = math.floor(fa / math.pi) + 1
                 n_hi = math.floor(fb / math.pi)
                 for nn in range(max(n_lo, 0), n_hi + 1):
-                    new.append((float(omegas[j]), float(omegas[j + 1]), nn))
-                    noisy.append(pair_noisy)
+                    new.append((float(omegas[j]), float(omegas[j + 1]), nn,
+                                noisy))
             sc.last = (float(omegas[-1]), float(phis[-1]))
             room = opts.max_modes - len(sc.brackets)
             if len(new) > room:
                 sc.truncated = True
                 new = new[:room]
-                noisy = noisy[:room]
             if new:
                 sc.brackets.extend(new)
-                sc.noisy.extend(noisy)
                 sc.cfg = sc.grown
     return scans
 
@@ -325,9 +321,7 @@ def _search(profile: MaterialProfile, Ks, opts: SearchOptions,
         modes = _refine_brackets(problem, Kb,
                                  [b for sc in live for b in sc.brackets],
                                  [sc.cfg for sc in live for _ in sc.brackets],
-                                 opts.settings, opts,
-                                 [f for sc in live for f in sc.noisy],
-                                 y_bars)
+                                 opts, y_bars)
 
     by_K: dict = {}
     for md in modes:
@@ -407,8 +401,7 @@ def _settle(pts, third):
     return ends, third
 
 
-def _refine_brackets(problem, K, brackets, windows, settings, opts,
-                     noisy_flags, y_bars):
+def _refine_brackets(problem, K, brackets, windows, opts, y_bars):
     """Refine all pending brackets simultaneously by ITP, one batch per sweep.
 
     ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) steps from the
@@ -440,16 +433,16 @@ def _refine_brackets(problem, K, brackets, windows, settings, opts,
     stays n_max rounds.  Brackets move only by the sign of
     g = Phi - n*pi, so every root stays certified.
 
-    ``K``, ``windows`` and ``y_bars`` hold each bracket's squared
-    wavenumber, its K's tail window and its matching depth near its
-    turning point (see _polish_depths), so the brackets of many K share
-    every sweep, each K on its own lanes: its backward sweep starts at
-    its own window's tail depth and every member is read off at its own
-    y_bar.  Round 0 evaluates both ends and the midpoint of every
-    bracket with the tail check on (the scan's values come from looser
-    settings and other depths); later rounds reuse the tail windows it
-    accepted.  A mode reports the bracket end with the smaller |g|, with
-    its angles.
+    ``brackets`` holds the scan's (a, b, n, noisy) tuples, and ``K``,
+    ``windows`` and ``y_bars`` each bracket's squared wavenumber, its
+    K's tail window and its matching depth near its turning point (see
+    _polish_depths), so the brackets of many K share every sweep, each K
+    on its own lanes: its backward sweep starts at its own window's tail
+    depth and every member is read off at its own y_bar.  Round 0
+    evaluates both ends and the midpoint of every bracket with the tail
+    check on (the scan's values come from looser settings and other
+    depths); later rounds reuse the tail windows it accepted.  A mode
+    reports the bracket end with the smaller |g|, with its angles.
     """
     nb = len(brackets)
     K = np.asarray(K, dtype=float)
@@ -466,7 +459,7 @@ def _refine_brackets(problem, K, brackets, windows, settings, opts,
     x0 = np.stack([a0, 0.5 * (a0 + b0), b0])
     phi, phi0, phip, windows = _mismatch_batch(problem, np.tile(K, 3),
                                                x0.ravel(), list(windows) * 3,
-                                               settings,
+                                               opts.settings,
                                                y_bars=np.tile(y_bars, 3),
                                                tail_check=True)
     windows = windows[:nb]      # the three points of a bracket share one
@@ -520,7 +513,7 @@ def _refine_brackets(problem, K, brackets, windows, settings, opts,
         phi, phi0, phip, _ = _mismatch_batch(problem, np.tile(K[idx], 3),
                                              x3.ravel(),
                                              [windows[i] for i in idx] * 3,
-                                             settings,
+                                             opts.settings,
                                              y_bars=np.tile(y_bars[idx], 3),
                                              tail_check=False)
         ends[:, :, idx], third[:, idx] = _settle(
@@ -530,12 +523,12 @@ def _refine_brackets(problem, K, brackets, windows, settings, opts,
     best = (np.abs(ends[1, 1]) < np.abs(ends[1, 0])).astype(int)
     omega, g, phi0, phip = ends[:, best, np.arange(nb)]
     out = []
-    for j, (_, _, nn) in enumerate(brackets):
+    for j, (_, _, nn, noisy) in enumerate(brackets):
         resid = abs(float(g[j]))
         flag = None
         if resid > opts.residual_tol:
             flag = "residual above tolerance"
-        if noisy_flags[j]:
+        if noisy:
             flag = _add_flag(flag, "non-monotone scan values")
         out.append(Mode(K=float(K[j]), Omega=float(omega[j]), m=nn + 1,
                         phi_surface=float(phi0[j]), phi_decay=float(phip[j]),

@@ -31,15 +31,17 @@ members that share one (K, start depth) form a lane, and each lane is
 swept as if it were alone: it has its own depth, step size, direction,
 end (its farthest read) and boundaries (its reads and the breakpoints
 inside its span), and every step decision is a maximum over its own
-members only.  One step attempt advances every unfinished lane by its
-own step (the full step and its two halves) and calls
-``problem.coef_pair`` once, on 10 depths per lane, and
-``problem.stiffness`` once, on 9 per lane.  An attempt is a fixed run
-of numpy calls on (3, members) arrays, one row per step: per lane two
-small matmuls give every Magnus term, and one formula serves elliptic
-and hyperbolic members alike.  So one call can hold the surface sweep,
-the decaying sweep and its tail check of many K at once, at the cost of
-the slowest lane.  This is the solver's one phase engine: the frequency
+members only.  The distinct members are sorted by (start depth, K,
+Omega, phi0), one numpy sort, so each lane is a run of them; a lane's
+arithmetic is its own, so this order changes no result.  One step
+attempt advances every unfinished lane by its own step (the full step
+and its two halves) and calls ``problem.coef_pair`` once, on 10 depths
+per lane, and ``problem.stiffness`` once, on 9 per lane.  An attempt
+is a fixed run of numpy calls on (3, members) arrays, one row per step:
+per lane two small matmuls give every Magnus term, and one formula
+serves elliptic and hyperbolic members alike.  So one call can hold the
+surface sweep, the decaying sweep and its tail check of many K at once,
+at the cost of the slowest lane.  This is the solver's one phase engine: the frequency
 scans, the refinement, the decaying tail, the public tail angle and the
 mode shapes all run on :func:`sweep_phase`.  The Runge-Kutta
 integration of ``prufer.integrate_phase`` is kept only as the
@@ -105,14 +107,14 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, lanes, want_mag, g0):
     ``_COEF_MAP``, times its weights, give every Magnus term at once.
     The full step and half 1 act on (cos phi, sin phi), half 2 on the
     half-1 state.  ``g0`` is gamma at y (the previous step's end
-    sample), nan where that sample does not hold for this step, or None
-    for every lane.  Returns (full, half, rot_max, logmag, drift,
-    g_end): per member the exactly re-banded lifts after the full step
-    and after both halves; per lane the largest elliptic rotation (the
-    halves summed); per member the halves' log magnitude (None unless
-    want_mag); per lane how far gamma at either end of the step drifts
-    off the quadratic through the full step's nodes; and per member
-    gamma at the step end.
+    sample), nan where that sample does not hold for this step.
+    Returns (full, half, rot_max, logmag, drift, g_end): per member the
+    exactly re-banded lifts after the full step and after both halves;
+    per lane the largest elliptic rotation (the halves summed); per
+    member the halves' log magnitude (None unless want_mag); per lane
+    how far gamma at either end of the step drifts off the quadratic
+    through the full step's nodes; and per member gamma at the step
+    end.
     """
     ys = []
     for y_l, h_l in zip(y, h):
@@ -182,10 +184,9 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, lanes, want_mag, g0):
     logmag = (grow[1] + grow[2] + 0.5 * np.log(w1[2] * w1[2] + u1[2] * u1[2])
               if want_mag else None)
     g_end, g_out, g_back = rows[30:]
-    drift = np.maximum.reduceat(np.abs(g_out), starts)
-    if g0 is not None:
-        # fmax skips the nan of a lane whose start sample does not hold
-        drift = np.fmax(drift, np.maximum.reduceat(np.abs(g0 - g_back), starts))
+    # fmax skips the nan of a lane whose start sample does not hold
+    drift = np.fmax(np.maximum.reduceat(np.abs(g_out), starts),
+                    np.maximum.reduceat(np.abs(g0 - g_back), starts))
     return lift[0], lift[1], np.maximum(r_full, r_h1 + r_h2), logmag, drift, g_end
 
 
@@ -196,17 +197,6 @@ def _pack(weights, directions):
     sizes = [w.shape[1] for w in weights]
     return (weights, np.cumsum([0] + sizes[:-1]),
             np.repeat(directions, sizes).astype(float))
-
-
-def _lane_ids(*keys):
-    """(ids, first): the distinct columns of ``keys`` numbered by first
-    occurrence, and the column where each first occurs."""
-    _, first, inverse = np.unique(np.stack(keys), axis=1, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse.reshape(-1)], first[order]
 
 
 def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
@@ -247,17 +237,16 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
         return out, out_lr
     # identical members share one trajectory (every step decision is a
     # max over a lane's members), so each distinct (y0, K, Omega, phi0)
-    # is swept once as one row; rows are grouped by lane, lanes and the
-    # rows of a lane in first-occurrence order, and member j is row row[j]
-    row, src = _lane_ids(y0, K, Omega, phi)
-    lane, lane_src = _lane_ids(y0[src], K[src])
-    perm = np.argsort(lane, kind="stable")
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(perm.size)
-    row, src, lane = pos[row], src[perm], lane[perm]
+    # is swept once as one row, and member j is row row[j]; the rows are
+    # sorted by (y0, K, Omega, phi0), so each lane is a run of rows
+    keys, src, row = np.unique(np.stack((y0, K, Omega, phi)), axis=1,
+                               return_index=True, return_inverse=True)
+    row = row.reshape(-1)
+    lane = np.concatenate(([0], np.cumsum(
+        np.any(keys[:2, 1:] != keys[:2, :-1], axis=0))))
     r_K, r_Om, r_phi = K[src], Omega[src], phi[src]
     r_g0 = np.full(src.size, np.nan)
-    n_lanes = lane_src.size
+    n_lanes = int(lane[-1]) + 1
 
     brks = {float(v) for v in problem.breakpoints}
     size = np.bincount(lane, minlength=n_lanes).tolist()

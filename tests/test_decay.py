@@ -8,7 +8,7 @@ import pytest
 import shwave as sw
 from shwave.decay import (MatchingConfig, decaying_phase, decaying_phase_at_tail,
                           decaying_phase_batch, matching_config)
-from shwave.errors import ThresholdError
+from shwave.errors import TailConvergenceError, ThresholdError
 from tests.conftest import lift_from_samples, ones, rk4_uw, sampled_sweep
 
 
@@ -171,6 +171,20 @@ def test_failed_tail_check_resweeps_its_own_k(exp_profile, monkeypatch):
     assert calls == [[1.0, 4.0], [4.0]]
     assert windows == [c1, short.stretched(2.0)]
     assert phi[0] == decaying_phase_batch(exp_profile, 1.0, 0.5, c1)[0][0]
+
+
+def test_band_check_on_the_batch_path(exp_profile):
+    # at (16, 12) gamma_A turns negative at y = ln 15 = 2.7; a window
+    # whose y_bar sits in front of that leaves the angle outside
+    # (pi/2, pi) at y_bar, while a read above a valid window's y_bar is
+    # not checked
+    A = (16.0, 12.0)
+    cfg = matching_config(exp_profile, A)
+    front = MatchingConfig(y_bar=1.0, y_tail=cfg.y_tail)
+    with pytest.raises(TailConvergenceError, match="band"):
+        decaying_phase_batch(exp_profile, *A, front)
+    phi = decaying_phase_batch(exp_profile, *A, cfg, y_bars=1.0)[0]
+    assert not math.pi / 2 < phi[0] < math.pi
 
 
 def test_matching_config_verifies_negativity(exp_profile):

@@ -342,8 +342,7 @@ def test_fused_scan_matches_one_k_scans(profile, ks, opts, monkeypatch):
     assert [sc.K for sc in scans] == [job[0] for job in jobs]
     for job, sc in zip(jobs, scans):
         alone, = scan(problem, [job], opts)
-        assert sc.brackets == alone.brackets
-        assert sc.noisy == alone.noisy
+        assert sc.brackets == alone.brackets      # noisy flags included
         assert sc.truncated == alone.truncated
         assert sc.scan_ceiling == alone.scan_ceiling
         assert sc.cfg == alone.cfg

@@ -103,7 +103,7 @@ def test_frozen_step_matches_explicit_magnus(case, sign):
     medium = Medium()
     full, half, rot_max, logmag, _, g_end = _frozen_step(
         medium.coef_pair, medium.stiffness, y, h, phi,
-        _pack(weights, np.sign(h)), True, None)
+        _pack(weights, np.sign(h)), True, np.full(phi.shape, np.nan))
     assert rot_max.shape == y.shape
     y_m, h_m = y[lane], h[lane]
     y_end = y_m + h_m - np.copysign(

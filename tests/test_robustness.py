@@ -146,8 +146,9 @@ def test_sweep_lanes_match_separate_sweeps(monkeypatch):
     # one call holds three lanes: a forward lane from the surface, a
     # backward lane from y = 6 and a lane from y = 0.5 that crosses both
     # breakpoints of the layer (1 and 2); each member gets bit for bit
-    # what a sweep of its own lane alone gives, log r included, and every
-    # attempt advances all unfinished lanes
+    # what a sweep of its own lane alone gives, log r included, in any
+    # order of the members, and every attempt advances all unfinished
+    # lanes
     import shwave.propagate as propagate
 
     layer = sw.from_registry("smoothed_layer", {
@@ -178,11 +179,13 @@ def test_sweep_lanes_match_separate_sweeps(monkeypatch):
     del attempts[:]
     phi, log_r = sweep_phase(layer, *cols, want_log_r=True)
     assert attempts[0] == 3 and len(attempts) == max(n for *_, n in alone)
-    cuts = np.cumsum([len(lane[1]) for lane in lanes])[:-1]
-    for (phi1, log_r1, _), phi_l, log_r_l in zip(alone, np.split(phi, cuts),
-                                                 np.split(log_r, cuts)):
-        assert np.array_equal(phi_l, phi1)
-        assert np.array_equal(log_r_l, log_r1)
+    phi1, log_r1 = (np.concatenate([a[i] for a in alone]) for i in (0, 1))
+    assert np.array_equal(phi, phi1) and np.array_equal(log_r, log_r1)
+    # the same members shuffled: lanes interleaved, the deepest start first
+    order = [3, 0, 5, 4, 1, 6, 2]
+    phi, log_r = sweep_phase(layer, *(c[order] for c in cols), want_log_r=True)
+    assert np.array_equal(phi, phi1[order])
+    assert np.array_equal(log_r, log_r1[order])
 
 
 def test_phase_batch_log_r_consistency(exp_profile):
