@@ -15,6 +15,11 @@ solver.  The Bessel evaluation is series/asymptotics written here, not
 a library call, and self-tests against a tabulated zero and the ODE
 residual before first use; where its asymptotics cannot reach 1e-8
 it raises :class:`OracleUnavailableError` instead of answering.
+
+scipy (``brentq`` for the Bessel root polish, ``eigh_tridiagonal`` for
+the FD eigenproblem) is imported inside the functions that call it, so
+``import shwave`` loads only numpy and the oracles pay the scipy import
+once, at first use.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import OracleUnavailableError, ProfileError
 from .profile import MaterialProfile
@@ -195,6 +198,8 @@ def bessel_mode_frequencies(q: float, d: float, K: float) -> OracleResult:
     """
     if not (q > 0 and d > 0 and K > 0):
         raise ProfileError("need q > 0, d > 0, K > 0")
+    from scipy.optimize import brentq  # kept off shwave's import path
+
     _self_test()
     lo = K / (1.0 + q)
     hi = K
@@ -287,6 +292,8 @@ def _fd_eigs(profile: MaterialProfile, K: float, L: float, n: int,
     symmetric), Dirichlet at L.  The generalized problem with diagonal
     mass is folded into a standard symmetric tridiagonal one.
     """
+    from scipy.linalg import eigh_tridiagonal  # kept off shwave's import path
+
     h = L / n
     y = np.linspace(0.0, L, n + 1)
     rho = np.asarray(profile.rho(y), dtype=float)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, ProfileError
 
@@ -322,6 +321,9 @@ def _build_table(params):
     y, rho, mu = data[:, 0], data[:, 1], data[:, 2]
     if len(y) < 2:
         raise ProfileError("table needs at least two samples")
+    if not np.all(np.isfinite(data)):
+        bad = int(np.nonzero(~np.all(np.isfinite(data), axis=1))[0][0]) + 1
+        raise ProfileError("table values must be finite (row %d)" % bad)
     if np.any(np.diff(y) <= 0):
         bad = int(np.nonzero(np.diff(y) <= 0)[0][0]) + 2
         raise ProfileError("table depths must strictly increase (row %d)" % bad)
@@ -338,7 +340,10 @@ def _build_table(params):
             "clamped to the limits beyond y_max_data")
     y_max = float(y[-1])
     # Monotone cubic interpolation: no overshoot, so positivity and the
-    # Lipschitz character of the data survive.
+    # Lipschitz character of the data survive.  scipy is imported here,
+    # at the first table profile, so that importing shwave does not load it.
+    from scipy.interpolate import PchipInterpolator
+
     rho_ip = PchipInterpolator(y, rho, extrapolate=False)
     mu_ip = PchipInterpolator(y, mu, extrapolate=False)
 

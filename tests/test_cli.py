@@ -105,6 +105,17 @@ def test_malformed_table_line_number(tmp_path, capsys):
     assert "row 3" in err
 
 
+def test_non_finite_table_value_is_config_error(tmp_path, capsys):
+    (tmp_path / "table.txt").write_text("0.0 2.0 1.0\n1 nan 1\n2.0 1.0 1.0\n")
+    cfg = base_config("modes", k=1.0)
+    cfg["profile"] = {"name": "table", "path": "table.txt"}
+    cfg_path = write_config(tmp_path, cfg)
+    code = main(["--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: table values must be finite (row 2)"]
+
+
 def test_three_column_requirement(tmp_path, capsys):
     bad = tmp_path / "table.txt"
     bad.write_text("0.0 2.0 1.0\n1.0 1.0\n")

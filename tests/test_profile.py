@@ -38,6 +38,12 @@ def test_table_validation_errors():
         sw.from_table([(0, -1, 1), (1, 1, 1)])
     with pytest.raises(ProfileError, match="last table row"):
         sw.from_table([(0, 2, 1), (1, 1.5, 1)], rho_inf=1.0)
+    # NaN gets past every ordering and sign comparison
+    for rows, row in (([(0, 1, 1), (math.nan, 1, 1), (2, 1, 1)], 2),
+                      ([(0, math.inf, 1), (1, 1, 1)], 1),
+                      ([(0, 2, 1), (1, 1, math.nan)], 2)):
+        with pytest.raises(ProfileError, match=r"finite \(row %d\)" % row):
+            sw.from_table(rows)
 
 
 def test_table_interpolation_monotone_no_overshoot():
