@@ -274,16 +274,19 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     call, each K on its own lanes.  Unless the profile is exactly
     constant beyond the group's y_tail, that call also sweeps the
     group's reads at or above its window's y_bar from the doubled
-    window; those angles must agree to within 1e-8, else only that
-    group is swept again from the doubled window (and checked against
-    the quadrupled one), up to four windows.  Deeper reads ride along
-    unchecked.  ``check=False`` skips the check for repeat sweeps over
+    window (the groups of one K and y_tail, such as the refinement's
+    brackets of one K, share one lane from the deepest of their doubled
+    windows); those angles must agree to within max(1e-8, 100 rel_tol),
+    else only that group is swept again from the doubled window (and
+    checked against the quadrupled one), up to four windows.  Deeper
+    reads ride along unchecked.  ``check=False`` skips the check for repeat sweeps over
     windows that already validated.  ``surface`` = (K, omegas, reads)
     adds members swept down from the surface, where their angle is
     pi/2, to the first call.  Every read at or deeper than its window's
     y_bar must lie in (pi/2, pi), the invariant band of decaying angles
     behind the turning point, else TailConvergenceError; shallower reads
-    are not checked.
+    are not checked.  The scans, the refinement and the mode shapes read
+    at or behind their windows' y_bar, so the check covers every root.
 
     Returns (phi, log_r, windows, surface): log_r (None unless
     ``want_log_r``) counts from r = 1 at each member's accepted tail
@@ -297,9 +300,11 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     windows, w_bar, w_tail = _window_depths(cfg, omegas.size)
     y_bars = w_bar if y_bars is None else np.broadcast_to(
         np.asarray(y_bars, dtype=float), omegas.shape)
-    _, first, group = np.unique(np.stack((K, w_bar, w_tail)), axis=1,
-                                return_index=True, return_inverse=True)
+    keys, first, group = np.unique(np.stack((K, w_tail, w_bar)), axis=1,
+                                   return_index=True, return_inverse=True)
     group = group.reshape(-1)
+    shared = np.concatenate(([0], np.cumsum(      # per group: its (K, y_tail)
+        np.any(keys[:2, 1:] != keys[:2, :-1], axis=0))))
     wins = [windows[j] for j in first.tolist()]
     tail_from = getattr(problem, "tail_constant_from", None)
     checks = np.array([check and not (tail_from is not None
@@ -331,9 +336,11 @@ def decaying_phase_batch(problem, K, omegas, cfg,
         test = tail[checked[tail] & checks[group[tail]]]
         tails, doubled = np.array([(w.y_tail, w.stretched(2.0).y_tail)
                                    for w in wins]).T
+        deepest = np.full(len(wins), -np.inf)     # per (K, y_tail)
+        np.maximum.at(deepest, shared[todo], doubled[todo])
         got, got_lr = propagate.sweep_phase(
             problem, *(np.concatenate(col) for col in zip(
-                lanes(tail, tails), lanes(test, doubled),
+                lanes(tail, tails), lanes(test, deepest[shared]),
                 *(surface or ()))),
             rtol=settings.rel_tol, atol=settings.abs_tol, want_log_r=want_log_r)
         n, m = tail.size, tail.size + test.size

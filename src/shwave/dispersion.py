@@ -128,26 +128,24 @@ def _problem_for(profile: MaterialProfile, space: str):
 
 
 def _mismatch_batch(problem, K, omegas, cfg, settings: IntegratorSettings,
-                    y_bars=None, tail_check: bool = True):
+                    tail_check: bool = True):
     """(Phi, phi0, phi_plus, windows) for a batch of points (K, Omega).
 
     ``K`` is a scalar or one value per member, and ``cfg`` one tail
     window shared by every member or one per member, valid for its
     members (a window valid for the largest Omega of a K covers its
-    smaller ones).  ``y_bars`` gives each member its own matching depth
-    (default: its window's y_bar); both sweeps read each member off
-    there.  The surface sweep, the decaying sweep and, with
+    smaller ones).  Both sweeps read each member off at its window's
+    y_bar, so every read is one the band check of decaying_phase_batch
+    covers.  The surface sweep, the decaying sweep and, with
     ``tail_check``, its tail check are one sweep_phase call, each K on
-    its own lanes; only a failed check sweeps again, for its own K (see
-    decaying_phase_batch).  ``windows`` lists the window each member's
-    check accepted.
+    its own lanes; only a failed check sweeps again, for its own window
+    (see decaying_phase_batch).  ``windows`` lists the window each
+    member's check accepted.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if y_bars is None:
-        y_bars = _window_depths(cfg, omegas.size)[1]
     phi_plus, _, windows, (phi0, _) = decaying_phase_batch(
-        problem, K, omegas, cfg, settings=settings, y_bars=y_bars,
-        check=tail_check, surface=(K, omegas, y_bars))
+        problem, K, omegas, cfg, settings=settings, check=tail_check,
+        surface=(K, omegas, _window_depths(cfg, omegas.size)[1]))
     return phi0 - phi_plus, phi0, phi_plus, windows
 
 
@@ -293,7 +291,7 @@ def _search(profile: MaterialProfile, Ks, opts: SearchOptions,
     Every K with a nonempty admissible interval is scanned in one
     _scan, one batch per chunk over all K; then the brackets of all K
     are refined in one _refine_brackets batch, each bracket with its own
-    K, in its own K's window, at its matching depth polished there.
+    K and its own window: its K's window at the depth polished for it.
     """
     results = []
     jobs = []
@@ -315,13 +313,12 @@ def _search(profile: MaterialProfile, Ks, opts: SearchOptions,
     if live:
         Kb = np.concatenate([np.full(len(sc.brackets), float(sc.K))
                              for sc in live])
-        y_bars = np.concatenate([
-            _polish_depths(problem, sc.K, [b[1] for b in sc.brackets], sc.cfg)
-            for sc in live])
+        windows = [replace(sc.cfg, y_bar=float(depth)) for sc in live
+                   for depth in _polish_depths(
+                       problem, sc.K, [b[1] for b in sc.brackets], sc.cfg)]
         modes = _refine_brackets(problem, Kb,
                                  [b for sc in live for b in sc.brackets],
-                                 [sc.cfg for sc in live for _ in sc.brackets],
-                                 opts, y_bars)
+                                 windows, opts)
 
     by_K: dict = {}
     for md in modes:
@@ -401,7 +398,7 @@ def _settle(pts, third):
     return ends, third
 
 
-def _refine_brackets(problem, K, brackets, windows, opts, y_bars):
+def _refine_brackets(problem, K, brackets, windows, opts):
     """Refine all pending brackets simultaneously by ITP, one batch per sweep.
 
     ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) steps from the
@@ -433,16 +430,16 @@ def _refine_brackets(problem, K, brackets, windows, opts, y_bars):
     stays n_max rounds.  Brackets move only by the sign of
     g = Phi - n*pi, so every root stays certified.
 
-    ``brackets`` holds the scan's (a, b, n, noisy) tuples, and ``K``,
-    ``windows`` and ``y_bars`` each bracket's squared wavenumber, its
-    K's tail window and its matching depth near its turning point (see
-    _polish_depths), so the brackets of many K share every sweep, each K
-    on its own lanes: its backward sweep starts at its own window's tail
-    depth and every member is read off at its own y_bar.  Round 0
+    ``brackets`` holds the scan's (a, b, n, noisy) tuples, and ``K``
+    and ``windows`` each bracket's squared wavenumber and its K's tail
+    window at its matching depth (see _polish_depths), so the brackets
+    of many K share every sweep, each K on its own lanes, and every
+    read is band-checked (see decaying_phase_batch).  Round 0
     evaluates both ends and the midpoint of every bracket with the tail
     check on (the scan's values come from looser settings and other
     depths); later rounds reuse the tail windows it accepted.  A mode
-    reports the bracket end with the smaller |g|, with its angles.
+    reports the bracket end with the smaller |g|, with its angles and
+    its accepted window as ``matching``.
     """
     nb = len(brackets)
     K = np.asarray(K, dtype=float)
@@ -459,9 +456,7 @@ def _refine_brackets(problem, K, brackets, windows, opts, y_bars):
     x0 = np.stack([a0, 0.5 * (a0 + b0), b0])
     phi, phi0, phip, windows = _mismatch_batch(problem, np.tile(K, 3),
                                                x0.ravel(), list(windows) * 3,
-                                               opts.settings,
-                                               y_bars=np.tile(y_bars, 3),
-                                               tail_check=True)
+                                               opts.settings, tail_check=True)
     windows = windows[:nb]      # the three points of a bracket share one
     # ends[:, s, j] = (Omega, g, phi0, phi+) at the lower (s=0) or upper
     # (s=1) end of bracket j; third[:, j] = (Omega, g) of its third point
@@ -514,7 +509,6 @@ def _refine_brackets(problem, K, brackets, windows, opts, y_bars):
                                              x3.ravel(),
                                              [windows[i] for i in idx] * 3,
                                              opts.settings,
-                                             y_bars=np.tile(y_bars[idx], 3),
                                              tail_check=False)
         ends[:, :, idx], third[:, idx] = _settle(
             np.concatenate([ends[:, :, idx], rows(x3, idx, phi, phi0, phip)],
@@ -532,9 +526,7 @@ def _refine_brackets(problem, K, brackets, windows, opts, y_bars):
             flag = _add_flag(flag, "non-monotone scan values")
         out.append(Mode(K=float(K[j]), Omega=float(omega[j]), m=nn + 1,
                         phi_surface=float(phi0[j]), phi_decay=float(phip[j]),
-                        residual=resid,
-                        matching=replace(windows[j], y_bar=float(y_bars[j])),
-                        flag=flag))
+                        residual=resid, matching=windows[j], flag=flag))
     return out
 
 

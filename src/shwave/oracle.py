@@ -196,8 +196,9 @@ def bessel_mode_frequencies(q: float, d: float, K: float) -> OracleResult:
     accurately somewhere on the scan (large K, see :func:`bessel_j`) the
     result has no roots and ``usable=False``, with the reason in ``note``.
     """
-    if not (q > 0 and d > 0 and K > 0):
-        raise ProfileError("need q > 0, d > 0, K > 0")
+    if not all(0 < v < math.inf for v in (q, d, K)):
+        raise ProfileError("need finite q > 0, d > 0, K > 0, got %r"
+                           % ((q, d, K),))
     from scipy.optimize import brentq  # kept off shwave's import path
 
     _self_test()
@@ -330,8 +331,8 @@ def fd_mode_frequencies(profile: MaterialProfile, K: float,
     decay exponentially; L is enlarged once if the slowest found decay
     rate makes exp(-lambda L) > 1e-10.
     """
-    if K <= 0:
-        raise ProfileError("K must be positive")
+    if not 0 < K < math.inf:
+        raise ProfileError("K must be finite and positive, got %r" % (K,))
     cutoff = K * profile.mu_inf / profile.rho_inf * (1.0 - _CUTOFF_GUARD)
     if L is None:
         L = 60.0
@@ -339,19 +340,21 @@ def fd_mode_frequencies(profile: MaterialProfile, K: float,
         n = max(20000, int(500 * L))
 
     for _ in range(2):
-        probe = _fd_eigs(profile, K, L, n, cutoff)
-        if len(probe) == 0:
+        e1 = _fd_eigs(profile, K, L, n, cutoff)
+        if len(e1) == 0:
             break
         # decay rate of the slowest mode found; enlarge the box once if
         # its tail would not have died out by L
-        neg_gamma_inf = K * profile.mu_inf - float(np.max(probe)) * profile.rho_inf
+        neg_gamma_inf = K * profile.mu_inf - float(np.max(e1)) * profile.rho_inf
         lam_min = math.sqrt(max(neg_gamma_inf, 1e-300) / profile.mu_inf)
         if lam_min * L >= -math.log(1e-10):
             break
         L = float(-math.log(1e-10) / lam_min * 1.1)
         n = max(n, int(500 * L))
-
-    e1 = _fd_eigs(profile, K, L, n, cutoff)
+    else:
+        # the box grew after the last probe; a probe that broke the loop
+        # already ran at the final (L, n)
+        e1 = _fd_eigs(profile, K, L, n, cutoff)
     e2 = _fd_eigs(profile, K, L, 2 * n, cutoff)
     e3 = _fd_eigs(profile, K, 2 * L, 2 * n, cutoff)
 

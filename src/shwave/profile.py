@@ -40,8 +40,9 @@ class ParamPoint:
     Omega: float
 
     def __post_init__(self):
-        if not (self.K > 0 and self.Omega > 0):
-            raise ProfileError("ParamPoint requires K > 0 and Omega > 0")
+        if not (0 < self.K < math.inf and 0 < self.Omega < math.inf):
+            raise ProfileError("ParamPoint requires finite K > 0 and Omega > 0, "
+                               "got (%r, %r)" % (self.K, self.Omega))
 
 
 def _as_param(A) -> ParamPoint:
@@ -93,9 +94,6 @@ class MaterialProfile:
         Construction parameters (registry) or the raw samples (table).
     rho_inf, mu_inf : float
         Limits of density and shear modulus at infinite depth.
-    y_max_data : float
-        Largest depth with explicit data; ``inf`` for analytic laws
-        that never become exactly constant.
     tail_constant_from : float or None
         Depth beyond which (rho, mu) equal their limits exactly, when
         such a depth exists (sampled tables, layered media).
@@ -105,7 +103,6 @@ class MaterialProfile:
     params: dict
     rho_inf: float
     mu_inf: float
-    y_max_data: float
     tail_constant_from: Optional[float]
     rho_fn: Callable = field(repr=False)
     mu_fn: Callable = field(repr=False)
@@ -117,9 +114,15 @@ class MaterialProfile:
         return (
             from_callables,
             (self.rho_fn, self.mu_fn, self.rho_inf, self.mu_inf,
-             self.y_max_data, self.tail_constant_from, self.name,
-             self.breakpoints),
+             self.tail_constant_from, self.name, self.breakpoints),
         )
+
+    @property
+    def y_max_data(self) -> float:
+        """Largest depth with explicit data: ``tail_constant_from``, or
+        ``inf`` for laws that never become exactly constant."""
+        return math.inf if self.tail_constant_from is None \
+            else self.tail_constant_from
 
     # -- basic evaluation -------------------------------------------------
 
@@ -235,7 +238,7 @@ def _build_constant(params):
     rho = float(params.get("rho", 1.0))
     mu = float(params.get("mu", 1.0))
     _positive([rho, mu], "constant profile values")
-    return _const_fn(rho), _const_fn(mu), rho, mu, 0.0, 0.0, ()
+    return _const_fn(rho), _const_fn(mu), rho, mu, 0.0, ()
 
 
 def _const_fn(value):
@@ -259,7 +262,7 @@ def _build_exp_density(params):
             return rho_inf + drho * math.exp(-y / d)
         return rho_inf + drho * np.exp(-np.asarray(y, dtype=float) / d)
 
-    return rho_fn, _const_fn(mu), rho_inf, mu, math.inf, None, ()
+    return rho_fn, _const_fn(mu), rho_inf, mu, None, ()
 
 
 def _build_power_density(params):
@@ -277,7 +280,7 @@ def _build_power_density(params):
             return rho_inf + c * (1.0 + y) ** (-p)
         return rho_inf + c * (1.0 + np.asarray(y, dtype=float)) ** (-p)
 
-    return rho_fn, _const_fn(mu), rho_inf, mu, math.inf, None, ()
+    return rho_fn, _const_fn(mu), rho_inf, mu, None, ()
 
 
 def _smoothstep(t):
@@ -308,7 +311,7 @@ def _build_smoothed_layer(params):
 
     # the smoothstep blend is only C^1 at the ramp edges; integrators
     # must not straddle them in one step
-    return rho_fn, mu_fn, rho_s, mu_s, y_s, y_s, (y_s - width, y_s)
+    return rho_fn, mu_fn, rho_s, mu_s, y_s, (y_s - width, y_s)
 
 
 def _build_table(params):
@@ -357,7 +360,7 @@ def _build_table(params):
         out = np.where(yy >= y_max, mu_inf, mu_ip(np.minimum(yy, y_max)))
         return float(out) if out.ndim == 0 else out
 
-    return rho_fn, mu_fn, rho_inf, mu_inf, y_max, y_max, tuple(float(v) for v in y)
+    return rho_fn, mu_fn, rho_inf, mu_inf, y_max, tuple(float(v) for v in y)
 
 
 _REGISTRY = {
@@ -378,25 +381,24 @@ def from_registry(name: str, params: Optional[dict] = None) -> MaterialProfile:
     """
     params = dict(params or {})
     if name == "table":
-        builder = _build_table
+        build = _build_table
     elif name in _REGISTRY:
-        builder = _REGISTRY[name]
+        build = _REGISTRY[name]
     else:
         raise ProfileError("unknown profile %r; known: %s"
                            % (name, sorted(_REGISTRY) + ["table"]))
     try:
-        rho_fn, mu_fn, rho_inf, mu_inf, y_max, tail_from, breaks = builder(params)
+        rho_fn, mu_fn, rho_inf, mu_inf, tail_from, breaks = build(params)
     except KeyError as exc:
         raise ProfileError("profile %r requires parameter %s" % (name, exc))
     return MaterialProfile(
         name=name, params=params, rho_inf=rho_inf, mu_inf=mu_inf,
-        y_max_data=y_max, tail_constant_from=tail_from,
-        rho_fn=rho_fn, mu_fn=mu_fn, breakpoints=breaks)
+        tail_constant_from=tail_from, rho_fn=rho_fn, mu_fn=mu_fn,
+        breakpoints=breaks)
 
 
-def from_callables(rho, mu, rho_inf, mu_inf, y_max_data=math.inf,
-                   tail_constant_from=None, name="custom",
-                   breakpoints=()) -> MaterialProfile:
+def from_callables(rho, mu, rho_inf, mu_inf, tail_constant_from=None,
+                   name="custom", breakpoints=()) -> MaterialProfile:
     """Wrap arbitrary positive callables rho(y), mu(y) as a profile.
 
     The callables must accept scalars and numpy arrays; depths where
@@ -407,8 +409,8 @@ def from_callables(rho, mu, rho_inf, mu_inf, y_max_data=math.inf,
     _positive([rho_inf, mu_inf], "profile limits")
     return MaterialProfile(
         name=name, params={}, rho_inf=float(rho_inf), mu_inf=float(mu_inf),
-        y_max_data=float(y_max_data), tail_constant_from=tail_constant_from,
-        rho_fn=rho, mu_fn=mu, breakpoints=tuple(float(b) for b in breakpoints))
+        tail_constant_from=tail_constant_from, rho_fn=rho, mu_fn=mu,
+        breakpoints=tuple(float(b) for b in breakpoints))
 
 
 def from_table(rows: Sequence, rho_inf=None, mu_inf=None) -> MaterialProfile:
@@ -427,9 +429,9 @@ def from_table(rows: Sequence, rho_inf=None, mu_inf=None) -> MaterialProfile:
 def effective_depth(profile: MaterialProfile) -> float:
     """Depth beyond which the deviation from the limits is negligible.
 
-    For exactly-clamped profiles this is ``y_max_data``; otherwise the
-    probe doubles outward until |a(y) - a_inf| falls below 1e-12
-    relative to |a_inf|, or returns its cap 2**20.
+    For exactly-clamped profiles this is ``tail_constant_from`` (at
+    least 1); otherwise the probe doubles outward until |a(y) - a_inf|
+    falls below 1e-12 relative to |a_inf|, or returns its cap 2**20.
     """
     if profile.tail_constant_from is not None:
         return max(profile.tail_constant_from, 1.0)
@@ -531,8 +533,8 @@ def admissible_interval(profile: MaterialProfile, K: float,
     Empty (lo >= hi) means no modes at this K regardless of frequency;
     the endpoints scale linearly with K.
     """
-    if K <= 0:
-        raise ProfileError("K must be positive")
+    if not 0 < K < math.inf:
+        raise ProfileError("K must be finite and positive, got %r" % (K,))
     cls = classification or classify(profile)
     lo = K * cls.min_mu_over_rho
     hi = K * profile.mu_inf / profile.rho_inf

@@ -89,7 +89,7 @@ _MIN_FACTOR = 0.25
 _MAX_FACTOR = 4.0
 _SAFETY = 0.9
 _TINY = 1e-300
-_MAX_STEPS = 200000       # accepted and rejected steps per sweep
+_MAX_STEPS = 200000       # accepted and rejected steps per lane
 
 
 def _frozen_step(coef_pair, stiffness, y, h, phi, lanes, want_mag, g0):
@@ -211,9 +211,10 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
     forced to be step boundaries, each member's angle is recorded when
     its depth is hit, and the lane ends at its farthest read, so one
     sweep serves many matching depths or a whole sampling grid.  Reads
-    on both sides of a lane's start are a ValueError.  Steps never
-    straddle ``problem.breakpoints``, which keeps the Gauss-node
-    sampling of piecewise coefficients honest.
+    on both sides of a lane's start, or a start or read that is not
+    finite, are a ValueError.  Steps never straddle
+    ``problem.breakpoints``, which keeps the Gauss-node sampling of
+    piecewise coefficients honest.
 
     Error control is step doubling on the lifted angle: an accepted
     step keeps the local Richardson value half + (half - full)/63 (log r
@@ -230,6 +231,9 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
     Omega = np.atleast_1d(np.asarray(Omega, dtype=float))
     K, phi, y0, reads = (np.broadcast_to(np.asarray(v, dtype=float), Omega.shape)
                          for v in (K, phi0, y0, reads))
+    # a nan read is never hit and never on either side of its start
+    if not np.isfinite((y0, reads)).all():
+        raise ValueError("sweep start and read depths must be finite")
     out = phi.copy()
     out_lr = np.zeros(Omega.shape) if want_log_r else None
     done = np.isclose(reads, y0, rtol=1e-12, atol=1e-14)

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import propagate, rk
-from .errors import IntegrationError, MatchConsistencyError
+from .errors import DomainError, IntegrationError, MatchConsistencyError
 from .profile import _gamma
 
 HALF_PI = 0.5 * math.pi
@@ -151,7 +151,8 @@ def reconstruct_mode_shape(problem, mode, y_grid,
     unless the profile is exactly constant beyond y_tail, its
     tail-window check, each on a lane of its own.  In the first two,
     member 0 reads y_bar and each other member reads one depth of the
-    nonnegative ``y_grid``.  The tail piece is scaled and sign-matched
+    ``y_grid``, whose depths must be finite and nonnegative (else
+    :class:`DomainError`).  The tail piece is scaled and sign-matched
     with the (-1)^n factor implied by the integer angle offset at the
     matching point.  A relative (u, w) mismatch above 1e-6 at y_bar
     raises :class:`MatchConsistencyError`.  Beyond y_tail the
@@ -162,6 +163,10 @@ def reconstruct_mode_shape(problem, mode, y_grid,
     settings = settings or DEFAULT_SETTINGS
     K, Omega, cfg = mode.K, mode.Omega, mode.matching
     y_grid = np.asarray(y_grid, dtype=float)
+    bad = ~(np.isfinite(y_grid) & (y_grid >= 0))
+    if bad.any():
+        raise DomainError("mode-shape depths must be finite and non-negative, "
+                          "got %r" % float(np.extract(bad, y_grid)[0]))
     fwd = y_grid <= cfg.y_bar
     far = y_grid > cfg.y_tail
     mid = ~fwd & ~far

@@ -173,6 +173,29 @@ def test_failed_tail_check_resweeps_its_own_k(exp_profile, monkeypatch):
     assert phi[0] == decaying_phase_batch(exp_profile, 1.0, 0.5, c1)[0][0]
 
 
+def test_tail_check_shares_one_lane_per_k(exp_profile, monkeypatch):
+    # windows of one K and y_tail at two matching depths (two brackets of
+    # one K in the refinement) keep their own y_bar, and their check
+    # sweeps start at one depth: the deeper of their doubled windows
+    import shwave.propagate as propagate
+
+    cfg = matching_config(exp_profile, (16.0, 15.0))
+    wins = [MatchingConfig(y_bar=y, y_tail=cfg.y_tail)
+            for y in (cfg.y_bar - 1.0, cfg.y_bar)]
+    starts = []
+    sweep = propagate.sweep_phase
+
+    def spy(problem, K, Omega, phi0, y0, *args, **kwargs):
+        starts.append(set(np.atleast_1d(y0).tolist()))
+        return sweep(problem, K, Omega, phi0, y0, *args, **kwargs)
+
+    monkeypatch.setattr(propagate, "sweep_phase", spy)
+    _, _, windows, _ = decaying_phase_batch(exp_profile, 16.0, [14.0, 15.0],
+                                            wins)
+    assert windows == wins
+    assert starts == [{cfg.y_tail, wins[0].stretched(2.0).y_tail}]
+
+
 def test_band_check_on_the_batch_path(exp_profile):
     # at (16, 12) gamma_A turns negative at y = ln 15 = 2.7; a window
     # whose y_bar sits in front of that leaves the angle outside

@@ -11,7 +11,7 @@ import pytest
 
 import shwave as sw
 from shwave import dispersion, liouville
-from shwave.decay import matching_config
+from shwave.decay import decaying_phase_batch, matching_config
 from shwave.dispersion import DEFAULT_OPTIONS, SearchOptions
 from shwave.prufer import IntegratorSettings
 
@@ -164,10 +164,11 @@ def test_phi_independent_of_batch_mates(exp_profile):
     phis = []
     for n in (1, 2, 3, 21, 64):
         omegas = np.concatenate([[om], np.linspace(lo, hi, n + 1)[1:n]])
-        phi = dispersion._mismatch_batch(exp_profile, K, omegas, cfg,
-                                         IntegratorSettings(),
-                                         y_bars=np.full(n, 2.0))[0]
-        phis.append(phi[0])
+        reads = np.full(n, 2.0)
+        phi_plus, _, _, (phi0, _) = decaying_phase_batch(
+            exp_profile, K, omegas, cfg, settings=IntegratorSettings(),
+            y_bars=reads, surface=(K, omegas, reads))
+        phis.append(phi0[0] - phi_plus[0])
     assert max(phis) - min(phis) < 1e-10
 
 
@@ -451,6 +452,19 @@ def test_one_matching_depth_rule(request, profile, K, space):
         assert abs(y_bar - min(own, sc.cfg.y_bar)) <= 1e-6
         p, q = problem.coef_pair(np.linspace(y_bar, sc.cfg.y_tail, 20001))
         assert np.all(top * p - K * q < 0)
+
+
+def test_band_check_covers_refinement(exp_profile, monkeypatch):
+    # each bracket's window carries its polished matching depth, so the
+    # angles that become phi_decay are band-checked; a depth in front of
+    # every turning point puts them outside (pi/2, pi)
+    res = sw.find_modes(exp_profile, 16.0)
+    depths = [md.matching.y_bar for md in res.modes]
+    assert len(res.modes) == 6 and depths == sorted(set(depths))
+    monkeypatch.setattr(dispersion, "_polish_depths",
+                        lambda problem, K, tops, cfg: np.full(len(tops), 0.5))
+    with pytest.raises(sw.errors.TailConvergenceError, match="band"):
+        sw.find_modes(exp_profile, 16.0)
 
 
 def test_scan_tail_limit_prefix(monkeypatch):

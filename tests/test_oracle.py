@@ -124,6 +124,47 @@ def test_fd_flags_nonconverged():
     assert (not fd.usable) or len(fd.omegas) == 0 or fd.note == ""
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("slot", ["q", "d", "K"])
+def test_bessel_rejects_nonfinite(slot, bad):
+    args = {"q": 5.0, "d": 1.0, "K": 1.0}
+    args[slot] = bad
+    with pytest.raises(sw.errors.ProfileError, match="finite"):
+        sw.bessel_mode_frequencies(**args)
+
+
+@pytest.mark.parametrize("K", [math.inf, math.nan, -1.0])
+def test_fd_rejects_nonfinite_K(exp_profile, K):
+    with pytest.raises(sw.errors.ProfileError, match="finite"):
+        sw.fd_mode_frequencies(exp_profile, K)
+
+
+@pytest.mark.parametrize("profile, K, calls", [
+    ("layer_profile", 25.0, 3), ("exp_profile", 1.0, 4)], ids=["layer", "exp"])
+def test_fd_reuses_last_probe(request, monkeypatch, profile, K, calls):
+    # a probe that ends the box search already ran at the final (L, n);
+    # the result equals the three solves (L, n), (L, 2n), (2L, 2n) bit
+    # for bit (the exp box grows once, so it probes twice)
+    from shwave import oracle
+
+    profile = request.getfixturevalue(profile)
+    solve = oracle._fd_eigs
+    seen = []
+
+    def counted(*args):
+        seen.append(args[2:4])
+        return solve(*args)
+
+    monkeypatch.setattr(oracle, "_fd_eigs", counted)
+    res = sw.fd_mode_frequencies(profile, K)
+    assert res.usable and len(seen) == calls
+    L, n, cutoff = (res.discretization[k] for k in ("L", "n", "cutoff"))
+    e1, e2, _ = (solve(profile, K, LL, nn, cutoff)
+                 for LL, nn in ((L, n), (L, 2 * n), (2 * L, 2 * n)))
+    assert [v.hex() for v in res.omegas] == \
+        [float(v).hex() for v in (4.0 * e2 - e1) / 3.0]
+
+
 def test_oracle_kernel_independence():
     # the oracle module must not import the solver's integration kernels
     import shwave.oracle as oracle_mod

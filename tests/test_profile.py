@@ -127,6 +127,12 @@ def test_admissible_interval(exp_profile, constant_profile, power_profile):
     assert hi == 4.0
 
 
+@pytest.mark.parametrize("K", [math.nan, math.inf, 0.0])
+def test_admissible_interval_rejects_nonfinite_K(exp_profile, K):
+    with pytest.raises(ProfileError, match="finite"):
+        sw.admissible_interval(exp_profile, K)
+
+
 def test_admissible_interval_scales_linearly(exp_profile):
     cls = sw.classify(exp_profile)
     lo1, hi1 = sw.admissible_interval(exp_profile, 2.0, cls)
@@ -184,6 +190,22 @@ def test_profile_pickles_by_name(exp_profile):
     table = sw.from_table([(0, 2, 1), (1, 1, 1)], rho_inf=1.0)
     clone = pickle.loads(pickle.dumps(table))
     assert clone.eval(0.25) == table.eval(0.25)
+
+
+def test_callable_profile_pickles_by_callables():
+    import pickle
+
+    from tests.conftest import mu_exp_bump, rho_one
+
+    profile = sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0,
+                                tail_constant_from=40.0, name="bump",
+                                breakpoints=(0.5,))
+    clone = pickle.loads(pickle.dumps(profile))
+    assert clone.eval(1.3) == profile.eval(1.3)
+    assert (clone.name, clone.tail_constant_from, clone.y_max_data,
+            clone.breakpoints) == ("bump", 40.0, 40.0, (0.5,))
+    assert sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0).y_max_data \
+        == math.inf
 
 
 def test_classification_perturbation_regression(exp_profile):

@@ -185,6 +185,21 @@ def test_mode_shape_normalization_and_decay(exp_profile):
     assert abs(u[-1]) < 1e-6
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_mode_shape_rejects_bad_depths(exp_profile, bad):
+    mode = sw.find_modes(exp_profile, 1.0).modes[0]
+    with pytest.raises(sw.errors.DomainError, match="finite and non-negative"):
+        sw.reconstruct_mode_shape(exp_profile, mode, [bad, 0.5])
+
+
+@pytest.mark.parametrize("y0, read", [(0.0, math.nan), (0.0, math.inf),
+                                      (math.nan, 1.0), (math.inf, 1.0)])
+def test_sweep_rejects_nonfinite_depths(constant_profile, y0, read):
+    with pytest.raises(ValueError, match="must be finite"):
+        sweep_phase(constant_profile, 1.0, np.array([2.0, 2.0]), HALF_PI,
+                    y0, np.array([read, 1.0]))
+
+
 def test_mode_shape_sweep_count(exp_profile, monkeypatch):
     # the surface sweep, the decaying sweep and its tail check share one
     # sweep_phase call, however many depths the grid has

@@ -42,6 +42,10 @@ def test_param_point_validation():
         sw.ParamPoint(-1.0, 1.0)
     with pytest.raises(sw.errors.ProfileError):
         sw.ParamPoint(1.0, 0.0)
+    for K, Omega in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                     (1.0, math.nan)):
+        with pytest.raises(sw.errors.ProfileError, match="finite"):
+            sw.ParamPoint(K, Omega)
 
 
 def test_sweep_reads_beyond_target_extend(constant_profile):
