@@ -279,10 +279,10 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     windows); those angles must agree to within max(1e-8, 100 rel_tol),
     else only that group is swept again from the doubled window (and
     checked against the quadrupled one), up to four windows.  Deeper
-    reads ride along unchecked.  ``check=False`` skips the check for repeat sweeps over
-    windows that already validated.  ``surface`` = (K, omegas, reads)
-    adds members swept down from the surface, where their angle is
-    pi/2, to the first call.  Every read at or deeper than its window's
+    reads ride along unchecked.  ``check=False`` skips the check for
+    repeat sweeps over windows that already validated.  ``surface`` =
+    (K, omegas, reads) adds members swept down from the surface, where
+    their angle is pi/2, to the first call.  Every read at or deeper than its window's
     y_bar must lie in (pi/2, pi), the invariant band of decaying angles
     behind the turning point, else TailConvergenceError; shallower reads
     are not checked.  The scans, the refinement and the mode shapes read
