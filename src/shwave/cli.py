@@ -326,7 +326,7 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
     }
     exit_code = 0
     csv_rows = []
-    branches = None
+    branches = results_by_K = None
     cls = classify(profile)
     report["classification"] = asdict(cls)
 
@@ -342,10 +342,7 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
         if res.nonexistence_reason:
             report["verdict"] = res.nonexistence_reason
             exit_code = 3
-        if fixtures_path is not None:
-            fixtures = _load_fixtures(fixtures_path)
-            report["oracle_comparison"] = _oracle_comparison(
-                fixtures, profile_spec, {k * k: res})
+        results_by_K = {k * k: res}
     elif task == "branches":
         ks = _k_grid(config)
         branches, results = trace_branches(profile, ks, opts,
@@ -358,11 +355,7 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
         ]
         for k, res in zip(ks, results):
             csv_rows.extend(_mode_row(float(k), m) for m in res.modes)
-        if fixtures_path is not None:
-            fixtures = _load_fixtures(fixtures_path)
-            by_K = {res.K: res for res in results}
-            report["oracle_comparison"] = _oracle_comparison(
-                fixtures, profile_spec, by_K)
+        results_by_K = {res.K: res for res in results}
     elif task == "estimate":
         ks = _k_grid(config) if "k_grid" in config else [_k_single(config)]
         report["estimates"] = [
@@ -372,12 +365,14 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
         ]
     elif task == "oscillation":
         report["oscillation"] = asdict(oscillation_test(profile))
+    if fixtures_path is not None and results_by_K is not None:
+        report["oracle_comparison"] = _oracle_comparison(
+            _load_fixtures(fixtures_path), profile_spec, results_by_K)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if csv_rows or task in ("modes", "branches"):
         (out_dir / (basename + ".csv")).write_text(_csv_lines(csv_rows))
     if plot and branches is not None:
-        ks = _k_grid(config)
         svg = _svg_plot(branches, profile, cls, float(ks[0]), float(ks[-1]))
         (out_dir / (basename + ".svg")).write_text(svg)
     report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -7,13 +7,14 @@ matching depth y_bar an Airy length behind the last sign change of
 gamma_A, in :func:`matching_depths`, the one rule behind every matching
 depth (the scan's window and the refinement's per-bracket depths),
 (ii) picking a tail-start depth Y where the coefficient is close to its
-limit, in :func:`matching_config`, on one grid behind y_bar on which
-gamma_A must stay negative up to Y, and (iii) seeding the angle with
-the frozen-coefficient decaying direction at Y and sweeping it backward
-to y_bar with the propagator of :mod:`shwave.propagate`.  The decay
-direction is an attractor of the backward flow, so the seeding error
-shrinks exponentially; a tail-window doubling re-solve verifies that
-the delivered angle is insensitive to the truncation.
+limit and the integral of its distance beyond Y is small, in
+:func:`matching_config`, on one grid behind y_bar that gives both and
+on which gamma_A must stay negative up to Y, and (iii) seeding the
+angle with the frozen-coefficient decaying direction at Y and sweeping
+it backward to y_bar with the propagator of :mod:`shwave.propagate`.
+The decay direction is an attractor of the backward flow, so the
+seeding error shrinks exponentially; a tail-window doubling re-solve
+verifies that the delivered angle is insensitive to the truncation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import propagate
 from .errors import (NoNegativeTailError, TailConvergenceError,
                      TailSelectionError, ThresholdError)
 from .prufer import DEFAULT_SETTINGS, HALF_PI, IntegratorSettings, PhaseState
-from .profile import ParamPoint, _as_param, _gamma, _trapezoid
+from .profile import ParamPoint, _as_param, _gamma
 
 NEAR_THRESHOLD_DELTA = 1e-9     # reject Omega above (1 - delta) * cutoff
 DEFAULT_MARGIN = 0.5            # largest margin behind the last sign change
@@ -49,7 +50,6 @@ class MatchingConfig:
 
     y_bar: float
     y_tail: float
-    strict_tail: bool = True    # False when the contraction fallback chose Y
 
     def __post_init__(self):
         if not (0 < self.y_bar <= self.y_tail):
@@ -131,17 +131,21 @@ def matching_config(problem, A) -> MatchingConfig:
     y_bar is :func:`matching_depths` of the point.
 
     Y is picked on one grid from y_bar: a step of 0.01 over the first 5
-    units, then 0.05 up to y_bar + 64, then geometric up to
-    max(1000, 32 (y_bar + 1)).  Primary criterion: the smallest Y with
-    |beta(Y)| <= TAIL_REL_TOL*|gamma_inf| and an estimated remaining
-    integral of |beta| below TAIL_RESIDUAL_TOL.  For exactly-clamped
+    units, then 0.05 up to y_bar + 64, then geometric up to y_max =
+    max(1000, 32 (y_bar + 1)), then two geometric doublings to 4 y_max
+    (256 samples).  The remaining integral of |beta| beyond each sample
+    is the reverse cumulative trapezoid up to 4 y_max plus the geometric
+    continuation of those two doublings (inf unless the second holds
+    less than 0.95 of the first).  Primary criterion: the first sample
+    up to y_max with |beta(Y)| <= TAIL_REL_TOL*|gamma_inf| and a
+    remaining integral <= TAIL_RESIDUAL_TOL.  For exactly-clamped
     profiles Y = tail_constant_from suffices (beta vanishes beyond) and
     the grid ends there.  For slowly decaying tails (power laws) the
-    literal integral criterion can be unattainable at any reachable
-    depth; the fallback then picks the smallest Y whose backward
+    integral criterion can be unattainable at any reachable depth; the
+    fallback then picks the first sample up to y_max whose backward
     contraction budget, the integral of sqrt(-gamma/mu) over [y_bar, Y],
     exceeds a fixed budget, which the doubling re-solve in
-    :func:`decaying_phase_batch` validates (``strict_tail`` False).
+    :func:`decaying_phase_batch` validates.
     gamma_A must be negative on every sample of the grid up to Y.
     """
     A = _as_param(A)
@@ -153,62 +157,49 @@ def matching_config(problem, A) -> MatchingConfig:
     y_bar = float(matching_depths(problem, A.K, A.Omega)[0])
 
     tail_from = getattr(problem, "tail_constant_from", None)
-    y_tail, strict = None, True
-    if tail_from is None:
-        y_scan_max = max(1000.0, 32.0 * (y_bar + 1.0))
-    else:
-        y_tail = y_scan_max = max(y_bar, float(tail_from))
+    y_max = max(1000.0, 32.0 * (y_bar + 1.0)) if tail_from is None \
+        else max(y_bar, float(tail_from))
     ys = np.concatenate([
         y_bar + 0.01 * np.arange(500),
-        np.arange(y_bar + 5.0, min(y_bar + 64.0, y_scan_max), 0.05),
-        np.geomspace(max(y_bar + 64.0, 1.0), y_scan_max, 512)
-        if y_scan_max > y_bar + 64.0 else []])
+        np.arange(y_bar + 5.0, min(y_bar + 64.0, y_max), 0.05),
+        np.geomspace(max(y_bar + 64.0, 1.0), y_max, 512)
+        if y_max > y_bar + 64.0 else [],
+        np.geomspace(y_max, 4.0 * y_max, 257)[1:] if tail_from is None else []])
     g = _gamma(problem, A.K, A.Omega, ys)
-    bvals = np.abs(g - ginf)
-
-    def beta_abs(y):
-        return np.abs(_gamma(problem, A.K, A.Omega, y) - ginf)
-
-    candidates = np.nonzero(bvals <= TAIL_REL_TOL * abs(ginf))[0] \
-        if y_tail is None else []
-    if len(candidates) > 32:
-        picks = np.unique(np.geomspace(1, len(candidates), 32).astype(int) - 1)
-        candidates = candidates[picks]
-    for i in candidates:
-        Y = float(ys[i])
-        # residual estimate on doubling windows with geometric extrapolation
-        w1 = _trapezoid(beta_abs, Y, 2 * Y, 513)
-        w2 = _trapezoid(beta_abs, 2 * Y, 4 * Y, 513)
-        if w1 <= 1e-300 or w2 <= 1e-300:
-            residual = w1 + w2
-        elif w2 < 0.95 * w1:
-            residual = w1 + w2 / (1.0 - w2 / w1)
-        else:
-            residual = math.inf
-        if residual <= TAIL_RESIDUAL_TOL:
-            y_tail = Y
-            break
-    if y_tail is None:
-        # contraction-budget fallback
-        kappa = np.sqrt(np.maximum(-g, 0.0) /
-                        np.asarray(problem.stiffness(ys), dtype=float))
-        budget = np.concatenate([[0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1])
-                                                  * np.diff(ys))])
-        feasible = np.nonzero((budget >= _CONTRACTION_BUDGET)
+    y_tail = y_max                      # beta vanishes beyond tail_from
+    if tail_from is None:
+        bvals = np.abs(g - ginf)
+        inside = ys <= y_max
+        # remaining integral of |beta| beyond each sample: trapezoids up
+        # to 4 y_max, then the geometric continuation of the two doublings
+        piece = 0.5 * (bvals[1:] + bvals[:-1]) * np.diff(ys)
+        rest = np.concatenate([np.cumsum(piece[::-1])[::-1], [0.0]])
+        w1, w2 = rest[-257] - rest[-129], rest[-129]
+        if w1 > 1e-300 and w2 > 1e-300:
+            rest += w2 * w2 / (w1 - w2) if w2 < 0.95 * w1 else np.inf
+        hits = np.nonzero(inside & (bvals <= TAIL_REL_TOL * abs(ginf))
+                          & (rest <= TAIL_RESIDUAL_TOL))[0]
+        if not len(hits):
+            # contraction-budget fallback
+            kappa = np.sqrt(np.maximum(-g, 0.0) /
+                            np.asarray(problem.stiffness(ys), dtype=float))
+            budget = np.concatenate([[0.0], np.cumsum(
+                0.5 * (kappa[1:] + kappa[:-1]) * np.diff(ys))])
+            hits = np.nonzero(inside & (budget >= _CONTRACTION_BUDGET)
                               & (bvals <= 0.25 * abs(ginf)))[0]
-        if not len(feasible):
+        if not len(hits):
             raise TailSelectionError(
                 "no tail-start depth up to y=%.3g meets the closeness "
                 "tolerances (rel %.1e, residual %.1e) or the contraction "
                 "budget of the fallback"
-                % (y_scan_max, TAIL_REL_TOL, TAIL_RESIDUAL_TOL))
-        y_tail, strict = float(ys[feasible[0]]), False
+                % (y_max, TAIL_REL_TOL, TAIL_RESIDUAL_TOL))
+        y_tail = float(ys[hits[0]])
 
     if np.any(g[ys <= y_tail] >= 0):
         raise NoNegativeTailError(
             "gamma_A is nonnegative inside the matching window "
             "[%.6g, %.6g]" % (y_bar, y_tail))
-    return MatchingConfig(y_bar=y_bar, y_tail=y_tail, strict_tail=strict)
+    return MatchingConfig(y_bar=y_bar, y_tail=y_tail)
 
 
 def decaying_phase_at_tail(problem, A, Y):
@@ -263,36 +254,36 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     window shared by every member or one per member.  A window must be
     valid for its members: one valid for the largest Omega of a K
     covers the smaller Omega of that K, because gamma decreases
-    pointwise as Omega does.  The members of one K and one window
-    (equal K, y_bar and y_tail, found by one sort) form a group, which
-    starts at the window's y_tail; one :func:`decaying_phase_at_tail`
-    call seeds the members of every group, each at its own group's
-    depth.  Each member's angle is read off at its own depth of
-    ``y_bars`` (default: its window's y_bar).
+    pointwise as Omega does.  The members of one K and one y_tail
+    (found by one sort) form a class, which starts at that y_tail; one
+    :func:`decaying_phase_at_tail` call seeds the members of every
+    class, each at its own class's depth.  Each member's angle is read
+    off at its own depth of ``y_bars`` (default: its window's y_bar).
 
-    Every group is swept in one :func:`shwave.propagate.sweep_phase`
+    Every class is swept in one :func:`shwave.propagate.sweep_phase`
     call, each K on its own lanes.  Unless the profile is exactly
-    constant beyond the group's y_tail, that call also sweeps the
-    group's reads at or above its window's y_bar from the doubled
-    window (the groups of one K and y_tail, such as the refinement's
-    brackets of one K, share one lane from the deepest of their doubled
-    windows); those angles must agree to within max(1e-8, 100 rel_tol),
-    else only that group is swept again from the doubled window (and
-    checked against the quadrupled one), up to four windows.  Deeper
+    constant beyond the class's y_tail, that call also sweeps the
+    class's reads at or above their windows' y_bar on one check lane,
+    from the deepest of its members' doubled windows (the refinement's
+    brackets of one K share a class); those angles must agree to within
+    max(1e-8, 100 rel_tol), else the whole class moves to that deepest
+    depth and is swept and checked again, up to four windows.  Deeper
     reads ride along unchecked.  ``check=False`` skips the check for
     repeat sweeps over windows that already validated.  ``surface`` =
     (K, omegas, reads) adds members swept down from the surface, where
-    their angle is pi/2, to the first call.  Every read at or deeper than its window's
-    y_bar must lie in (pi/2, pi), the invariant band of decaying angles
-    behind the turning point, else TailConvergenceError; shallower reads
-    are not checked.  The scans, the refinement and the mode shapes read
-    at or behind their windows' y_bar, so the check covers every root.
+    their angle is pi/2, to the first call.  Every read at or deeper
+    than its window's y_bar must lie in (pi/2, pi), the invariant band
+    of decaying angles behind the turning point, else
+    TailConvergenceError; shallower reads are not checked.  The scans,
+    the refinement and the mode shapes read at or behind their windows'
+    y_bar, so the check covers every root.
 
     Returns (phi, log_r, windows, surface): log_r (None unless
     ``want_log_r``) counts from r = 1 at each member's accepted tail
     start, ``windows`` lists the window each member's check accepted
-    (repeat sweeps must reuse it), and ``surface`` is the (phi, log_r)
-    of the surface members, or None.
+    (its own, with y_tail replaced where its class moved; repeat sweeps
+    must reuse it), and ``surface`` is the (phi, log_r) of the surface
+    members, or None.
     """
     settings = settings or DEFAULT_SETTINGS
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -300,15 +291,13 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     windows, w_bar, w_tail = _window_depths(cfg, omegas.size)
     y_bars = w_bar if y_bars is None else np.broadcast_to(
         np.asarray(y_bars, dtype=float), omegas.shape)
-    keys, first, group = np.unique(np.stack((K, w_tail, w_bar)), axis=1,
-                                   return_index=True, return_inverse=True)
-    group = group.reshape(-1)
-    shared = np.concatenate(([0], np.cumsum(      # per group: its (K, y_tail)
-        np.any(keys[:2, 1:] != keys[:2, :-1], axis=0))))
-    wins = [windows[j] for j in first.tolist()]
+    keys, cls = np.unique(np.stack((K, w_tail)), axis=1, return_inverse=True)
+    cls = cls.reshape(-1)
+    tails = keys[1].copy()      # per class: its tail start, moved by retries
     tail_from = getattr(problem, "tail_constant_from", None)
-    checks = np.array([check and not (tail_from is not None
-                                      and w.y_tail >= tail_from) for w in wins])
+    checks = np.full(tails.shape, check)
+    if tail_from is not None:       # no truncation to check beyond it
+        checks &= tails < tail_from
     checked = y_bars <= w_bar
     # at loose integration tolerances the two sweeps differ by
     # integration error, not truncation, so the bar scales with rel_tol
@@ -324,24 +313,22 @@ def decaying_phase_batch(problem, K, omegas, cfg,
 
     def lanes(sel, depths):
         # (K, Omega, phi0, y0, reads) of the members ``sel``, each seeded
-        # at ``depths`` of its group
-        y0 = depths[group[sel]]
+        # at ``depths`` of its class
+        y0 = depths[cls[sel]]
         return (K[sel], omegas[sel],
                 decaying_phase_at_tail(problem, (K[sel], omegas[sel]), y0),
                 y0, y_bars[sel])
 
-    todo = list(range(len(wins)))
+    todo = np.ones(tails.shape, dtype=bool)
     for _ in range(_TAIL_ATTEMPTS):
-        tail = np.nonzero(np.isin(group, todo))[0]
-        test = tail[checked[tail] & checks[group[tail]]]
-        tails, doubled = np.array([(w.y_tail, w.stretched(2.0).y_tail)
-                                   for w in wins]).T
-        deepest = np.full(len(wins), -np.inf)     # per (K, y_tail)
-        np.maximum.at(deepest, shared[todo], doubled[todo])
+        tail = np.nonzero(todo[cls])[0]
+        test = tail[checked[tail] & checks[cls[tail]]]
+        # the deepest doubled window of each class, as in stretched(2.0)
+        deepest = np.full(tails.shape, -np.inf)
+        np.maximum.at(deepest, cls, w_bar + 2.0 * (tails[cls] - w_bar))
         got, got_lr = propagate.sweep_phase(
             problem, *(np.concatenate(col) for col in zip(
-                lanes(tail, tails), lanes(test, deepest[shared]),
-                *(surface or ()))),
+                lanes(tail, tails), lanes(test, deepest), *(surface or ()))),
             rtol=settings.rel_tol, atol=settings.abs_tol, want_log_r=want_log_r)
         n, m = tail.size, tail.size + test.size
         phi[tail] = got[:n]
@@ -350,13 +337,12 @@ def decaying_phase_batch(problem, K, omegas, cfg,
         if surface:
             surface_out = (got[m:], None if got_lr is None else got_lr[m:])
             surface = None
-        worst = np.zeros(len(wins))
-        np.maximum.at(worst, group[test], np.abs(got[n:m] - phi[test]))
-        todo = [g for g in todo if checks[g] and not worst[g] <= tol]
-        if not todo:
+        worst = np.zeros(tails.shape)
+        np.maximum.at(worst, cls[test], np.abs(got[n:m] - phi[test]))
+        todo &= checks & ~(worst <= tol)
+        if not todo.any():
             break
-        for g in todo:
-            wins[g] = wins[g].stretched(2.0)
+        tails[todo] = deepest[todo]
     else:
         raise TailConvergenceError(
             "tail-window doubling failed to stabilize phi+ after %d windows "
@@ -370,4 +356,5 @@ def decaying_phase_batch(problem, K, omegas, cfg,
         raise TailConvergenceError(
             "decaying angle left the (pi/2, pi) band: phi=%.12g at y=%.6g "
             "(y_bar=%.6g)" % (phi[j], y_bars[j], w_bar[j]))
-    return phi, log_r, [wins[g] for g in group.tolist()], surface_out
+    return phi, log_r, [w if t == w.y_tail else replace(w, y_tail=t) for w, t
+                        in zip(windows, tails[cls].tolist())], surface_out

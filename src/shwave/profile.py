@@ -404,9 +404,24 @@ def from_callables(rho, mu, rho_inf, mu_inf, tail_constant_from=None,
     The callables must accept scalars and numpy arrays; depths where
     they are not smooth should be listed in ``breakpoints`` so sweeps
     never step across them.  Such a profile pickles only if its
-    callables are module-level functions.
+    callables are module-level functions.  ``tail_constant_from`` is
+    None or a finite depth >= 0 at and beyond which rho and mu equal
+    their limits (to 1e-12 relative, checked there and at a few deeper
+    depths); the solvers start the decaying tail there unchecked.
     """
     _positive([rho_inf, mu_inf], "profile limits")
+    if tail_constant_from is not None:
+        t = float(tail_constant_from)
+        if not 0.0 <= t < math.inf:
+            raise ProfileError("tail_constant_from must be None or a finite "
+                               "depth >= 0, got %r" % (tail_constant_from,))
+        ys = t + max(1.0, t) * np.array([0.0, 1.0, 10.0, 100.0])
+        for fn, lim, what in ((rho, rho_inf, "rho"), (mu, mu_inf, "mu")):
+            off = np.abs(np.asarray(fn(ys), dtype=float) - float(lim))
+            if not np.all(off <= 1e-12 * abs(float(lim))):
+                raise ProfileError(
+                    "%s differs from its limit %r beyond tail_constant_from="
+                    "%r (by up to %.3g)" % (what, float(lim), t, np.max(off)))
     return MaterialProfile(
         name=name, params={}, rho_inf=float(rho_inf), mu_inf=float(mu_inf),
         tail_constant_from=tail_constant_from, rho_fn=rho, mu_fn=mu,

@@ -1,12 +1,14 @@
 """Tail construction: matching point, tail start, decaying angle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import shwave as sw
-from shwave.decay import (MatchingConfig, decaying_phase, decaying_phase_at_tail,
+from shwave.decay import (TAIL_REL_TOL, TAIL_RESIDUAL_TOL, MatchingConfig,
+                          decaying_phase, decaying_phase_at_tail,
                           decaying_phase_batch, matching_config)
 from shwave.errors import TailConvergenceError, ThresholdError
 from tests.conftest import lift_from_samples, ones, rk4_uw, sampled_sweep
@@ -45,13 +47,16 @@ def test_tail_start_clamped_table():
     table = sw.from_table([(0.0, 3.0, 1.0), (1.5, 1.0, 1.0)], rho_inf=1.0)
     cfg = matching_config(table, (1.0, 0.5))
     assert cfg.y_tail == 1.5
-    assert cfg.strict_tail
+    # the clamp itself, not the fallback: beta vanishes from Y on
+    assert np.all(table.gamma((1.0, 0.5), [1.5, 3.0, 100.0]) == -0.5)
 
 
 def test_tail_start_exponential_formula(exp_profile):
     cfg = matching_config(exp_profile, (1.0, 0.5))
-    # |beta(Y)| = 2.5 exp(-Y) <= 1e-8 * 0.5  =>  Y >= ln(5e8)
-    assert cfg.strict_tail
+    # |beta(Y)| = 2.5 exp(-Y) <= 1e-8 * 0.5  =>  Y >= ln(5e8); the primary
+    # rule, not the fallback: the remaining integral 2.5 exp(-Y) is small
+    beta = 2.5 * math.exp(-cfg.y_tail)
+    assert beta <= TAIL_REL_TOL * 0.5 and beta <= TAIL_RESIDUAL_TOL
     assert math.log(5e8) - 1e-9 <= cfg.y_tail <= math.log(5e8) + 0.1
 
 
@@ -62,8 +67,10 @@ def test_tail_start_constant(constant_profile):
 def test_tail_start_power_law_fallback(power_profile):
     # the literal residual criterion is unattainable for (1+y)^{-3/2};
     # the contraction-budget fallback must fire instead of erroring
-    cfg = matching_config(power_profile, (4.0, 3.5))
-    assert not cfg.strict_tail
+    A = (4.0, 3.5)
+    cfg = matching_config(power_profile, A)
+    beta = abs(power_profile.gamma(A, cfg.y_tail) - (3.5 - 4.0))
+    assert beta > TAIL_REL_TOL * 0.5
     assert cfg.y_tail > cfg.y_bar
 
 
@@ -194,6 +201,32 @@ def test_tail_check_shares_one_lane_per_k(exp_profile, monkeypatch):
                                             wins)
     assert windows == wins
     assert starts == [{cfg.y_tail, wins[0].stretched(2.0).y_tail}]
+
+
+def test_failed_tail_check_moves_its_whole_class(exp_profile, monkeypatch):
+    # windows of one K and y_tail at two matching depths, both too short
+    # for the check: the class moves as one, both windows to the deepest
+    # of their doubled windows, and is checked again on one lane
+    import shwave.propagate as propagate
+
+    cfg = matching_config(exp_profile, (16.0, 15.0))
+    wins = [MatchingConfig(y_bar=y, y_tail=cfg.y_bar + 3.0)
+            for y in (cfg.y_bar - 1.0, cfg.y_bar)]
+    deepest = wins[0].stretched(2.0).y_tail
+    moved = [replace(w, y_tail=deepest) for w in wins]
+    starts = []
+    sweep = propagate.sweep_phase
+
+    def spy(problem, K, Omega, phi0, y0, *args, **kwargs):
+        starts.append(set(np.atleast_1d(y0).tolist()))
+        return sweep(problem, K, Omega, phi0, y0, *args, **kwargs)
+
+    monkeypatch.setattr(propagate, "sweep_phase", spy)
+    _, _, windows, _ = decaying_phase_batch(exp_profile, 16.0, [14.0, 15.0],
+                                            wins)
+    assert windows == moved
+    assert starts == [{wins[0].y_tail, deepest},
+                      {deepest, moved[0].stretched(2.0).y_tail}]
 
 
 def test_band_check_on_the_batch_path(exp_profile):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shwave as sw
 from shwave import dispersion, liouville
@@ -432,6 +433,33 @@ def test_breakpoint_profiles_unflagged(profile, K, n_modes):
     assert fd.usable and len(fd.omegas) == n_modes
     rel = max(abs(m.Omega - o) / o for m, o in zip(res.modes, fd.omegas))
     assert rel < 1e-8
+
+
+@st.composite
+def random_layers(draw):
+    """A soft smoothed layer over the unit substrate, and a K in [1, 30]."""
+    y_s = draw(st.floats(0.5, 3.0))
+    p = {"rho_1": draw(st.floats(1.2, 4.0)), "mu_1": draw(st.floats(0.5, 1.0)),
+         "rho_s": 1.0, "mu_s": 1.0, "y_s": y_s,
+         "width": y_s * draw(st.floats(0.1, 1.0))}
+    return sw.from_registry("smoothed_layer", p), draw(st.floats(1.0, 30.0))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(random_layers())
+def test_property_layer_spectra(case):
+    # the y and tau spectra agree, every mode lies strictly inside the
+    # admissible interval, the indices are 1..N and no mode is flagged
+    profile, K = case
+    lo, hi = sw.admissible_interval(profile, K)
+    y_res = sw.find_modes(profile, K)
+    tau_res = sw.find_modes(profile, K, SearchOptions(space="tau"))
+    assert len(y_res.modes) == len(tau_res.modes)
+    for res in (y_res, tau_res):
+        assert [m.m for m in res.modes] == list(range(1, len(res.modes) + 1))
+        assert all(m.flag is None and lo < m.Omega < hi for m in res.modes)
+    for a, b in zip(y_res.modes, tau_res.modes):
+        assert abs(a.Omega - b.Omega) <= 1e-8 * a.Omega
 
 
 @pytest.mark.parametrize("profile, K, space", [

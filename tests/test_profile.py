@@ -216,3 +216,27 @@ def test_classification_perturbation_regression(exp_profile):
     cls = sw.classify(pert)
     assert cls.monotonicity_at_inf == base.monotonicity_at_inf
     assert abs(cls.min_mu_over_rho - base.min_mu_over_rho) < 1e-6
+
+
+def _rho_exp(y):
+    return 1.0 + 5.0 * np.exp(-np.asarray(y, dtype=float))
+
+
+@pytest.mark.parametrize("tail", [-3.0, 0.0, 5.0, math.nan, math.inf])
+def test_from_callables_rejects_bad_tail(tail):
+    # the solvers start the decaying tail at tail_constant_from unchecked:
+    # a negative or shallow depth put every mode's tail at the scan's
+    # y_bar (mode 3 at K=4 off by 4e-6, unflagged), nan failed in the scan
+    from tests.conftest import ones
+
+    with pytest.raises(ProfileError, match="tail_constant_from"):
+        sw.from_callables(_rho_exp, ones, 1.0, 1.0, tail_constant_from=tail)
+
+
+def test_from_callables_accepts_constant_tail():
+    from tests.conftest import ones
+
+    p = sw.from_callables(_rho_exp, ones, 1.0, 1.0, tail_constant_from=40.0)
+    assert p.tail_constant_from == 40.0
+    assert sw.from_callables(_rho_exp, ones, 1.0, 1.0).tail_constant_from \
+        is None
