@@ -416,12 +416,13 @@ def from_callables(rho, mu, rho_inf, mu_inf, tail_constant_from=None,
             raise ProfileError("tail_constant_from must be None or a finite "
                                "depth >= 0, got %r" % (tail_constant_from,))
         ys = t + max(1.0, t) * np.array([0.0, 1.0, 10.0, 100.0])
-        for fn, lim, what in ((rho, rho_inf, "rho"), (mu, mu_inf, "mu")):
-            off = np.abs(np.asarray(fn(ys), dtype=float) - float(lim))
-            if not np.all(off <= 1e-12 * abs(float(lim))):
+        for fn, lim, what in ((rho, float(rho_inf), "rho"),
+                              (mu, float(mu_inf), "mu")):
+            off = np.abs(np.asarray(fn(ys), dtype=float) - lim)
+            if not np.all(off <= 1e-12 * lim):
                 raise ProfileError(
                     "%s differs from its limit %r beyond tail_constant_from="
-                    "%r (by up to %.3g)" % (what, float(lim), t, np.max(off)))
+                    "%r (by up to %.3g)" % (what, lim, t, np.max(off)))
     return MaterialProfile(
         name=name, params={}, rho_inf=float(rho_inf), mu_inf=float(mu_inf),
         tail_constant_from=tail_constant_from, rho_fn=rho, mu_fn=mu,
