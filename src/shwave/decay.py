@@ -212,13 +212,12 @@ def decaying_phase_at_tail(problem, A, Y):
     give one angle per member, each frozen at its own Y.
     """
     K, Omega = (A.K, A.Omega) if isinstance(A, ParamPoint) else A
-    Y = np.asarray(Y, dtype=float) if np.ndim(Y) else float(Y)
+    Y = np.asarray(Y, dtype=float)
     p, q = problem.coef_pair(Y)
     g = np.asarray(Omega, dtype=float) * p - K * q
     if np.any(g >= 0):
         raise ThresholdError("gamma_A(Y) must be negative at the tail start")
-    phi = np.arctan2(1.0, -np.sqrt(-g * problem.stiffness(Y)))
-    return phi if phi.ndim else float(phi)
+    return np.arctan2(1.0, -np.sqrt(-g * problem.stiffness(Y)))[()]
 
 
 def decaying_phase(problem, A, cfg: MatchingConfig,

@@ -102,7 +102,6 @@ class SearchOptions:
     root_tol: float = 1e-10          # relative, in Omega
     residual_tol: float = 1e-8       # absolute, in angle
     settings: IntegratorSettings = field(default_factory=IntegratorSettings)
-    tail_stretch: float = 1.0        # >1 widens the tail window (robustness runs)
     space: str = "y"                 # "y" or "tau"
 
     def __post_init__(self):
@@ -112,7 +111,7 @@ class SearchOptions:
                     isinstance(value, numbers.Integral) and value >= least):
                 raise ValueError("%s must be an integer of at least %d, got %r"
                                  % (name, least, value))
-        _check_positive(self, "root_tol", "residual_tol", "tail_stretch")
+        _check_positive(self, "root_tol", "residual_tol")
         if not isinstance(self.settings, IntegratorSettings):
             raise ValueError("settings must be an IntegratorSettings, got %r"
                              % (self.settings,))
@@ -198,7 +197,7 @@ def _chunks(lo, hi, n):
     return [uniform, np.asarray(geo)] if geo else [uniform]
 
 
-def _grow_window(problem, sc: _Scan, chunk, tail_stretch):
+def _grow_window(problem, sc: _Scan, chunk):
     """Grow the window of ``sc`` to the top of ``chunk``; the chunk part
     it covers, or None if it covers none.
 
@@ -215,8 +214,6 @@ def _grow_window(problem, sc: _Scan, chunk, tail_stretch):
             if j == 0 and sc.grown is None:
                 raise
             continue
-        if tail_stretch != 1.0:
-            cfg = cfg.stretched(tail_stretch)
         # a window valid for the chunk's top covers every lower frequency
         # of this K, so the refinement reuses the window of its last chunk
         sc.grown = cfg
@@ -249,7 +246,7 @@ def _scan(problem, jobs, opts: SearchOptions) -> list:
             if full or sc.at_limit:
                 sc.truncated = sc.truncated or full
                 continue
-            chunk = _grow_window(problem, sc, sc.chunks[i], opts.tail_stretch)
+            chunk = _grow_window(problem, sc, sc.chunks[i])
             if chunk is not None:
                 batch.append((sc, chunk))
         if not batch:
@@ -634,11 +631,12 @@ class OscillationVerdict:
 def oscillation_test(profile: MaterialProfile) -> OscillationVerdict:
     """Decide whether the limit-ray equation oscillates.
 
-    The limit-ray coefficient gamma_hat = mu_inf*rho_hat - rho_inf*mu_hat
-    must be positive on the tail with a divergent integral of
-    sqrt(gamma_hat/mu) while the relative variation of log(mu*gamma_hat)
-    stays subordinate to it; then every solution oscillates all the way
-    to infinity and modes accumulate at the cutoff for every K.
+    The limit-ray coefficient
+    gamma_hat = mu_inf*(rho - rho_inf) - rho_inf*(mu - mu_inf) must be
+    positive on the tail with a divergent integral of sqrt(gamma_hat/mu)
+    while the relative variation of log(mu*gamma_hat) stays subordinate
+    to it; then every solution oscillates all the way to infinity and
+    modes accumulate at the cutoff for every K.
     Evidence is gathered on doubling windows [T, 2T] from T = 1 to 2**19.
     """
     ghat = profile.limit_gamma_hat

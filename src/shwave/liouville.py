@@ -14,7 +14,6 @@ precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -104,8 +103,11 @@ class TauMap:
         return float(y) if y.ndim == 0 else y
 
 
-def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap:
+def build_tau(profile: MaterialProfile) -> TauMap:
     """Tabulate tau(y) = integral_0^y dy'/mu(y') by adaptive quadrature.
+
+    The table reaches 5 past :func:`shwave.profile.effective_depth`,
+    beyond which tau extends linearly with slope 1/mu_inf.
 
     Intervals are subdivided until the embedded quadrature error
     estimate (Gauss 5 vs Gauss 10) falls below 1e-10 relative and the
@@ -115,8 +117,7 @@ def build_tau(profile: MaterialProfile, y_max: Optional[float] = None) -> TauMap
     """
     if not profile.mu(0.0) > 0:
         raise ProfileError("mu must be positive")
-    if y_max is None:
-        y_max = effective_depth(profile) + 5.0
+    y_max = effective_depth(profile) + 5.0
     inv_mu = lambda y: 1.0 / profile.mu(y)
 
     segments = []
@@ -186,9 +187,7 @@ class TransformedMedium:
         return mu * rho, mu * mu
 
     def stiffness(self, tau):
-        if np.ndim(tau):
-            return np.ones_like(np.asarray(tau, dtype=float))
-        return 1.0
+        return np.ones_like(np.asarray(tau, dtype=float))[()]
 
     @property
     def coef_pair_inf(self):

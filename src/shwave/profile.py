@@ -72,10 +72,10 @@ def _halves_every_three(windows, floor):
                for w0, w3 in zip(windows[:-3], windows[3:]))
 
 
-def _trapezoid(f, a, b, n):
-    """Trapezoid rule for ``f`` on ``n`` equispaced points of [a, b]."""
-    ys = np.linspace(a, b, n)
-    return float(np.trapezoid(f(ys), ys))
+def _deviation(profile, ys):
+    """|a(y) - a_inf| on the depths ``ys``, from one ``eval`` call."""
+    rho, mu = profile.eval(ys)
+    return np.hypot(rho - profile.rho_inf, mu - profile.mu_inf)
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,6 @@ class MaterialProfile:
              self.tail_constant_from, self.name, self.breakpoints),
         )
 
-    @property
-    def y_max_data(self) -> float:
-        """Largest depth with explicit data: ``tail_constant_from``, or
-        ``inf`` for laws that never become exactly constant."""
-        return math.inf if self.tail_constant_from is None \
-            else self.tail_constant_from
-
     # -- basic evaluation -------------------------------------------------
 
     def _check_domain(self, y):
@@ -158,15 +151,9 @@ class MaterialProfile:
     def arg_a_inf(self) -> float:
         return math.atan2(self.mu_inf, self.rho_inf)
 
-    def rho_hat(self, y):
-        """Deviation rho(y) - rho_inf."""
-        return self.rho(y) - self.rho_inf
-
-    def mu_hat(self, y):
-        return self.mu(y) - self.mu_inf
-
     def limit_gamma_hat(self, y):
-        """Limit-ray coefficient mu_inf*rho_hat(y) - rho_inf*mu_hat(y).
+        """Limit-ray coefficient
+        mu_inf*(rho(y) - rho_inf) - rho_inf*(mu(y) - mu_inf).
 
         This is the gamma of the parameter ray collinear with
         (rho_inf, mu_inf), up to a positive factor; its sign and decay
@@ -243,9 +230,7 @@ def _build_constant(params):
 
 def _const_fn(value):
     def fn(y, _v=value):
-        if isinstance(y, float):
-            return _v
-        return np.full_like(np.asarray(y, dtype=float), _v) if np.ndim(y) else _v
+        return np.full_like(np.asarray(y, dtype=float), _v)[()]
     return fn
 
 
@@ -258,8 +243,6 @@ def _build_exp_density(params):
     _positive(rho_inf + drho, "surface density rho_inf + drho")
 
     def rho_fn(y):
-        if isinstance(y, float):
-            return rho_inf + drho * math.exp(-y / d)
         return rho_inf + drho * np.exp(-np.asarray(y, dtype=float) / d)
 
     return rho_fn, _const_fn(mu), rho_inf, mu, None, ()
@@ -276,8 +259,6 @@ def _build_power_density(params):
     _positive(rho_inf + c, "surface density rho_inf + c")
 
     def rho_fn(y):
-        if isinstance(y, float):
-            return rho_inf + c * (1.0 + y) ** (-p)
         return rho_inf + c * (1.0 + np.asarray(y, dtype=float)) ** (-p)
 
     return rho_fn, _const_fn(mu), rho_inf, mu, None, ()
@@ -340,7 +321,7 @@ def _build_table(params):
     if abs(rho[-1] - rho_inf) > 1e-9 * scale or abs(mu[-1] - mu_inf) > 1e-9 * scale:
         raise ProfileError(
             "last table row must match (rho_inf, mu_inf); the profile is "
-            "clamped to the limits beyond y_max_data")
+            "clamped to the limits beyond its last row")
     y_max = float(y[-1])
     # Monotone cubic interpolation: no overshoot, so positivity and the
     # Lipschitz character of the data survive.  scipy is imported here,
@@ -352,13 +333,11 @@ def _build_table(params):
 
     def rho_fn(yy):
         yy = np.asarray(yy, dtype=float)
-        out = np.where(yy >= y_max, rho_inf, rho_ip(np.minimum(yy, y_max)))
-        return float(out) if out.ndim == 0 else out
+        return np.where(yy >= y_max, rho_inf, rho_ip(np.minimum(yy, y_max)))[()]
 
     def mu_fn(yy):
         yy = np.asarray(yy, dtype=float)
-        out = np.where(yy >= y_max, mu_inf, mu_ip(np.minimum(yy, y_max)))
-        return float(out) if out.ndim == 0 else out
+        return np.where(yy >= y_max, mu_inf, mu_ip(np.minimum(yy, y_max)))[()]
 
     return rho_fn, mu_fn, rho_inf, mu_inf, y_max, tuple(float(v) for v in y)
 
@@ -455,8 +434,7 @@ def effective_depth(profile: MaterialProfile) -> float:
     y = 16.0
     while y < _DEPTH_CAP:
         ys = np.linspace(0.75 * y, y, 8)
-        dev = np.hypot(profile.rho_hat(ys), profile.mu_hat(ys))
-        if np.max(dev) <= 1e-12 * scale:
+        if np.max(_deviation(profile, ys)) <= 1e-12 * scale:
             return y
         y *= 2.0
     return _DEPTH_CAP
@@ -578,14 +556,13 @@ def check_assumptions(profile: MaterialProfile) -> AssumptionReport:
     slopes = np.hypot(np.diff(rho), np.diff(mu)) / np.diff(ys)
     lip = float(np.max(slopes))
 
-    dev = lambda y: np.hypot(profile.rho_hat(y), profile.mu_hat(y))
-    head = _trapezoid(dev, 0.0, 8.0, 1025)
-    windows = []
-    a = 8.0
-    for _ in range(8):
-        windows.append(_trapezoid(dev, a, 2 * a, 513))
-        a *= 2.0
-    windows = np.array(windows)
+    def integral(a, b, n):
+        ys = np.linspace(a, b, n)
+        return float(np.trapezoid(_deviation(profile, ys), ys))
+
+    head = integral(0.0, 8.0, 1025)
+    windows = np.array([integral(a, 2.0 * a, 513)
+                        for a in 8.0 * 2.0 ** np.arange(8)])
     floor = 1e-13 * math.hypot(profile.rho_inf, profile.mu_inf)
     integrable = _halves_every_three(windows, floor)
     total = head + float(np.sum(windows))

@@ -142,8 +142,7 @@ def phase_batch(problem, K, omegas, phi0, y_from: float, reads,
     return phi
 
 
-def reconstruct_mode_shape(problem, mode, y_grid,
-                           settings: Optional[IntegratorSettings] = None):
+def reconstruct_mode_shape(problem, mode, y_grid):
     """Sample the displacement u(y) of a matched mode, with u(0) = 1.
 
     One :func:`shwave.propagate.sweep_phase` call holds the surface
@@ -160,7 +159,6 @@ def reconstruct_mode_shape(problem, mode, y_grid,
     """
     from . import decay  # decay imports this module
 
-    settings = settings or DEFAULT_SETTINGS
     K, Omega, cfg = mode.K, mode.Omega, mode.matching
     y_grid = np.asarray(y_grid, dtype=float)
     bad = ~(np.isfinite(y_grid) & (y_grid >= 0))
@@ -174,9 +172,8 @@ def reconstruct_mode_shape(problem, mode, y_grid,
     reads_f = np.concatenate([[cfg.y_bar], y_grid[fwd]])
     reads = np.concatenate([[cfg.y_bar], y_grid[mid], [cfg.y_tail]])
     phi_b, lr_b, _, (phi_f, lr_f) = decay.decaying_phase_batch(
-        problem, K, np.full(reads.shape, Omega), cfg, settings=settings,
-        y_bars=reads, want_log_r=True,
-        surface=(K, np.full(reads_f.shape, Omega), reads_f))
+        problem, K, np.full(reads.shape, Omega), cfg, y_bars=reads,
+        want_log_r=True, surface=(K, np.full(reads_f.shape, Omega), reads_f))
 
     n = mode.m - 1
     d_angle = phi_f[0] - (phi_b[0] + n * math.pi)

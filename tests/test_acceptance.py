@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import shwave as sw
+from shwave import dispersion
 from shwave.decay import matching_config
 from shwave.dispersion import SearchOptions, _mismatch_batch
 from shwave.prufer import IntegratorSettings
@@ -222,11 +223,15 @@ def test_criterion_07_coordinate_invariance():
     _line(7, "same spectra in physical and transformed coordinates", t0)
 
 
-def test_criterion_09_tail_robustness():
+def test_criterion_09_tail_robustness(monkeypatch):
     t0 = time.monotonic()
+    # every window the search builds, with its tail twice as long
+    monkeypatch.setattr(
+        dispersion, "matching_config",
+        lambda problem, A: matching_config(problem, A).stretched(2.0))
     for K in (1.0, 4.0, 16.0):
         base = _C2_RESULTS[K]
-        far = sw.find_modes(EXP, K, SearchOptions(tail_stretch=2.0))
+        far = sw.find_modes(EXP, K)
         assert len(base.modes) == len(far.modes)
         for a, b in zip(base.modes, far.modes):
             assert abs(a.Omega - b.Omega) / a.Omega <= 1e-8

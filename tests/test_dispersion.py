@@ -521,20 +521,15 @@ def test_scan_tail_limit_prefix(monkeypatch):
     assert np.max(rel) < 1e-8
 
 
-def test_tail_stretch_stability(exp_profile):
-    base = sw.find_modes(exp_profile, 4.0)
-    far = sw.find_modes(exp_profile, 4.0, SearchOptions(tail_stretch=2.0))
-    assert len(base.modes) == len(far.modes)
-    for a, b in zip(base.modes, far.modes):
-        assert abs(a.Omega - b.Omega) / a.Omega <= 1e-8
-
-
-def test_tail_window_kept_after_check(exp_profile):
+def test_tail_window_kept_after_check(exp_profile, monkeypatch):
     # the first refinement round's tail check widens a short window by
     # doubling; the later rounds must sweep the widened one
     opts = SearchOptions()
     base = sw.find_modes(exp_profile, 4.0, opts)
-    short = sw.find_modes(exp_profile, 4.0, replace(opts, tail_stretch=0.2))
+    monkeypatch.setattr(
+        dispersion, "matching_config",
+        lambda problem, A: matching_config(problem, A).stretched(0.2))
+    short = sw.find_modes(exp_profile, 4.0, opts)
     assert len(base.modes) == len(short.modes) == 3
     for a, b in zip(base.modes, short.modes):
         assert abs(a.Omega - b.Omega) / a.Omega <= 2 * opts.root_tol
@@ -599,11 +594,10 @@ def test_roots_certified_by_sign(profile, K):
 
 @pytest.mark.parametrize("bad", [
     {"max_modes": 0}, {"omega_grid_n": 0}, {"omega_grid_n": 7},
-    {"root_tol": -1.0}, {"residual_tol": 0.0}, {"tail_stretch": float("nan")},
+    {"root_tol": -1.0}, {"residual_tol": 0.0},
     {"root_tol": float("nan")}, {"space": "z"},
     {"max_modes": 2.5}, {"max_modes": True}, {"omega_grid_n": 8.5},
-    {"root_tol": math.inf}, {"residual_tol": True},
-    {"tail_stretch": math.inf}, {"settings": None},
+    {"root_tol": math.inf}, {"residual_tol": True}, {"settings": None},
     {"settings": {"rel_tol": 1e-6}}])
 def test_search_options_validation(bad):
     with pytest.raises(ValueError):

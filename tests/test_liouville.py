@@ -20,14 +20,14 @@ def gl_integral(f, a, b, n=60):
 
 def test_constant_mu_two():
     p = sw.from_registry("constant", {"rho": 1.0, "mu": 2.0})
-    tm = sw.build_tau(p, y_max=20.0)
+    tm = sw.build_tau(p)
     ys = np.linspace(0.0, 15.0, 7)
     assert np.max(np.abs(tm.tau(ys) - ys / 2)) < 1e-14
     assert abs(tm.y_of(1.0) - 2.0) < 1e-12
 
 
 def test_identity_for_unit_mu(exp_profile):
-    tm = sw.build_tau(exp_profile, y_max=30.0)
+    tm = sw.build_tau(exp_profile)
     ys = np.linspace(0.0, 40.0, 11)
     assert np.max(np.abs(tm.tau(ys) - ys)) < 1e-13
 
@@ -36,13 +36,13 @@ def test_varying_mu_against_quadrature_oracle():
     # oracle computed first, independently, by high-order Gauss-Legendre
     p = sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0)
     oracle = gl_integral(lambda y: 1.0 / (1.0 + np.exp(-y)), 0.0, 1.0)
-    tm = sw.build_tau(p, y_max=40.0)
+    tm = sw.build_tau(p)
     assert abs(tm.tau(1.0) - oracle) < 1e-9
 
 
 def test_fixed_endpoint_and_domain():
     p = sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0)
-    tm = sw.build_tau(p, y_max=20.0)
+    tm = sw.build_tau(p)
     assert tm.tau(0.0) == 0.0
     assert tm.y_of(0.0) == 0.0
     with pytest.raises(DomainError):
@@ -135,7 +135,7 @@ def test_transformed_coef_pair_rejects_negative_tau(layer_profile):
 
 def test_round_trip():
     p = sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0)
-    tm = sw.build_tau(p, y_max=40.0)
+    tm = sw.build_tau(p)
     rng = np.random.default_rng(1)
     ys = rng.uniform(0.0, 60.0, 100)
     back = tm.y_of(tm.tau(ys))
@@ -144,7 +144,7 @@ def test_round_trip():
 
 def test_knots_strictly_increasing():
     p = sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0)
-    tm = sw.build_tau(p, y_max=30.0)
+    tm = sw.build_tau(p)
     assert np.all(np.diff(tm.knots_y) > 0)
     assert np.all(np.diff(tm.knots_tau) > 0)
 

@@ -22,7 +22,6 @@ def test_eval_exponential_surface(exp_profile):
 def test_eval_table_clamps_beyond_data():
     table = sw.from_table([(0.0, 2.0, 1.0), (1.0, 1.0, 1.0)], rho_inf=1.0)
     assert table.eval(2.0) == (1.0, 1.0)
-    assert table.y_max_data == 1.0
     assert table.tail_constant_from == 1.0
 
 
@@ -202,10 +201,8 @@ def test_callable_profile_pickles_by_callables():
                                 breakpoints=(0.5,))
     clone = pickle.loads(pickle.dumps(profile))
     assert clone.eval(1.3) == profile.eval(1.3)
-    assert (clone.name, clone.tail_constant_from, clone.y_max_data,
-            clone.breakpoints) == ("bump", 40.0, 40.0, (0.5,))
-    assert sw.from_callables(rho_one, mu_exp_bump, 1.0, 1.0).y_max_data \
-        == math.inf
+    assert (clone.name, clone.tail_constant_from, clone.breakpoints) \
+        == ("bump", 40.0, (0.5,))
 
 
 def test_classification_perturbation_regression(exp_profile):
