@@ -86,6 +86,17 @@ class ConfigError(ValueError):
     pass
 
 
+def _object(cfg, key, what):
+    """``cfg[key]`` as a dict: {} when absent or null, else ConfigError
+    unless it is a JSON object."""
+    value = cfg.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be an object, got %r" % (what, value))
+    return value
+
+
 def _load_table_file(path: Path):
     rows = []
     try:
@@ -114,7 +125,7 @@ def _build_profile(spec, base_dir: Path):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError("config 'profile' must be {'name': ..., 'params': ...}")
     name = spec["name"]
-    params = dict(spec.get("params") or {})
+    params = dict(_object(spec, "params", "profile 'params'"))
     if name == "table" and "path" in spec:
         params["rows"] = _load_table_file(base_dir / spec["path"])
     return from_registry(name, params)
@@ -156,7 +167,7 @@ def _k_single(cfg):
 
 
 def _options(cfg) -> SearchOptions:
-    tol = dict(cfg.get("tolerances") or {})
+    tol = _object(cfg, "tolerances", "'tolerances'")
     unknown = sorted(set(tol) - set(_TOLERANCES))
     if unknown:
         raise ConfigError("unknown tolerances key(s) %s; accepted: %s"
@@ -302,6 +313,8 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
     ``workers`` (else the config's ``workers``) must be a positive
     integer if given; it has no effect.
     """
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
     if config.get("schema") != SCHEMA:
         raise ConfigError("config schema must be %r" % SCHEMA)
     task = config.get("task")
@@ -310,7 +323,11 @@ def run(config: dict, base_dir: Path, out_dir: Path, plot: bool = False,
     profile_spec = config.get("profile")
     profile = _build_profile(profile_spec, base_dir)
     _check_workers(config.get("workers", 1) if workers is None else workers)
-    basename = (config.get("output") or {}).get("basename", "shwave_" + task)
+    output = _object(config, "output", "'output'")
+    basename = output.get("basename", "shwave_" + task)
+    if not isinstance(basename, str):
+        raise ConfigError("output basename must be a string, got %r"
+                          % (basename,))
     opts = _options(config)
 
     report = {

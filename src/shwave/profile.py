@@ -120,7 +120,7 @@ class MaterialProfile:
     # -- basic evaluation -------------------------------------------------
 
     def _check_domain(self, y):
-        if np.any(np.asarray(y) < 0):
+        if not np.all(np.asarray(y) >= 0):     # NaN fails too
             raise DomainError("depth must be non-negative, got %r" % (y,))
 
     def rho(self, y):
@@ -215,6 +215,17 @@ class AssumptionReport:
 # construction
 
 
+def _number(params, key, default=None):
+    """``params[key]`` as a float, or ``default`` when given and ``key``
+    is absent (a missing required key raises KeyError)."""
+    value = params[key] if default is None else params.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ProfileError("parameter %r must be a number, got %r"
+                           % (key, value)) from None
+
+
 def _positive(x, what):
     if not (np.all(np.asarray(x) > 0) and np.all(np.isfinite(x))):
         raise ProfileError("%s must be positive and finite" % what)
@@ -222,8 +233,8 @@ def _positive(x, what):
 
 
 def _build_constant(params):
-    rho = float(params.get("rho", 1.0))
-    mu = float(params.get("mu", 1.0))
+    rho = _number(params, "rho", 1.0)
+    mu = _number(params, "mu", 1.0)
     _positive([rho, mu], "constant profile values")
     return _const_fn(rho), _const_fn(mu), rho, mu, 0.0, ()
 
@@ -235,10 +246,10 @@ def _const_fn(value):
 
 
 def _build_exp_density(params):
-    rho_inf = float(params.get("rho_inf", 1.0))
-    drho = float(params["drho"])
-    d = float(params.get("d", 1.0))
-    mu = float(params.get("mu", 1.0))
+    rho_inf = _number(params, "rho_inf", 1.0)
+    drho = _number(params, "drho")
+    d = _number(params, "d", 1.0)
+    mu = _number(params, "mu", 1.0)
     _positive([rho_inf, d, mu], "exp_density parameters")
     _positive(rho_inf + drho, "surface density rho_inf + drho")
 
@@ -249,10 +260,10 @@ def _build_exp_density(params):
 
 
 def _build_power_density(params):
-    rho_inf = float(params.get("rho_inf", 1.0))
-    c = float(params["c"])
-    p = float(params["p"])
-    mu = float(params.get("mu", 1.0))
+    rho_inf = _number(params, "rho_inf", 1.0)
+    c = _number(params, "c")
+    p = _number(params, "p")
+    mu = _number(params, "mu", 1.0)
     _positive([rho_inf, mu], "power_density parameters")
     if p <= 0:
         raise ProfileError("power_density exponent p must be positive")
@@ -270,12 +281,12 @@ def _smoothstep(t):
 
 
 def _build_smoothed_layer(params):
-    rho_1 = float(params["rho_1"])
-    mu_1 = float(params["mu_1"])
-    rho_s = float(params["rho_s"])
-    mu_s = float(params["mu_s"])
-    y_s = float(params["y_s"])
-    width = float(params.get("width", 0.5 * y_s))
+    rho_1 = _number(params, "rho_1")
+    mu_1 = _number(params, "mu_1")
+    rho_s = _number(params, "rho_s")
+    mu_s = _number(params, "mu_s")
+    y_s = _number(params, "y_s")
+    width = _number(params, "width", 0.5 * y_s)
     _positive([rho_1, mu_1, rho_s, mu_s, y_s, width], "smoothed_layer parameters")
     if width > y_s:
         raise ProfileError("smoothing width must not exceed y_s")
@@ -299,7 +310,11 @@ def _build_table(params):
     rows = params.get("rows")
     if rows is None:
         raise ProfileError("table profile requires 'rows' of (y, rho, mu)")
-    data = np.asarray(rows, dtype=float)
+    try:
+        data = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ProfileError("table rows must be (y, rho, mu) triples of "
+                           "numbers") from None
     if data.ndim != 2 or data.shape[1] != 3:
         raise ProfileError("table rows must be (y, rho, mu) triples")
     y, rho, mu = data[:, 0], data[:, 1], data[:, 2]
@@ -314,8 +329,8 @@ def _build_table(params):
     if np.any(rho <= 0) or np.any(mu <= 0):
         bad = int(np.nonzero((rho <= 0) | (mu <= 0))[0][0]) + 1
         raise ProfileError("table values must be positive (row %d)" % bad)
-    rho_inf = float(params.get("rho_inf", rho[-1]))
-    mu_inf = float(params.get("mu_inf", mu[-1]))
+    rho_inf = _number(params, "rho_inf", rho[-1])
+    mu_inf = _number(params, "mu_inf", mu[-1])
     _positive([rho_inf, mu_inf], "table limits")
     scale = max(rho_inf, mu_inf)
     if abs(rho[-1] - rho_inf) > 1e-9 * scale or abs(mu[-1] - mu_inf) > 1e-9 * scale:

@@ -187,6 +187,31 @@ def test_malformed_config_is_config_error(tmp_path, capsys, task, change):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config", [
+    [base_config("classify")],
+    base_config("classify", profile={"name": "exp_density",
+                                     "params": {"drho": "x"}}),
+    base_config("classify", profile={"name": "exp_density",
+                                     "params": {"drho": None}}),
+    base_config("classify", profile={"name": "exp_density",
+                                     "params": [1, 2]}),
+    base_config("classify", profile={"name": "table", "params": {
+        "rows": [[0, 2, 1], [1, "a", 1], [2, 1, 1]]}}),
+    base_config("classify", tolerances=[1]),
+    base_config("classify", output={"basename": 3}),
+    base_config("classify", output=["run"]),
+], ids=["list_config", "text_param", "null_param", "list_params",
+        "text_table_value", "list_tolerances", "number_basename",
+        "list_output"])
+def test_non_object_config_is_config_error(tmp_path, capsys, config):
+    code, out = run_cli(tmp_path, config)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_classify_task(tmp_path):
     cfg = base_config("classify")
     code, out = run_cli(tmp_path, cfg)

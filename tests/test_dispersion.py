@@ -462,6 +462,30 @@ def test_property_layer_spectra(case):
         assert abs(a.Omega - b.Omega) <= 1e-8 * a.Omega
 
 
+def _exp_density(drho, d):
+    return sw.from_registry("exp_density", {"drho": drho, "d": d})
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.builds(_exp_density, st.floats(0.5, 8.0), st.floats(0.3, 3.0)),
+    random_layers().map(lambda case: case[0])))
+def test_property_count_never_decreases(profile):
+    """N(k) never decreases, on exp_density profiles and random layers.
+
+    With lambda = Omega/K, a mode is an eigenvalue below mu_inf/rho_inf
+    of the Rayleigh quotient
+    (int mu u'^2 / K + int mu u^2) / int rho u^2.
+    For every u the quotient falls as K grows while the threshold
+    mu_inf/rho_inf stays fixed, so by min-max the count below it cannot
+    fall.
+    """
+    _, results = sw.trace_branches(profile, np.arange(1.0, 6.0), LOOSE)
+    counts = [len(res.modes) for res in results]
+    assert counts == sorted(counts)
+    assert all(m.flag is None for res in results for m in res.modes)
+
+
 @pytest.mark.parametrize("profile, K, space", [
     ("exp_profile", 16.0, "y"), ("layer_profile", 25.0, "y"),
     ("exp_profile", 1.0, "tau")], ids=["exp", "layer", "tau_exp"])

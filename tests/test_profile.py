@@ -30,6 +30,26 @@ def test_eval_negative_depth_rejected(exp_profile):
         exp_profile.eval(-0.5)
 
 
+def test_eval_nan_depth_rejected(exp_profile):
+    for y in (math.nan, [1.0, math.nan]):
+        for accessor in (exp_profile.rho, exp_profile.mu, exp_profile.eval):
+            with pytest.raises(DomainError):
+                accessor(y)
+    # the limit depth stays accepted
+    assert exp_profile.eval(math.inf) == (1.0, 1.0)
+
+
+def test_non_numeric_parameters_rejected():
+    with pytest.raises(ProfileError, match="'drho'"):
+        sw.from_registry("exp_density", {"drho": "x"})
+    with pytest.raises(ProfileError, match="'width'"):
+        sw.from_registry("smoothed_layer", {
+            "rho_1": 2.0, "mu_1": 1.0, "rho_s": 1.0, "mu_s": 1.0,
+            "y_s": 2.0, "width": None})
+    with pytest.raises(ProfileError, match="triples of numbers"):
+        sw.from_registry("table", {"rows": [[0, "a", 1], [1, 1, 1]]})
+
+
 def test_table_validation_errors():
     with pytest.raises(ProfileError, match="row 3"):
         sw.from_table([(0, 1, 1), (1, 1, 1), (0.5, 1, 1)])
