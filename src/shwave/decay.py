@@ -246,7 +246,8 @@ def _window_depths(cfg, n):
 def decaying_phase_batch(problem, K, omegas, cfg,
                          settings: Optional[IntegratorSettings] = None,
                          y_bars=None, check: bool = True,
-                         want_log_r: bool = False, surface=None):
+                         want_log_r: bool = False, surface=None,
+                         want_mesh: bool = False):
     """Vectorized decaying angle at y_bar for a batch of points (K, Omega).
 
     ``K`` is a scalar or one value per member, and ``cfg`` one tail
@@ -282,7 +283,11 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     start, ``windows`` lists the window each member's check accepted
     (its own, with y_tail replaced where its class moved; repeat sweeps
     must reuse it), and ``surface`` is the (phi, log_r) of the surface
-    members, or None.
+    members, or None.  ``want_mesh`` adds a fifth item, the step
+    boundaries of the surface lanes and of each class's tail lane in the
+    sweep of the tail it accepted (after any retry), keyed by the lane's
+    (start depth, K) as :func:`shwave.propagate.sweep_phase` records
+    them, for :func:`shwave.propagate.replay_phase`.
     """
     settings = settings or DEFAULT_SETTINGS
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -319,16 +324,20 @@ def decaying_phase_batch(problem, K, omegas, cfg,
                 y0, y_bars[sel])
 
     todo = np.ones(tails.shape, dtype=bool)
+    mesh = {}
     for _ in range(_TAIL_ATTEMPTS):
         tail = np.nonzero(todo[cls])[0]
         test = tail[checked[tail] & checks[cls[tail]]]
         # the deepest doubled window of each class, as in stretched(2.0)
         deepest = np.full(tails.shape, -np.inf)
         np.maximum.at(deepest, cls, w_bar + 2.0 * (tails[cls] - w_bar))
-        got, got_lr = propagate.sweep_phase(
+        got, got_lr, *swept = propagate.sweep_phase(
             problem, *(np.concatenate(col) for col in zip(
                 lanes(tail, tails), lanes(test, deepest), *(surface or ()))),
-            rtol=settings.rel_tol, atol=settings.abs_tol, want_log_r=want_log_r)
+            rtol=settings.rel_tol, atol=settings.abs_tol, want_log_r=want_log_r,
+            want_mesh=want_mesh)
+        if want_mesh:       # a retry's tail lane replaces the check lane
+            mesh.update(swept[0])
         n, m = tail.size, tail.size + test.size
         phi[tail] = got[:n]
         if want_log_r:
@@ -346,8 +355,22 @@ def decaying_phase_batch(problem, K, omegas, cfg,
         raise TailConvergenceError(
             "tail-window doubling failed to stabilize phi+ after %d windows "
             "(last delta %.3e)" % (_TAIL_ATTEMPTS, worst[todo].max()))
-    # behind the turning point, over a negative-coefficient tail, a
-    # decaying angle stays in its invariant band (pi/2, pi)
+    _check_band(phi, y_bars, w_bar)
+    windows = [w if t == w.y_tail else replace(w, y_tail=t) for w, t
+               in zip(windows, tails[cls].tolist())]
+    if not want_mesh:
+        return phi, log_r, windows, surface_out
+    # the surface lanes start at 0, the accepted tail lanes at their y_tail
+    keep = {(w.y_tail, k) for w, k in zip(windows, K.tolist())}
+    return phi, log_r, windows, surface_out, {
+        key: b for key, b in mesh.items() if key in keep or key[0] == 0.0}
+
+
+def _check_band(phi, y_bars, w_bar):
+    """TailConvergenceError unless every decaying angle ``phi`` read at
+    or behind its window's y_bar ``w_bar`` lies in (pi/2, pi): behind the
+    turning point, over a negative-coefficient tail, a decaying angle
+    stays in that invariant band.  Shallower reads are not checked."""
     off = (y_bars >= w_bar) & ~((HALF_PI - _BAND_SLACK < phi)
                                 & (phi < math.pi + _BAND_SLACK))
     if off.any():
@@ -355,5 +378,3 @@ def decaying_phase_batch(problem, K, omegas, cfg,
         raise TailConvergenceError(
             "decaying angle left the (pi/2, pi) band: phi=%.12g at y=%.6g "
             "(y_bar=%.6g)" % (phi[j], y_bars[j], w_bar[j]))
-    return phi, log_r, [w if t == w.y_tail else replace(w, y_tail=t) for w, t
-                        in zip(windows, tails[cls].tolist())], surface_out

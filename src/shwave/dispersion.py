@@ -23,12 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import liouville
+from . import liouville, propagate
 from .decay import (NEAR_THRESHOLD_DELTA, MatchingConfig,
-                    decaying_phase_batch, matching_config, matching_depths,
+                    decaying_phase_at_tail, decaying_phase_batch,
+                    matching_config, matching_depths, _check_band,
                     _window_depths)
 from .errors import NoNegativeTailError, TailSelectionError
-from .prufer import IntegratorSettings, _check_positive
+from .prufer import HALF_PI, IntegratorSettings, _check_positive
 from .profile import (MaterialProfile, ProfileClass, _halves_every_three,
                       admissible_interval, classify, interval_is_empty)
 
@@ -127,7 +128,7 @@ def _problem_for(profile: MaterialProfile, space: str):
 
 
 def _mismatch_batch(problem, K, omegas, cfg, settings: IntegratorSettings,
-                    tail_check: bool = True):
+                    tail_check: bool = True, want_mesh: bool = False):
     """(Phi, phi0, phi_plus, windows) for a batch of points (K, Omega).
 
     ``K`` is a scalar or one value per member, and ``cfg`` one tail
@@ -139,13 +140,36 @@ def _mismatch_batch(problem, K, omegas, cfg, settings: IntegratorSettings,
     ``tail_check``, its tail check are one sweep_phase call, each K on
     its own lanes; only a failed check sweeps again, for its own window
     (see decaying_phase_batch).  ``windows`` lists the window each
-    member's check accepted.
+    member's check accepted; ``want_mesh`` adds the step boundaries of
+    the surface and accepted tail lanes, which _mesh_mismatch replays.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    phi_plus, _, windows, (phi0, _) = decaying_phase_batch(
+    phi_plus, _, windows, (phi0, _), *mesh = decaying_phase_batch(
         problem, K, omegas, cfg, settings=settings, check=tail_check,
-        surface=(K, omegas, _window_depths(cfg, omegas.size)[1]))
-    return phi0 - phi_plus, phi0, phi_plus, windows
+        surface=(K, omegas, _window_depths(cfg, omegas.size)[1]),
+        want_mesh=want_mesh)
+    return (phi0 - phi_plus, phi0, phi_plus, windows, *mesh)
+
+
+def _mesh_mismatch(problem, K, omegas, windows, mesh):
+    """Phi of the batch (K, Omega) on a recorded mesh.
+
+    ``windows`` (one per member) must be accepted windows of the
+    _mismatch_batch call that recorded ``mesh``, so each member's surface
+    lane (0, K) and tail lane (y_tail, K) have a mesh with its y_bar as a
+    boundary.  Both sweeps are one propagate.replay_phase call, and the
+    decaying angles are band-checked as in decaying_phase_batch.
+    """
+    n = omegas.size
+    K = np.broadcast_to(np.asarray(K, dtype=float), omegas.shape)
+    _, y_bar, y_tail = _window_depths(windows, n)
+    phi = propagate.replay_phase(
+        problem, mesh, np.concatenate((K, K)), np.concatenate((omegas, omegas)),
+        np.concatenate((np.full(n, HALF_PI),
+                        decaying_phase_at_tail(problem, (K, omegas), y_tail))),
+        np.concatenate((np.zeros(n), y_tail)), np.concatenate((y_bar, y_bar)))
+    _check_band(phi[n:], y_bar, y_bar)
+    return phi[:n] - phi[n:]
 
 
 def find_modes(profile: MaterialProfile, K: float,
@@ -366,8 +390,8 @@ def _add_flag(flag: Optional[str], note: str) -> str:
 def _settle(pts, third):
     """The bracket ends and third point after a round, per bracket.
 
-    ``pts`` (4, P, n) holds rows (Omega, g, phi0, phi+) of P points in
-    each of n brackets, ``third`` (2, n) the (Omega, g) kept so far
+    ``pts`` (2, P, n) holds rows (Omega, g) of P points in each of n
+    brackets, ``third`` (2, n) the (Omega, g) kept so far
     (nan for none).  Sorted by Omega, the first point with g >= 0 is the
     upper end and the one before it the lower end; where no point or the
     first one has g >= 0 the last or first pair is kept, so an
@@ -376,7 +400,7 @@ def _settle(pts, third):
     point.  The old third point competes too: when the new points
     coincide with an end, it is the only one left (without it,
     criterion 3's k = 1..40 trace took 36 rounds instead of 18).
-    Returns ends (4, 2, n) and third (2, n).
+    Returns ends (2, 2, n) and third (2, n).
     """
     n_pts, cols = pts.shape[1], np.arange(pts.shape[2])
     pts = np.take_along_axis(pts, np.argsort(pts[0], axis=0)[None], axis=1)
@@ -384,7 +408,7 @@ def _settle(pts, third):
     hi = np.where(nonneg.any(axis=0), nonneg.argmax(axis=0), n_pts - 1)
     hi = np.clip(hi, 1, n_pts - 1)
     ends = np.stack([pts[:, hi - 1, cols], pts[:, hi, cols]], axis=1)
-    cand = np.concatenate([pts[:2], third[:, None]], axis=1)
+    cand = np.concatenate([pts, third[:, None]], axis=1)
     score = np.abs(cand[1])
     # a repeated member is no third point: it sits on an end
     score[(cand[0] == ends[0, 0]) | (cand[0] == ends[0, 1])
@@ -432,11 +456,16 @@ def _refine_brackets(problem, K, brackets, windows, opts):
     window at its matching depth (see _polish_depths), so the brackets
     of many K share every sweep, each K on its own lanes, and every
     read is band-checked (see decaying_phase_batch).  Round 0
-    evaluates both ends and the midpoint of every bracket with the tail
-    check on (the scan's values come from looser settings and other
-    depths); later rounds reuse the tail windows it accepted.  A mode
-    reports the bracket end with the smaller |g|, with its angles and
-    its accepted window as ``matching``.
+    evaluates both ends and the midpoint of every bracket in one
+    adaptive sweep with the tail check on (the scan's values come from
+    looser settings and other depths), and records each lane's step
+    boundaries.  Later rounds keep that mesh fixed (as shooting codes
+    keep their mesh while they iterate on the eigenparameter; Pryce,
+    1993): they replay it in the tail windows round 0 accepted (see
+    _mesh_mismatch), so g is one smooth function of Omega per bracket
+    and a round costs no step control.  Each mode is then the bracket
+    end with the smaller |g|, certified by one adaptive sweep (see
+    _certified_modes).
     """
     nb = len(brackets)
     K = np.asarray(K, dtype=float)
@@ -444,21 +473,19 @@ def _refine_brackets(problem, K, brackets, windows, opts):
     b0 = np.array([b[1] for b in brackets])
     targets = np.array([b[2] * math.pi for b in brackets])
 
-    def rows(x, idx, phi, phi0, phip):
-        # (Omega, g, phi0, phi+) of the points x (3, len(idx)), swept as
-        # one batch of 3 len(idx) members, row after row
-        return np.stack([x.ravel(), phi - np.tile(targets[idx], 3), phi0,
-                         phip]).reshape(4, 3, -1)
+    def rows(x, idx, phi):
+        # (Omega, g) of the points x (3, len(idx)), swept as one batch of
+        # 3 len(idx) members, row after row
+        return np.stack([x.ravel(), phi - np.tile(targets[idx], 3)]).reshape(2, 3, -1)
 
     x0 = np.stack([a0, 0.5 * (a0 + b0), b0])
-    phi, phi0, phip, windows = _mismatch_batch(problem, np.tile(K, 3),
-                                               x0.ravel(), list(windows) * 3,
-                                               opts.settings, tail_check=True)
+    phi, _, _, windows, mesh = _mismatch_batch(
+        problem, np.tile(K, 3), x0.ravel(), list(windows) * 3, opts.settings,
+        tail_check=True, want_mesh=True)
     windows = windows[:nb]      # the three points of a bracket share one
-    # ends[:, s, j] = (Omega, g, phi0, phi+) at the lower (s=0) or upper
-    # (s=1) end of bracket j; third[:, j] = (Omega, g) of its third point
-    ends, third = _settle(rows(x0, np.arange(nb), phi, phi0, phip),
-                          np.full((2, nb), np.nan))
+    # ends[:, s, j] = (Omega, g) at the lower (s=0) or upper (s=1) end of
+    # bracket j; third[:, j] = (Omega, g) of its third point
+    ends, third = _settle(rows(x0, np.arange(nb), phi), np.full((2, nb), np.nan))
 
     # ITP from the halved brackets: kappa1 = 0.2/w0, kappa2 = 2, n0 = 3
     w0 = ends[0, 1] - ends[0, 0]
@@ -502,28 +529,42 @@ def _refine_brackets(problem, K, brackets, windows, opts):
 
         idx = np.nonzero(active)[0]
         x3 = np.concatenate([x[None], pair])[:, idx]
-        phi, phi0, phip, _ = _mismatch_batch(problem, np.tile(K[idx], 3),
-                                             x3.ravel(),
-                                             [windows[i] for i in idx] * 3,
-                                             opts.settings,
-                                             tail_check=False)
+        phi = _mesh_mismatch(problem, np.tile(K[idx], 3), x3.ravel(),
+                             [windows[i] for i in idx] * 3, mesh)
         ends[:, :, idx], third[:, idx] = _settle(
-            np.concatenate([ends[:, :, idx], rows(x3, idx, phi, phi0, phip)],
-                           axis=1), third[:, idx])
+            np.concatenate([ends[:, :, idx], rows(x3, idx, phi)], axis=1),
+            third[:, idx])
 
     best = (np.abs(ends[1, 1]) < np.abs(ends[1, 0])).astype(int)
-    omega, g, phi0, phip = ends[:, best, np.arange(nb)]
+    omega, g = ends[:, best, np.arange(nb)]
+    return _certified_modes(problem, K, brackets, omega, g, windows, opts)
+
+
+def _certified_modes(problem, K, brackets, omegas, g_mesh, windows, opts):
+    """One Mode per bracket at its refined frequency in ``omegas``.
+
+    One adaptive sweep (tail check off, in the accepted ``windows``)
+    evaluates every mode at its Omega and gives its residual
+    |Phi - n pi| and its angles.  A residual above residual_tol is
+    flagged, and so is a mode whose adaptive g differs from ``g_mesh``,
+    the value the refinement's fixed mesh gave it, by more than
+    residual_tol: its root was found on a mesh too coarse for it.
+    """
+    phi, phi0, phip, _ = _mismatch_batch(problem, K, omegas, windows,
+                                         opts.settings, tail_check=False)
     out = []
     for j, (_, _, nn, noisy) in enumerate(brackets):
-        resid = abs(float(g[j]))
+        g = float(phi[j]) - nn * math.pi
         flag = None
-        if resid > opts.residual_tol:
+        if abs(g) > opts.residual_tol:
             flag = "residual above tolerance"
+        if abs(g - g_mesh[j]) > opts.residual_tol:
+            flag = _add_flag(flag, "mesh mismatch differs from adaptive")
         if noisy:
             flag = _add_flag(flag, "non-monotone scan values")
-        out.append(Mode(K=float(K[j]), Omega=float(omega[j]), m=nn + 1,
+        out.append(Mode(K=float(K[j]), Omega=float(omegas[j]), m=nn + 1,
                         phi_surface=float(phi0[j]), phi_decay=float(phip[j]),
-                        residual=resid, matching=windows[j], flag=flag))
+                        residual=abs(g), matching=windows[j], flag=flag))
     return out
 
 

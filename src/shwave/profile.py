@@ -109,7 +109,7 @@ class MaterialProfile:
     breakpoints: tuple = ()
 
     def __reduce__(self):
-        if self.name in _REGISTRY or self.name == "table":
+        if self.name in _REGISTRY:
             return (from_registry, (self.name, self.params))
         return (
             from_callables,
@@ -217,9 +217,12 @@ class AssumptionReport:
 
 def _number(params, key, default=None):
     """``params[key]`` as a float, or ``default`` when given and ``key``
-    is absent (a missing required key raises KeyError)."""
+    is absent (a missing required key raises KeyError).  A boolean is
+    no number here, although ``float(True)`` is 1.0."""
     value = params[key] if default is None else params.get(key, default)
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError):
         raise ProfileError("parameter %r must be a number, got %r"
@@ -317,6 +320,10 @@ def _build_table(params):
                            "numbers") from None
     if data.ndim != 2 or data.shape[1] != 3:
         raise ProfileError("table rows must be (y, rho, mu) triples")
+    for i, row in enumerate(rows):
+        if any(isinstance(v, (bool, np.bool_)) for v in row):
+            raise ProfileError("parameter 'rows': table values must be "
+                               "numbers, not booleans (row %d)" % (i + 1))
     y, rho, mu = data[:, 0], data[:, 1], data[:, 2]
     if len(y) < 2:
         raise ProfileError("table needs at least two samples")
@@ -357,11 +364,14 @@ def _build_table(params):
     return rho_fn, mu_fn, rho_inf, mu_inf, y_max, tuple(float(v) for v in y)
 
 
+# each entry's builder and the parameter names it accepts
 _REGISTRY = {
-    "constant": _build_constant,
-    "exp_density": _build_exp_density,
-    "power_density": _build_power_density,
-    "smoothed_layer": _build_smoothed_layer,
+    "constant": (_build_constant, ("rho", "mu")),
+    "exp_density": (_build_exp_density, ("rho_inf", "drho", "d", "mu")),
+    "power_density": (_build_power_density, ("rho_inf", "c", "p", "mu")),
+    "smoothed_layer": (_build_smoothed_layer,
+                       ("rho_1", "mu_1", "rho_s", "mu_s", "y_s", "width")),
+    "table": (_build_table, ("rows", "rho_inf", "mu_inf")),
 }
 
 
@@ -371,16 +381,20 @@ def from_registry(name: str, params: Optional[dict] = None) -> MaterialProfile:
     Registry entries: ``constant`` (rho, mu), ``exp_density``
     (rho_inf, drho, d, mu), ``power_density`` (rho_inf, c, p, mu),
     ``smoothed_layer`` (rho_1, mu_1, rho_s, mu_s, y_s, width) and
-    ``table`` (rows of (y, rho, mu) triples plus rho_inf, mu_inf).
+    ``table`` (rows of (y, rho, mu) triples plus rho_inf, mu_inf).  A
+    parameter name the entry does not accept is a ProfileError, and so
+    is a boolean where a number belongs.
     """
     params = dict(params or {})
-    if name == "table":
-        build = _build_table
-    elif name in _REGISTRY:
-        build = _REGISTRY[name]
-    else:
+    if name not in _REGISTRY:
         raise ProfileError("unknown profile %r; known: %s"
-                           % (name, sorted(_REGISTRY) + ["table"]))
+                           % (name, sorted(_REGISTRY)))
+    build, accepted = _REGISTRY[name]
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ProfileError("profile %r does not take parameter(s) %s; it "
+                           "accepts %s" % (name, ", ".join(map(repr, unknown)),
+                                           ", ".join(accepted)))
     try:
         rho_fn, mu_fn, rho_inf, mu_inf, tail_from, breaks = build(params)
     except KeyError as exc:

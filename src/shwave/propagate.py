@@ -42,10 +42,14 @@ per lane two small matmuls give every Magnus term, and one formula
 serves elliptic and hyperbolic members alike.  So one call can hold the
 surface sweep, the decaying sweep and its tail check of many K at once,
 at the cost of the slowest lane.  This is the solver's one phase engine: the frequency
-scans, the refinement, the decaying tail, the public tail angle and the
-mode shapes all run on :func:`sweep_phase`.  The Runge-Kutta
-integration of ``prufer.integrate_phase`` is kept only as the
-independent reference the test suite checks it against.
+scans, the refinement's round 0 and its certification sweep, the
+decaying tail, the public tail angle and the mode shapes run on
+:func:`sweep_phase`.  The refinement's later rounds keep round 0's mesh
+fixed: :func:`replay_phase` replays each lane's recorded step
+boundaries with the same three Magnus steps per step, vectorized over
+the steps, and no step control.  The Runge-Kutta integration of
+``prufer.integrate_phase`` is kept only as the independent reference
+the test suite checks it against.
 """
 
 from __future__ import annotations
@@ -90,6 +94,54 @@ _MAX_FACTOR = 4.0
 _SAFETY = 0.9
 _TINY = 1e-300
 _MAX_STEPS = 200000       # accepted and rejected steps per lane
+
+
+def _exponential(terms):
+    """(delta, alpha, beta, c, f, grow, rot) of the Magnus steps whose
+    terms are ``terms`` = (u1, u2, u3, u_l, u_e, l1, l2, l3, l_l, l_e),
+    the rows of ``_COEF_MAP`` times the step length, each an array of
+    any shape: the exponent X = [[delta, alpha], [beta, -delta]] and
+    exp(X) = c + f X, scaled by exp(-grow) (see below), and the rotation
+    of an elliptic step (0 for hyperbolic and near-degenerate ones)."""
+    u1, u2, u3, u_l, u_e, l1, l2, l3, l_l, l_e = terms
+    # exponent a1 + a3/12 + [L, R]/240 with L = -20 a1 - a3 + [a1, a2]
+    # and R = a2 - [a1, 2 a3 + [a1, a2]]/60; [a1, a2] is diagonal, so
+    # the exponent is the traceless X = [[delta, alpha], [beta, -delta]]
+    d12 = u1 * l2 - u2 * l1
+    d_r = (u3 * l1 - u1 * l3) / 30.0
+    u_r, l_r = u2 + u1 * d12 / 30.0, l2 - l1 * d12 / 30.0
+    delta = (u_l * l_r - u_r * l_l) / 240.0
+    alpha = u_e + (d12 * u_r - u_l * d_r) / 120.0
+    beta = l_e + (l_l * d_r - d12 * l_r) / 120.0
+
+    # exp(X) = c + f X with X^2 = disc = +-s^2: c = cos s, f = sin(s)/s
+    # (elliptic), or both scaled by exp(-s): c = (1 + e)/2, f = (1 - e)/2s
+    # with e = exp(-2s) (hyperbolic); the floor on s makes f = 1 at s = 0
+    disc = delta * delta + alpha * beta
+    a_disc = np.abs(disc)
+    s = np.maximum(np.sqrt(a_disc), _TINY)
+    grow = s * (disc > 0.0)
+    ang = s - grow
+    gap = -0.5 * np.expm1(-2.0 * grow)
+    c, f = np.cos(ang) - gap, (np.sin(ang) + gap) / s
+    # below |disc| = 1e-6 at most one zero: the endpoint sign rule counts it
+    rot = np.where(a_disc < 1e-6, 0.0, ang)
+    return delta, alpha, beta, c, f, grow, rot
+
+
+def _advance(delta, alpha, beta, c, f, rot, w0, u0):
+    """(w1, u1, inc): the state (w0, u0) after the steps of
+    :func:`_exponential`, and the multiples of pi each crosses."""
+    v0 = beta * w0 - delta * u0
+    w1, u1 = c * w0 + f * (delta * w0 + alpha * u0), c * u0 + f * v0
+    # multiples of pi crossed: zeros of u(t) along the frozen flow.
+    # Elliptic: u(t) = R sin(rot*t + chi); hyperbolic/degenerate: at
+    # most one zero, from the endpoint sign change.  Every zero moves
+    # the band by the sign of the lane's step.
+    chi = np.arctan2(u0 * rot, v0)
+    cnt_e = np.floor((chi + rot) / _PI) - np.floor(chi / _PI)
+    flip = (np.sign(u1) != np.sign(u0)) & (u1 != 0.0)
+    return w1, u1, np.where(rot > 0.0, cnt_e, flip)
 
 
 def _frozen_step(coef_pair, stiffness, y, h, phi, lanes, want_mag, g0):
@@ -137,44 +189,13 @@ def _frozen_step(coef_pair, stiffness, y, h, phi, lanes, want_mag, g0):
         w[:90] *= h_l                   # the 30 rows of Magnus terms
         parts.append(w.reshape(33, 3) @ weights[ln])
     rows = parts[0] if n == 1 else np.concatenate(parts, axis=1)
-    u1, u2, u3, u_l, u_e, l1, l2, l3, l_l, l_e = rows[:30].reshape(10, 3, -1)
-    # exponent a1 + a3/12 + [L, R]/240 with L = -20 a1 - a3 + [a1, a2]
-    # and R = a2 - [a1, 2 a3 + [a1, a2]]/60; [a1, a2] is diagonal, so
-    # the exponent is the traceless X = [[delta, alpha], [beta, -delta]]
-    d12 = u1 * l2 - u2 * l1
-    d_r = (u3 * l1 - u1 * l3) / 30.0
-    u_r, l_r = u2 + u1 * d12 / 30.0, l2 - l1 * d12 / 30.0
-    delta = (u_l * l_r - u_r * l_l) / 240.0
-    alpha = u_e + (d12 * u_r - u_l * d_r) / 120.0
-    beta = l_e + (l_l * d_r - d12 * l_r) / 120.0
-
-    # exp(X) = c + f X with X^2 = disc = +-s^2: c = cos s, f = sin(s)/s
-    # (elliptic), or both scaled by exp(-s): c = (1 + e)/2, f = (1 - e)/2s
-    # with e = exp(-2s) (hyperbolic); the floor on s makes f = 1 at s = 0
-    disc = delta * delta + alpha * beta
-    a_disc = np.abs(disc)
-    s = np.maximum(np.sqrt(a_disc), _TINY)
-    grow = s * (disc > 0.0)
-    ang = s - grow
-    gap = -0.5 * np.expm1(-2.0 * grow)
-    c, f = np.cos(ang) - gap, (np.sin(ang) + gap) / s
-    # below |disc| = 1e-6 at most one zero: the endpoint sign rule counts it
-    rot = np.where(a_disc < 1e-6, 0.0, ang)
+    delta, alpha, beta, c, f, grow, rot = _exponential(rows[:30].reshape(10, 3, -1))
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     v_h = beta[1] * cos_phi - delta[1] * sin_phi
     w_h = c[1] * cos_phi + f[1] * (delta[1] * cos_phi + alpha[1] * sin_phi)
     w0, u0 = np.array((cos_phi, cos_phi, w_h)), np.array(
         (sin_phi, sin_phi, c[1] * sin_phi + f[1] * v_h))
-    v0 = beta * w0 - delta * u0
-    w1, u1 = c * w0 + f * (delta * w0 + alpha * u0), c * u0 + f * v0
-    # multiples of pi crossed: zeros of u(t) along the frozen flow.
-    # Elliptic: u(t) = R sin(rot*t + chi); hyperbolic/degenerate: at
-    # most one zero, from the endpoint sign change.  Every zero moves
-    # the band by the sign of the lane's step.
-    chi = np.arctan2(u0 * rot, v0)
-    cnt_e = np.floor((chi + rot) / _PI) - np.floor(chi / _PI)
-    flip = (np.sign(u1) != np.sign(u0)) & (u1 != 0.0)
-    inc = np.where(rot > 0.0, cnt_e, flip)
+    w1, u1, inc = _advance(delta, alpha, beta, c, f, rot, w0, u0)
     inc[2] += inc[1]                    # half 2 starts in half 1's band
     raw = np.arctan2(u1[::2], w1[::2])
     lift = (_PI * (np.floor(phi / _PI) + sign * inc[::2])
@@ -200,7 +221,7 @@ def _pack(weights, directions):
 
 
 def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
-                want_log_r=False):
+                want_log_r=False, want_mesh=False):
     """Sweep the lifted phase of the batch (K, Omega) of ``problem``.
 
     ``K``, ``phi0`` (the angle at the start), ``y0`` (the start depth)
@@ -226,7 +247,10 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
     sample, except at a breakpoint, where gamma may jump).  Each test
     and the step-size choice act per lane, on maxima over its members.
     Returns (phi, log_r or None): each member's angle and log amplitude
-    (counted from r = 1 at its y0) at its read depth.
+    (counted from r = 1 at its y0) at its read depth.  ``want_mesh``
+    adds a third item, the mesh that :func:`replay_phase` replays: each
+    lane's accepted step boundaries in the order swept, from its start
+    to its farthest read, keyed by the lane's (y0, K).
     """
     Omega = np.atleast_1d(np.asarray(Omega, dtype=float))
     K, phi, y0, reads = (np.broadcast_to(np.asarray(v, dtype=float), Omega.shape)
@@ -238,7 +262,7 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
     out_lr = np.zeros(Omega.shape) if want_log_r else None
     done = np.isclose(reads, y0, rtol=1e-12, atol=1e-14)
     if done.all():
-        return out, out_lr
+        return (out, out_lr, {}) if want_mesh else (out, out_lr)
     # identical members share one trajectory (every step decision is a
     # max over a lane's members), so each distinct (y0, K, Omega, phi0)
     # is swept once as one row, and member j is row row[j]; the rows are
@@ -258,6 +282,9 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
     # per lane: depth, step, direction, attempts, and its boundaries as
     # the range [ptr, end) of one list over all lanes
     l_y = y0[src[first_row]].tolist()
+    # with want_mesh: each lane's boundaries so far
+    marks = [[v] for v in l_y] if want_mesh else None
+    lane_keys = list(zip(keys[0, first_row].tolist(), keys[1, first_row].tolist()))
     l_h, l_dir, steps = [0.0] * n_lanes, [0.0] * n_lanes, [0] * n_lanes
     ptr, end_at = [0] * n_lanes, [0] * n_lanes
     # each pending member reads at its own depth, a boundary of its lane;
@@ -327,7 +354,9 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
                 weights[ln] = np.array((r_Om[sel], r_K[sel], np.ones(b - a)))
             live = [ln for ln in range(n_lanes) if ptr[ln] < end_at[ln]]
             if not live:
-                return out, out_lr
+                if not want_mesh:
+                    return out, out_lr
+                return out, out_lr, dict(zip(lane_keys, map(np.array, marks)))
             lanes = _pack([weights[ln] for ln in live], [l_dir[ln] for ln in live])
         # land every lane whose next boundary is within reach
         landed = False
@@ -338,6 +367,8 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
                 continue
             landed = True
             l_y[ln] = b
+            if want_mesh:
+                marks[ln][-1] = b       # the step that reached b ends on it
             a = first_row[ln]
             if b in brks:
                 r_g0[a:a + size[ln]] = np.nan
@@ -385,6 +416,8 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
             if err_norm <= 1.0:
                 l_y[ln] += hd
                 moved.append(ln)
+                if want_mesh:
+                    marks[ln].append(l_y[ln])
                 factor = _MAX_FACTOR if err_norm == 0.0 else \
                     min(_MAX_FACTOR, _SAFETY * err_norm ** (-1.0 / 7.0))
                 h = h * factor
@@ -406,3 +439,144 @@ def sweep_phase(problem, K, Omega, phi0, y0, reads, rtol=1e-10, atol=1e-12,
                 r_phi[a:b], r_g0[a:b] = step[a:b], g_end[a:b]
                 if want_log_r:
                     r_lr[a:b] += mag[a:b]
+
+
+_NODE_T = np.array(_NODES)
+_TERM_MAP = _COEF_MAP[np.r_[0:9, 10:19, 20:29], :90]     # nodes -> Magnus terms
+_REPLAY_GROUP = 1 << 15     # padded member-steps replayed at once
+
+
+def replay_phase(problem, mesh, K, Omega, phi0, y0, reads):
+    """The lifted phase of the batch (K, Omega), swept over a recorded mesh.
+
+    The arguments are those of :func:`sweep_phase` plus ``mesh``, the
+    step boundaries of each lane (y0, K) as ``sweep_phase(...,
+    want_mesh=True)`` returns them.  Every read must be a boundary of
+    its lane's mesh, else ValueError: nothing is interpolated.  Each
+    step is the full step and the two halves of :func:`_frozen_step`,
+    with no error control, rejections or endpoint guard.  Their
+    propagators give the Richardson propagator M = P + (P - E)/63, P the
+    product of the halves and E the full step rescaled to the halves'
+    exp(-s) scale, and the state carried to the next step is M times the
+    last one.  A step's band lift is the halves' closed-form zero count,
+    plus the wrapped difference between the angles of M z and of the
+    half-2 state.  A lane ends at its farthest read, and lanes of
+    similar length are replayed together (see :func:`_replay_lanes`).
+    Returns each member's angle at its read.
+    """
+    Omega = np.atleast_1d(np.asarray(Omega, dtype=float))
+    K, phi, y0, reads = (np.broadcast_to(np.asarray(v, dtype=float), Omega.shape)
+                         for v in (K, phi0, y0, reads))
+    out = phi.copy()
+    live = ~np.isclose(reads, y0, rtol=1e-12, atol=1e-14)
+    if not live.any():
+        return out
+    # one row per distinct (y0, K, read, Omega, phi0); a lane is a run of rows
+    keys, row = np.unique(np.stack((y0, K, reads, Omega, phi))[:, live], axis=1,
+                          return_inverse=True)
+    cuts = (np.flatnonzero(np.any(keys[:2, 1:] != keys[:2, :-1], axis=0))
+            + 1).tolist()
+    steps = np.empty(keys.shape[1], dtype=int)
+    lanes = []
+    for a, b in zip([0] + cuts, cuts + [keys.shape[1]]):
+        start, k = float(keys[0, a]), float(keys[1, a])
+        bl = mesh.get((start, k))
+        if bl is None:
+            raise ValueError("no mesh recorded for the lane y0=%g, K=%g" % (start, k))
+        rd = keys[2, a:b]
+        sign = 1.0 if rd[0] > start else -1.0
+        at = np.minimum(np.searchsorted(sign * bl, sign * rd), bl.size - 1)
+        miss = bl[at] != rd
+        if miss.any():
+            raise ValueError("read depth %r is not a boundary of the mesh of "
+                             "the lane y0=%g, K=%g" % (float(rd[miss][0]), start, k))
+        steps[a:b] = at
+        lanes.append((a, b, sign, bl[:at.max() + 1]))
+    # shortest lanes first: a group pads its lanes to its longest one
+    lanes.sort(key=lambda ln: ln[3].size)
+    phi_rows = keys[4].copy()
+    group, rows = [], 0
+    for ln in lanes:
+        group.append(ln)
+        rows += ln[1] - ln[0]
+        if rows * (ln[3].size - 1) >= _REPLAY_GROUP or ln is lanes[-1]:
+            _replay_lanes(problem, group, keys, steps, phi_rows)
+            group, rows = [], 0
+    out[live] = phi_rows[row.reshape(-1)]
+    return out
+
+
+def _replay_lanes(problem, lanes, keys, steps, out):
+    """Replay the rows of ``lanes``, each (first row, end row, direction,
+    boundaries up to its farthest read), into ``out``.
+
+    Every lane is padded to the longest with identity steps (zero Magnus
+    terms), so each array holds one (step, row) entry per step index
+    and row; a row's steps past its read change nothing it reads.  One
+    ``coef_pair`` and one ``stiffness`` call sample every node of every
+    step, one batch of numpy expressions gives every exponent and
+    exponential, and only the 2x2 state is carried by a Python loop over
+    the step index.  A row's arithmetic is its own: each lane's samples
+    times ``_TERM_MAP`` times its weights is a product of its own, and
+    across rows only elementwise operations act.
+    """
+    rows = np.concatenate([np.arange(a, b) for a, b, _, _ in lanes])
+    n_steps = max(bl.size for _, _, _, bl in lanes) - 1
+    hs, ys = [], []
+    for _, _, _, bl in lanes:
+        y, h = bl[:-1, None], np.diff(bl)[:, None]
+        hh = 0.5 * h
+        hs.append(h)
+        ys.append(np.concatenate((y + h * _NODE_T, y + hh * _NODE_T,
+                                  (y + hh) + hh * _NODE_T), axis=1).ravel())
+    ys = np.concatenate(ys)
+    p, q = problem.coef_pair(ys)
+    samples = np.concatenate((p.reshape(-1, 9), q.reshape(-1, 9),
+                              (1.0 / problem.stiffness(ys)).reshape(-1, 9)), axis=1)
+    terms = np.zeros((30, n_steps, rows.size))
+    first = col = 0
+    for (a, b, _, _), h in zip(lanes, hs):
+        n_l = h.size
+        t = samples[first:first + n_l] @ _TERM_MAP
+        t *= h
+        np.matmul(t.reshape(n_l, 30, 3).transpose(1, 0, 2),
+                  np.array((keys[3, a:b], keys[1, a:b], np.ones(b - a))),
+                  out=terms[:, :n_l, col:col + b - a])
+        first, col = first + n_l, col + b - a
+    delta, alpha, beta, c, f, grow, rot = _exponential(
+        terms.reshape(10, 3, n_steps, rows.size))
+    fd = f * delta
+    e00, e01, e10, e11 = c + fd, f * alpha, f * beta, c - fd
+    # the halves' product, and the full step on its exp(-s) scale
+    scale = np.exp(grow[0] - grow[1] - grow[2])
+    m00, m01, m10, m11 = (
+        prod + (prod - scale * full) / 63.0 for prod, full in (
+            (e00[2] * e00[1] + e01[2] * e10[1], e00[0]),
+            (e00[2] * e01[1] + e01[2] * e11[1], e01[0]),
+            (e10[2] * e00[1] + e11[2] * e10[1], e10[0]),
+            (e10[2] * e01[1] + e11[2] * e11[1], e11[0])))
+
+    phi0 = keys[4, rows]
+    z_w, z_u = np.empty((n_steps + 1, rows.size)), np.empty((n_steps + 1, rows.size))
+    w, u = np.cos(phi0, out=z_w[0]), np.sin(phi0, out=z_u[0])
+    for i in range(n_steps):        # z_i+1 = M_i z_i, normalized
+        w, u = m00[i] * w + m01[i] * u, m10[i] * w + m11[i] * u
+        r = np.hypot(w, u)
+        w, u = np.divide(w, r, out=z_w[i + 1]), np.divide(u, r, out=z_u[i + 1])
+
+    # each step again from its start state: the halves' zero counts and
+    # the half-2 angle, against which the angle of M z is wrapped
+    w1, u1, inc1 = _advance(delta[1], alpha[1], beta[1], c[1], f[1], rot[1],
+                            z_w[:-1], z_u[:-1])
+    w2, u2, inc2 = _advance(delta[2], alpha[2], beta[2], c[2], f[2], rot[2], w1, u1)
+    raw = np.arctan2(u2, w2)
+    d = np.arctan2(z_u[1:], z_w[1:]) - raw
+    t = (raw - _PI * np.floor(raw / _PI)) + (d - _PI * np.rint(d / _PI))
+    # the band after a step is the one before it, plus the signed zero
+    # count and the band of t; the last step's t is the angle in its band
+    sign = np.concatenate([np.full(b - a, s) for a, b, s, _ in lanes])
+    band = np.cumsum(sign * (inc1 + inc2) + np.floor(t / _PI), axis=0)
+    at, cols = steps[rows] - 1, np.arange(rows.size)
+    t_at = t[at, cols]
+    out[rows] = (_PI * (np.floor(phi0 / _PI) + band[at, cols] - np.floor(t_at / _PI))
+                 + t_at)

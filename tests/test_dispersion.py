@@ -295,16 +295,24 @@ def test_trace_branches_one_refinement_batch(exp_profile, monkeypatch):
 
 
 def _spy_callers(monkeypatch, caller):
-    """Count the _mismatch_batch calls made directly from ``caller``."""
-    sweep = dispersion._mismatch_batch
+    """Count the _mismatch_batch and _mesh_mismatch calls made directly
+    from ``caller``: from _refine_brackets, every ITP round, adaptive
+    (round 0) or replayed; the certification sweep of _certified_modes
+    is no round."""
     calls = []
 
-    def counted(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == caller:
-            calls.append(1)
-        return sweep(*args, **kwargs)
+    def spy(name):
+        sweep = getattr(dispersion, name)
 
-    monkeypatch.setattr(dispersion, "_mismatch_batch", counted)
+        def counted(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name == caller:
+                calls.append(name)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, name, counted)
+
+    spy("_mismatch_batch")
+    spy("_mesh_mismatch")
     return calls
 
 

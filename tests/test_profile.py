@@ -50,6 +50,36 @@ def test_non_numeric_parameters_rejected():
         sw.from_registry("table", {"rows": [[0, "a", 1], [1, 1, 1]]})
 
 
+_LAYER = {"rho_1": 2.0, "mu_1": 1.0, "rho_s": 1.0, "mu_s": 1.0, "y_s": 2.0}
+
+
+@pytest.mark.parametrize("name, params, accepted", [
+    ("constant", {"rho": 1.0, "mu": 1.0, "rh0": 2.0}, ("rho", "mu")),
+    ("exp_density", {"drho": 5.0, "depth": 3.0}, ("rho_inf", "drho", "d", "mu")),
+    ("power_density", {"c": 3.0, "p": 1.5, "q": 1.0}, ("rho_inf", "c", "p", "mu")),
+    ("smoothed_layer", dict(_LAYER, widht=0.5),
+     ("rho_1", "mu_1", "rho_s", "mu_s", "y_s", "width")),
+    ("table", {"rows": [[0, 2, 1], [1, 1, 1]], "mu_infinity": 1.0},
+     ("rows", "rho_inf", "mu_inf")),
+], ids=["constant", "exp_density", "power_density", "smoothed_layer", "table"])
+def test_unknown_parameters_rejected(name, params, accepted):
+    # a misspelt key must not silently leave its parameter at the default
+    stray = (set(params) - set(accepted)).pop()
+    with pytest.raises(ProfileError, match=repr(stray)) as err:
+        sw.from_registry(name, params)
+    assert str(err.value).endswith("accepts " + ", ".join(accepted))
+
+
+def test_boolean_parameters_rejected():
+    # float(True) is 1.0, but a boolean is no material parameter
+    with pytest.raises(ProfileError, match="'mu'"):
+        sw.from_registry("constant", {"rho": 1.0, "mu": True})
+    with pytest.raises(ProfileError, match="'width'"):
+        sw.from_registry("smoothed_layer", dict(_LAYER, width=np.bool_(True)))
+    with pytest.raises(ProfileError, match=r"'rows'.*\(row 2\)"):
+        sw.from_registry("table", {"rows": [[0, 2, 1], [1, True, 1]]})
+
+
 def test_table_validation_errors():
     with pytest.raises(ProfileError, match="row 3"):
         sw.from_table([(0, 1, 1), (1, 1, 1), (0.5, 1, 1)])
