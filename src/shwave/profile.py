@@ -364,7 +364,7 @@ def _build_table(params):
     return rho_fn, mu_fn, rho_inf, mu_inf, y_max, tuple(float(v) for v in y)
 
 
-# each entry's builder and the parameter names it accepts
+# each entry's build function and the parameter names it accepts
 _REGISTRY = {
     "constant": (_build_constant, ("rho", "mu")),
     "exp_density": (_build_exp_density, ("rho_inf", "drho", "d", "mu")),

@@ -596,9 +596,9 @@ SHARP = sw.from_registry("smoothed_layer", SHARP_LAYER)
      4.0, SearchOptions(max_modes=8), 15),
 ], ids=["exp", "sharp_layer", "tau_exp", "power"])
 def test_refine_round_count(profile, K, opts, most, monkeypatch):
-    # each refinement round is one batched sweep called from
-    # _refine_brackets.  With the straddle pair: 4, 6, 3 and 14 rounds;
-    # ITP alone needs 9, 9, 8 and 35 (24 of them on the power law's
+    # each refinement round is one batched sweep (round 0) or replay
+    # called from _refine_brackets.  With the straddle pair: 4, 6, 3 and
+    # 14 rounds; ITP alone needs 9, 9, 8 and 35 (24 of them on the power law's
     # m = 8 bracket, where g jumps by about 3 near its top), and a
     # bracket that stalls just above the tolerance (no guard) or plain
     # bisection needs 26-28 on the first two
