@@ -274,9 +274,10 @@ def decaying_phase_batch(problem, K, omegas, cfg,
     their angle is pi/2, to the first call.  Every read at or deeper
     than its window's y_bar must lie in (pi/2, pi), the invariant band
     of decaying angles behind the turning point, else
-    TailConvergenceError; shallower reads are not checked.  The scans,
-    the refinement and the mode shapes read at or behind their windows'
-    y_bar, so the check covers every root.
+    TailConvergenceError; shallower reads are not checked.  The scans
+    and the refinement read at or behind their windows' y_bar, so the
+    check covers every root; the mode shapes apply the same check
+    (:func:`_check_band`) to their replayed decaying angles.
 
     Returns (phi, log_r, windows, surface): log_r (None unless
     ``want_log_r``) counts from r = 1 at each member's accepted tail

@@ -44,7 +44,14 @@ class Mode:
     """One matched root (K, Omega) with its matching diagnostics.
 
     ``phi_surface``, ``phi_decay`` and ``residual`` = |Phi - (m-1)*pi|
-    are evaluated at ``Omega`` itself.
+    are evaluated at ``Omega`` itself.  ``mesh`` is what
+    :func:`shwave.prufer.reconstruct_mode_shape` replays: (problem,
+    surface, tail), the problem the search swept (the profile, or its
+    ``TransformedMedium`` when ``space="tau"``) and the step boundaries
+    of the mode's surface lane (0, K) and tail lane (y_tail, K) in the
+    adaptive sweep that certified it.  The arrays are read-only and
+    shared by the modes of one K.  Only the search sets ``mesh``; it is
+    left out of comparisons and of the repr.
     """
 
     K: float
@@ -55,6 +62,7 @@ class Mode:
     residual: float
     matching: MatchingConfig
     flag: Optional[str] = None
+    mesh: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def omega(self) -> float:
@@ -548,10 +556,15 @@ def _certified_modes(problem, K, brackets, omegas, g_mesh, windows, opts):
     |Phi - n pi| and its angles.  A residual above residual_tol is
     flagged, and so is a mode whose adaptive g differs from ``g_mesh``,
     the value the refinement's fixed mesh gave it, by more than
-    residual_tol: its root was found on a mesh too coarse for it.
+    residual_tol: its root was found on a mesh too coarse for it.  The
+    sweep records its mesh, and each mode keeps its K's surface lane and
+    its tail lane for its shape (see Mode).
     """
-    phi, phi0, phip, _ = _mismatch_batch(problem, K, omegas, windows,
-                                         opts.settings, tail_check=False)
+    phi, phi0, phip, _, mesh = _mismatch_batch(
+        problem, K, omegas, windows, opts.settings, tail_check=False,
+        want_mesh=True)
+    for b in mesh.values():
+        b.flags.writeable = False
     out = []
     for j, (_, _, nn, noisy) in enumerate(brackets):
         g = float(phi[j]) - nn * math.pi
@@ -564,7 +577,9 @@ def _certified_modes(problem, K, brackets, omegas, g_mesh, windows, opts):
             flag = _add_flag(flag, "non-monotone scan values")
         out.append(Mode(K=float(K[j]), Omega=float(omegas[j]), m=nn + 1,
                         phi_surface=float(phi0[j]), phi_decay=float(phip[j]),
-                        residual=abs(g), matching=windows[j], flag=flag))
+                        residual=abs(g), matching=windows[j], flag=flag,
+                        mesh=(problem, mesh[(0.0, float(K[j]))],
+                              mesh[(windows[j].y_tail, float(K[j]))])))
     return out
 
 

@@ -438,11 +438,16 @@ def from_callables(rho, mu, rho_inf, mu_inf, tail_constant_from=None,
 
 
 def from_table(rows: Sequence, rho_inf=None, mu_inf=None) -> MaterialProfile:
-    params = {"rows": [list(map(float, r)) for r in rows]}
+    """The ``table`` registry profile of ``rows`` of (y, rho, mu).
+
+    The values reach :func:`from_registry` as given, so it checks them
+    as it checks any table: a boolean is no number there.
+    """
+    params = {"rows": [list(r) for r in rows]}
     if rho_inf is not None:
-        params["rho_inf"] = float(rho_inf)
+        params["rho_inf"] = rho_inf
     if mu_inf is not None:
-        params["mu_inf"] = float(mu_inf)
+        params["mu_inf"] = mu_inf
     return from_registry("table", params)
 
 

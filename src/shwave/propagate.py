@@ -43,11 +43,17 @@ serves elliptic and hyperbolic members alike.  So one call can hold the
 surface sweep, the decaying sweep and its tail check of many K at once,
 at the cost of the slowest lane.  This is the solver's one phase engine: the frequency
 scans, the refinement's round 0 and its certification sweep, the
-decaying tail, the public tail angle and the mode shapes run on
-:func:`sweep_phase`.  The refinement's later rounds keep round 0's mesh
-fixed: :func:`replay_phase` replays each lane's recorded step
-boundaries with the same three Magnus steps per step, vectorized over
-the steps, and no step control.  The Runge-Kutta integration of
+decaying tail and the public tail angle run on :func:`sweep_phase`.
+The refinement's later rounds keep round 0's mesh fixed:
+:func:`replay_phase` replays each lane's recorded step boundaries with
+the same three Magnus steps per step, vectorized over the steps, and no
+step control.  The mode shapes replay the certification sweep's mesh
+with :func:`replay_depths`, which reaches any depth by one partial step
+from the boundary before it, so a shape runs no sweep.  On a shared
+2-vCPU host the six exp K=16 shapes on 33 depths take no step attempt
+and about 1 ms each (538 attempts and about 9 ms each when every shape
+was swept), and one on 4,000 depths 0.010-0.015 s (0.37-0.41 s swept,
+one forced step landing per depth).  The Runge-Kutta integration of
 ``prufer.integrate_phase`` is kept only as the independent reference
 the test suite checks it against.
 """
@@ -500,39 +506,46 @@ def replay_phase(problem, mesh, K, Omega, phi0, y0, reads):
         group.append(ln)
         rows += ln[1] - ln[0]
         if rows * (ln[3].size - 1) >= _REPLAY_GROUP or ln is lanes[-1]:
-            _replay_lanes(problem, group, keys, steps, phi_rows)
+            got, _, _, band, t, _ = _replay_lanes(problem, group, keys[1], keys[3],
+                                                  keys[4])
+            # the angle at each row's read, boundary steps[got]
+            at, cols = steps[got] - 1, np.arange(got.size)
+            t_at = t[at, cols]
+            phi_rows[got] = _PI * (band[at + 1, cols] - np.floor(t_at / _PI)) + t_at
             group, rows = [], 0
     out[live] = phi_rows[row.reshape(-1)]
     return out
 
 
-def _replay_lanes(problem, lanes, keys, steps, out):
-    """Replay the rows of ``lanes``, each (first row, end row, direction,
-    boundaries up to its farthest read), into ``out``.
+def _replay_lanes(problem, lanes, K, Omega, phi0, want_log_r=False):
+    """Carry the rows of ``lanes`` over their boundaries.
 
-    Every lane is padded to the longest with identity steps (zero Magnus
-    terms), so each array holds one (step, row) entry per step index
-    and row; a row's steps past its read change nothing it reads.  One
+    Each lane is (first row, end row, direction, boundaries): rows a..b-1
+    of ``K``, ``Omega`` and ``phi0`` (the angle at the first boundary,
+    with r = 1 there) take every step between its boundaries.  Every lane
+    is padded to the longest with identity steps (zero Magnus terms), so
+    each array holds one (step, row) entry per step index and row; a
+    row's steps past its last boundary change nothing before it.  One
     ``coef_pair`` and one ``stiffness`` call sample every node of every
-    step, one batch of numpy expressions gives every exponent and
-    exponential, and only the 2x2 state is carried by a Python loop over
-    the step index.  A row's arithmetic is its own: each lane's samples
-    times ``_TERM_MAP`` times its weights is a product of its own, and
-    across rows only elementwise operations act.
+    step, one batch of numpy expressions gives every propagator (see
+    :func:`_richardson`), and only the 2x2 state is carried by a Python
+    loop over the step index.  A row's arithmetic is its own: each lane's
+    samples times ``_TERM_MAP`` times its weights is a product of its
+    own, and across rows only elementwise operations act.
+
+    Returns (rows, w, u, band, t, log_r): the rows in the order of
+    ``lanes``; per boundary i and row the normalized state (w, u) and the
+    band floor(phi_i / pi) that a step from it starts in, kept by count
+    rather than by rounding; per step the angle t of :func:`_lift`, so
+    that phi_i+1 = pi (band[i + 1] - floor(t[i] / pi)) + t[i]; and per
+    boundary log r, the running sum of grow1 + grow2 + log|M z| (None
+    unless ``want_log_r``).
     """
     rows = np.concatenate([np.arange(a, b) for a, b, _, _ in lanes])
     n_steps = max(bl.size for _, _, _, bl in lanes) - 1
-    hs, ys = [], []
-    for _, _, _, bl in lanes:
-        y, h = bl[:-1, None], np.diff(bl)[:, None]
-        hh = 0.5 * h
-        hs.append(h)
-        ys.append(np.concatenate((y + h * _NODE_T, y + hh * _NODE_T,
-                                  (y + hh) + hh * _NODE_T), axis=1).ravel())
-    ys = np.concatenate(ys)
-    p, q = problem.coef_pair(ys)
-    samples = np.concatenate((p.reshape(-1, 9), q.reshape(-1, 9),
-                              (1.0 / problem.stiffness(ys)).reshape(-1, 9)), axis=1)
+    hs = [np.diff(bl)[:, None] for _, _, _, bl in lanes]
+    samples = _samples(problem, np.concatenate(
+        [_node_depths(bl[:-1, None], h) for (_, _, _, bl), h in zip(lanes, hs)]))
     terms = np.zeros((30, n_steps, rows.size))
     first = col = 0
     for (a, b, _, _), h in zip(lanes, hs):
@@ -540,43 +553,137 @@ def _replay_lanes(problem, lanes, keys, steps, out):
         t = samples[first:first + n_l] @ _TERM_MAP
         t *= h
         np.matmul(t.reshape(n_l, 30, 3).transpose(1, 0, 2),
-                  np.array((keys[3, a:b], keys[1, a:b], np.ones(b - a))),
+                  np.array((Omega[a:b], K[a:b], np.ones(b - a))),
                   out=terms[:, :n_l, col:col + b - a])
         first, col = first + n_l, col + b - a
-    delta, alpha, beta, c, f, grow, rot = _exponential(
-        terms.reshape(10, 3, n_steps, rows.size))
-    fd = f * delta
-    e00, e01, e10, e11 = c + fd, f * alpha, f * beta, c - fd
-    # the halves' product, and the full step on its exp(-s) scale
-    scale = np.exp(grow[0] - grow[1] - grow[2])
-    m00, m01, m10, m11 = (
-        prod + (prod - scale * full) / 63.0 for prod, full in (
-            (e00[2] * e00[1] + e01[2] * e10[1], e00[0]),
-            (e00[2] * e01[1] + e01[2] * e11[1], e01[0]),
-            (e10[2] * e00[1] + e11[2] * e10[1], e10[0]),
-            (e10[2] * e01[1] + e11[2] * e11[1], e11[0])))
+    (m00, m01, m10, m11), halves, grow = _richardson(terms)
 
-    phi0 = keys[4, rows]
+    phi0 = phi0[rows]
     z_w, z_u = np.empty((n_steps + 1, rows.size)), np.empty((n_steps + 1, rows.size))
+    r = np.empty((n_steps, rows.size))
     w, u = np.cos(phi0, out=z_w[0]), np.sin(phi0, out=z_u[0])
     for i in range(n_steps):        # z_i+1 = M_i z_i, normalized
         w, u = m00[i] * w + m01[i] * u, m10[i] * w + m11[i] * u
-        r = np.hypot(w, u)
-        w, u = np.divide(w, r, out=z_w[i + 1]), np.divide(u, r, out=z_u[i + 1])
+        np.hypot(w, u, out=r[i])
+        w, u = np.divide(w, r[i], out=z_w[i + 1]), np.divide(u, r[i], out=z_u[i + 1])
 
-    # each step again from its start state: the halves' zero counts and
-    # the half-2 angle, against which the angle of M z is wrapped
-    w1, u1, inc1 = _advance(delta[1], alpha[1], beta[1], c[1], f[1], rot[1],
-                            z_w[:-1], z_u[:-1])
-    w2, u2, inc2 = _advance(delta[2], alpha[2], beta[2], c[2], f[2], rot[2], w1, u1)
-    raw = np.arctan2(u2, w2)
-    d = np.arctan2(z_u[1:], z_w[1:]) - raw
-    t = (raw - _PI * np.floor(raw / _PI)) + (d - _PI * np.rint(d / _PI))
-    # the band after a step is the one before it, plus the signed zero
-    # count and the band of t; the last step's t is the angle in its band
     sign = np.concatenate([np.full(b - a, s) for a, b, s, _ in lanes])
-    band = np.cumsum(sign * (inc1 + inc2) + np.floor(t / _PI), axis=0)
-    at, cols = steps[rows] - 1, np.arange(rows.size)
-    t_at = t[at, cols]
-    out[rows] = (_PI * (np.floor(phi0 / _PI) + band[at, cols] - np.floor(t_at / _PI))
-                 + t_at)
+    jump, t = _lift(halves, z_w[:-1], z_u[:-1], z_w[1:], z_u[1:], sign)
+    # the band after a step is the one before it, plus the signed zero
+    # count and the band of t
+    band = np.empty(z_w.shape)
+    band[0] = np.floor(phi0 / _PI)
+    band[1:] = band[0] + np.cumsum(jump + np.floor(t / _PI), axis=0)
+    log_r = None
+    if want_log_r:
+        log_r = np.zeros(z_w.shape)
+        np.cumsum(grow + np.log(r), axis=0, out=log_r[1:])
+    return rows, z_w, z_u, band, t, log_r
+
+
+def replay_depths(problem, meshes, K, Omega, phi0, depths):
+    """The lifted phase and log amplitude of rows replayed over recorded
+    meshes, read at any depths inside them.
+
+    Row i is (K[i], Omega[i]) with the angle phi0[i] and r = 1 at the
+    first of ``meshes[i]``, the step boundaries of one lane as
+    :func:`sweep_phase` records them, and it is read at the depths
+    ``depths[i]``, which must lie between the first and the last of those
+    boundaries (else ValueError).  It is carried as :func:`replay_phase`
+    carries it up to the boundary at or before its farthest depth.  Each
+    depth is then reached from the boundary at or before it by one
+    partial Richardson step: the full step and both halves, combined as
+    M = P + (P - E)/63.  The partial steps of every row are one batch,
+    with one ``coef_pair`` and one ``stiffness`` call however many
+    depths there are.  None crosses a breakpoint, since every breakpoint
+    inside a lane's span is a boundary of it.  log r is the running sum
+    of grow1 + grow2 + log|M z| over the steps, so the amplitude carries
+    the Richardson propagator as the angle does.
+
+    Returns each row's (phi, log_r) at its depths.
+    """
+    depths = [np.atleast_1d(np.asarray(d, dtype=float)) for d in depths]
+    lanes, at = [], []      # per row its lane, and the boundary of each depth
+    for i, (bl, d) in enumerate(zip(meshes, depths)):
+        sign = 1.0 if bl[-1] >= bl[0] else -1.0
+        j = np.searchsorted(sign * bl, sign * d, side="right") - 1
+        if np.any(j < 0) or np.any(sign * (d - bl[-1]) > 0):
+            raise ValueError("read depths must lie inside the mesh [%g, %g]"
+                             % (bl[0], bl[-1]))
+        lanes.append((i, i + 1, sign, bl[:j.max(initial=0) + 1]))
+        at.append(j)
+    K, Omega, phi0 = (np.broadcast_to(np.asarray(v, dtype=float), (len(lanes),))
+                      for v in (K, Omega, phi0))
+    _, z_w, z_u, band, _, log_r = _replay_lanes(problem, lanes, K, Omega, phi0,
+                                                want_log_r=True)
+
+    row = np.repeat(np.arange(len(lanes)), [d.size for d in depths])
+    j = np.concatenate(at)
+    y = np.concatenate([ln[3][jj] for ln, jj in zip(lanes, at)])
+    h = (np.concatenate(depths) - y)[:, None]
+    t = _samples(problem, _node_depths(y[:, None], h)) @ _TERM_MAP
+    t *= h
+    (m00, m01, m10, m11), halves, grow = _richardson(np.einsum(
+        "nts,sn->tn", t.reshape(-1, 30, 3), np.array((Omega[row], K[row],
+                                                      np.ones(row.size)))))
+    w0, u0 = z_w[j, row], z_u[j, row]
+    w1, u1 = m00 * w0 + m01 * u0, m10 * w0 + m11 * u0
+    jump, t = _lift(halves, w0, u0, w1, u1,
+                    np.array([ln[2] for ln in lanes])[row])
+    phi = _PI * (band[j, row] + jump) + t
+    lr = log_r[j, row] + grow + np.log(np.hypot(w1, u1))
+    cuts = np.cumsum([d.size for d in depths])[:-1]
+    return list(zip(np.split(phi, cuts), np.split(lr, cuts)))
+
+
+def _node_depths(y, h):
+    """(steps, 9): the Gauss nodes of the full step from each depth ``y``
+    by ``h`` and of its two halves, both columns (steps, 1)."""
+    hh = 0.5 * h
+    return np.concatenate((y + h * _NODE_T, y + hh * _NODE_T,
+                           (y + hh) + hh * _NODE_T), axis=1)
+
+
+def _samples(problem, ys):
+    """(steps, 27): p, q and 1/stiffness at the node depths ``ys`` of
+    :func:`_node_depths`, from one call of each accessor."""
+    flat = ys.ravel()
+    p, q = problem.coef_pair(flat)
+    return np.concatenate((p.reshape(-1, 9), q.reshape(-1, 9),
+                           (1.0 / problem.stiffness(flat)).reshape(-1, 9)), axis=1)
+
+
+def _richardson(terms):
+    """(m, halves, grow) of the steps whose Magnus terms are ``terms``
+    (30, ...), rows as ``_TERM_MAP`` gives them: the Richardson
+    propagator M = P + (P - E)/63 as (m00, m01, m10, m11), P the product
+    of the halves and E the full step rescaled to the halves' exp(-s)
+    scale; each half's (delta, alpha, beta, c, f, rot) for
+    :func:`_advance`; and grow1 + grow2, the log of the scale M leaves
+    out."""
+    delta, alpha, beta, c, f, grow, rot = _exponential(
+        terms.reshape(10, 3, *terms.shape[1:]))
+    fd = f * delta
+    e00, e01, e10, e11 = c + fd, f * alpha, f * beta, c - fd
+    scale = np.exp(grow[0] - grow[1] - grow[2])
+    m = tuple(prod + (prod - scale * full) / 63.0 for prod, full in (
+        (e00[2] * e00[1] + e01[2] * e10[1], e00[0]),
+        (e00[2] * e01[1] + e01[2] * e11[1], e01[0]),
+        (e10[2] * e00[1] + e11[2] * e10[1], e10[0]),
+        (e10[2] * e01[1] + e11[2] * e11[1], e11[0])))
+    halves = [(delta[i], alpha[i], beta[i], c[i], f[i], rot[i]) for i in (1, 2)]
+    return m, halves, grow[1] + grow[2]
+
+
+def _lift(halves, w0, u0, w1, u1, sign):
+    """(jump, t) of the Richardson steps of ``halves`` from the states
+    (w0, u0) to (w1, u1) = M (w0, u0), up to scale: the halves' zero
+    counts signed by the direction of travel, and the angle of (w1, u1)
+    wrapped to within pi/2 of the half-2 angle taken in [0, pi).  A step
+    from the band B = floor(phi / pi) ends at phi = pi (B + jump) + t."""
+    wa, ua, inc1 = _advance(*halves[0], w0, u0)
+    wb, ub, inc2 = _advance(*halves[1], wa, ua)
+    raw = np.arctan2(ub, wb)
+    d = np.arctan2(u1, w1) - raw
+    return (sign * (inc1 + inc2),
+            (raw - _PI * np.floor(raw / _PI)) + (d - _PI * np.rint(d / _PI)))

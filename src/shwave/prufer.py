@@ -6,9 +6,12 @@ For Z = (w, u) with w = mu*u', the polar angle phi = arctan(u/w) obeys
 
 decoupled from the amplitude, and log r obeys
 (log r)' = (1/mu - gamma) sin(phi) cos(phi).  Every angle the solver
-uses comes from the propagator sweep of :mod:`shwave.propagate`, whose
-lift across multiples of pi is exact per step, so the returned phi is
-the continuous lift with no unwrapping step anywhere.
+uses comes from the propagator of :mod:`shwave.propagate`, whose lift
+across multiples of pi is exact per step, so the returned phi is the
+continuous lift with no unwrapping step anywhere.  The sweeps of the
+search run adaptively; a mode shape replays the mesh of the sweep that
+certified its mode (see :func:`reconstruct_mode_shape`), with no
+adaptive sweep per shape.
 :func:`integrate_phase` integrates the angle equation directly with a
 Runge-Kutta pair; it is the independent reference of the test suite.
 Log-amplitude (not r itself) is carried to keep growing solutions
@@ -145,35 +148,51 @@ def phase_batch(problem, K, omegas, phi0, y_from: float, reads,
 def reconstruct_mode_shape(problem, mode, y_grid):
     """Sample the displacement u(y) of a matched mode, with u(0) = 1.
 
-    One :func:`shwave.propagate.sweep_phase` call holds the surface
-    sweep over [0, y_bar], the decaying sweep over [y_bar, y_tail] and,
-    unless the profile is exactly constant beyond y_tail, its
-    tail-window check, each on a lane of its own.  In the first two,
-    member 0 reads y_bar and each other member reads one depth of the
-    ``y_grid``, whose depths must be finite and nonnegative (else
-    :class:`DomainError`).  The tail piece is scaled and sign-matched
-    with the (-1)^n factor implied by the integer angle offset at the
-    matching point.  A relative (u, w) mismatch above 1e-6 at y_bar
-    raises :class:`MatchConsistencyError`.  Beyond y_tail the
+    No sweep runs: the shape replays the mesh of the adaptive sweep that
+    certified the mode (``mode.mesh``; see ``dispersion.Mode``) in the
+    coordinate its search swept, so it has the accuracy of that search.
+    One :func:`shwave.propagate.replay_depths` call carries the surface
+    lane over [0, y_bar] and the decaying lane over [y_bar, y_tail]; each
+    reads y_bar and the depths of ``y_grid`` on its side, which must be
+    finite and nonnegative (else :class:`DomainError`).  ``problem`` is
+    the profile the mode was found on; another one, or a mode with no
+    mesh, is a ValueError.  A tau-space mode is replayed at tau(y_grid),
+    where u is the same and w = du/dtau.  The tail piece is scaled and
+    sign-matched with the (-1)^n factor implied by the integer angle
+    offset at the matching point.  A relative (u, w) mismatch above 1e-6
+    at y_bar raises :class:`MatchConsistencyError`, and a decaying angle
+    outside (pi/2, pi) a ``TailConvergenceError``.  The tail window is
+    not checked again: it passed the refinement's tail check, and the
+    certification sweep ran in it without one.  Beyond y_tail the
     evanescent tail is extended with the local frozen decay rate.
     """
     from . import decay  # decay imports this module
 
+    if mode.mesh is None:
+        raise ValueError("the mode has no recorded mesh: its shape comes from "
+                         "the sweep that certified it in find_modes or "
+                         "trace_branches")
+    swept, surface, tail = mode.mesh
+    if problem is not swept and problem is not getattr(swept, "base", None):
+        raise ValueError("the mode was not found on this profile")
     K, Omega, cfg = mode.K, mode.Omega, mode.matching
     y_grid = np.asarray(y_grid, dtype=float)
     bad = ~(np.isfinite(y_grid) & (y_grid >= 0))
     if bad.any():
         raise DomainError("mode-shape depths must be finite and non-negative, "
                           "got %r" % float(np.extract(bad, y_grid)[0]))
-    fwd = y_grid <= cfg.y_bar
-    far = y_grid > cfg.y_tail
+    taumap = getattr(swept, "taumap", None)
+    depths = y_grid if taumap is None else np.asarray(taumap.tau(y_grid))
+    fwd = depths <= cfg.y_bar
+    far = depths > cfg.y_tail
     mid = ~fwd & ~far
 
-    reads_f = np.concatenate([[cfg.y_bar], y_grid[fwd]])
-    reads = np.concatenate([[cfg.y_bar], y_grid[mid], [cfg.y_tail]])
-    phi_b, lr_b, _, (phi_f, lr_f) = decay.decaying_phase_batch(
-        problem, K, np.full(reads.shape, Omega), cfg, y_bars=reads,
-        want_log_r=True, surface=(K, np.full(reads_f.shape, Omega), reads_f))
+    reads_b = np.concatenate([[cfg.y_bar], depths[mid], [cfg.y_tail]])
+    (phi_f, lr_f), (phi_b, lr_b) = propagate.replay_depths(
+        swept, (surface, tail), K, Omega,
+        (HALF_PI, decay.decaying_phase_at_tail(swept, (K, Omega), cfg.y_tail)),
+        (np.concatenate([[cfg.y_bar], depths[fwd]]), reads_b))
+    decay._check_band(phi_b, reads_b, np.full(reads_b.shape, cfg.y_bar))
 
     n = mode.m - 1
     d_angle = phi_f[0] - (phi_b[0] + n * math.pi)
@@ -191,7 +210,7 @@ def reconstruct_mode_shape(problem, mode, y_grid):
     u = np.empty_like(y_grid)
     u[fwd] = uf[1:]
     u[mid] = ub[1:-1]
-    gY = _gamma(problem, K, Omega, cfg.y_tail)
-    kappa = math.sqrt(max(-gY, 0.0) / problem.stiffness(cfg.y_tail))
-    u[far] = ub[-1] * np.exp(-kappa * (y_grid[far] - cfg.y_tail))
+    gY = _gamma(swept, K, Omega, cfg.y_tail)
+    kappa = math.sqrt(max(-gY, 0.0) / swept.stiffness(cfg.y_tail))
+    u[far] = ub[-1] * np.exp(-kappa * (depths[far] - cfg.y_tail))
     return u

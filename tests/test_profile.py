@@ -78,6 +78,13 @@ def test_boolean_parameters_rejected():
         sw.from_registry("smoothed_layer", dict(_LAYER, width=np.bool_(True)))
     with pytest.raises(ProfileError, match=r"'rows'.*\(row 2\)"):
         sw.from_registry("table", {"rows": [[0, 2, 1], [1, True, 1]]})
+    # from_table hands its values to the same checks unconverted
+    with pytest.raises(ProfileError, match=r"'rows'.*\(row 1\)"):
+        sw.from_table([(0, True, 1), (1, 1, 1)])
+    with pytest.raises(ProfileError, match="'rho_inf'"):
+        sw.from_table([(0, 2, 1), (1, 1, 1)], rho_inf=True)
+    with pytest.raises(ProfileError, match="'mu_inf'"):
+        sw.from_table([(0, 2, 1), (1, 1, 1)], mu_inf=np.bool_(True))
 
 
 def test_table_validation_errors():

@@ -127,3 +127,17 @@ def test_frozen_step_matches_explicit_magnus(case, sign):
     if "elliptic" in kinds:
         # the bands of several crossings
         assert rot_max[kinds.index("elliptic")] > math.pi
+
+
+def test_replay_depths_refuses_depths_off_the_mesh(exp_profile):
+    from shwave.propagate import replay_depths
+
+    mesh = np.array([0.0, 0.5, 1.25, 2.0])
+    (phi, log_r), = replay_depths(exp_profile, [mesh], 1.0, 0.9, 0.5 * math.pi,
+                                  [[0.0, 0.7, 2.0]])
+    assert abs(phi[0] - 0.5 * math.pi) < 1e-15 and abs(log_r[0]) < 1e-15
+    for bad in (-0.1, 2.1):
+        with pytest.raises(ValueError, match="inside the mesh"):
+            replay_depths(exp_profile, [mesh], 1.0, 0.9, 0.5 * math.pi, [[bad]])
+    with pytest.raises(ValueError, match="inside the mesh"):
+        replay_depths(exp_profile, [mesh[::-1]], 1.0, 0.9, 2.5, [[-0.1]])

@@ -201,21 +201,98 @@ def test_sweep_rejects_nonfinite_depths(constant_profile, y0, read):
 
 
 def test_mode_shape_sweep_count(exp_profile, monkeypatch):
-    # the surface sweep, the decaying sweep and its tail check share one
-    # sweep_phase call, however many depths the grid has
+    # a shape replays the certification mesh: no adaptive sweep and no
+    # step attempt, and the coefficients are sampled by a fixed number of
+    # calls however many depths the grid has
     import shwave.propagate as propagate
 
     mode = sw.find_modes(exp_profile, 1.0).modes[0]
-    calls = []
-    sweep = propagate.sweep_phase
+    calls = {"sweep": 0, "step": 0, "coef": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return sweep(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(propagate, "sweep_phase", counted)
-    sw.reconstruct_mode_shape(exp_profile, mode, np.linspace(0.0, 30.0, 300))
-    assert len(calls) == 1
+    monkeypatch.setattr(propagate, "sweep_phase",
+                        counted("sweep", propagate.sweep_phase))
+    monkeypatch.setattr(propagate, "_frozen_step",
+                        counted("step", propagate._frozen_step))
+    monkeypatch.setattr(sw.MaterialProfile, "coef_pair",
+                        counted("coef", sw.MaterialProfile.coef_pair))
+    coef = []
+    for n in (33, 4000):
+        calls["coef"] = 0
+        sw.reconstruct_mode_shape(exp_profile, mode, np.linspace(0.0, 30.0, n))
+        coef.append(calls["coef"])
+    assert calls["sweep"] == 0 and calls["step"] == 0
+    assert coef[0] == coef[1] > 0
+
+
+def test_mode_shape_needs_its_mesh(exp_profile, layer_profile):
+    from dataclasses import replace
+
+    mode = sw.find_modes(exp_profile, 1.0).modes[0]
+    with pytest.raises(ValueError, match="no recorded mesh"):
+        sw.reconstruct_mode_shape(exp_profile, replace(mode, mesh=None), [0.5])
+    with pytest.raises(ValueError, match="not found on this profile"):
+        sw.reconstruct_mode_shape(layer_profile, mode, [0.5])
+
+
+def _adaptive_shape(problem, mode, ys):
+    """u on ``ys`` (inside [0, y_tail]) by one adaptive sweep read at the
+    grid: the surface sweep, the decaying sweep and its tail check of
+    one decaying_phase_batch call, matched at y_bar."""
+    from shwave.decay import decaying_phase_batch
+
+    cfg = mode.matching
+    fwd = ys <= cfg.y_bar
+    reads_f = np.concatenate([[cfg.y_bar], ys[fwd]])
+    reads_b = np.concatenate([[cfg.y_bar], ys[~fwd]])
+    phi_b, lr_b, _, (phi_f, lr_f) = decaying_phase_batch(
+        problem, mode.K, np.full(reads_b.shape, mode.Omega), cfg,
+        y_bars=reads_b, want_log_r=True,
+        surface=(mode.K, np.full(reads_f.shape, mode.Omega), reads_f))
+    sigma = (-1.0) ** (mode.m - 1) * math.exp(lr_f[0] - lr_b[0])
+    u = np.empty_like(ys)
+    u[fwd] = np.exp(lr_f[1:]) * np.sin(phi_f[1:])
+    u[~fwd] = sigma * np.exp(lr_b[1:]) * np.sin(phi_b[1:])
+    return u
+
+
+@pytest.mark.parametrize("name, K, n_modes", [("exp", 16.0, 6), ("sharp", 25.0, 4)])
+def test_replayed_shape_matches_adaptive(exp_profile, name, K, n_modes):
+    # the replay of the certification mesh and an adaptive sweep read at
+    # the grid give the same shape; the sharp layer's breakpoints are
+    # boundaries of the replayed lanes
+    profile = exp_profile if name == "exp" else sw.from_registry(
+        "smoothed_layer", {"rho_1": 2.5, "mu_1": 1.0, "rho_s": 1.0,
+                           "mu_s": 1.0, "y_s": 2.0, "width": 0.05})
+    modes = sw.find_modes(profile, K).modes
+    assert len(modes) == n_modes
+    for mode in modes:
+        ys = np.linspace(0.0, mode.matching.y_tail, 301)
+        u = sw.reconstruct_mode_shape(profile, mode, ys)
+        ref = _adaptive_shape(profile, mode, ys)
+        assert np.max(np.abs(u - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_tau_shape_matches_y_twin():
+    # a tau-space mode is replayed in tau at tau(y); u is the same
+    # function of y as its y-space twin's
+    layer = sw.from_registry("smoothed_layer", {
+        "rho_1": 2.5, "mu_1": 0.5, "rho_s": 1.0, "mu_s": 1.0, "y_s": 2.0,
+        "width": 1.0})
+    in_y = sw.find_modes(layer, 9.0).modes
+    in_tau = sw.find_modes(layer, 9.0, sw.SearchOptions(space="tau")).modes
+    assert [md.m for md in in_tau] == [md.m for md in in_y] and in_y
+    ys = np.linspace(0.0, 12.0, 400)
+    for md_y, md_tau in zip(in_y, in_tau):
+        assert md_tau.mesh[0].base is layer
+        u_y = sw.reconstruct_mode_shape(layer, md_y, ys)
+        u_tau = sw.reconstruct_mode_shape(layer, md_tau, ys)
+        assert np.max(np.abs(u_tau - u_y)) <= 2e-8 * np.max(np.abs(u_y))
 
 
 def test_mode_shape_sign_change_count(exp_profile):
@@ -264,3 +341,13 @@ def test_high_mode_shapes_tight_bessel(exp_k16_shapes):
     # included, stays well inside the oracle's own accuracy
     for u, u_oracle in exp_k16_shapes:
         assert np.max(np.abs(u - u_oracle)) <= 1.5e-8 * np.max(np.abs(u_oracle))
+
+
+def test_high_mode_shapes_replayed_amplitude(exp_k16_shapes):
+    # the replay carries log r with the Richardson propagator, so the
+    # amplitude is as accurate as the angle: the worst exp K=16 shape
+    # misses the oracle by 3.0e-10 of max|u| (5.8e-9 when log r was the
+    # adaptive sweep's sum of half steps)
+    worst = max(np.max(np.abs(u - u_oracle)) / np.max(np.abs(u_oracle))
+                for u, u_oracle in exp_k16_shapes)
+    assert worst <= 1e-9
